@@ -358,7 +358,7 @@ def verify_manifest(path):
     return mismatches
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads=1, stop_after=None):
+def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
     """forward -> MSR -> SVD -> imaging -> metrics with artifact persistence.
 
     A failed stage raises after writing a manifest that records the stages
@@ -416,8 +416,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1, stop_after=None):
 
         t0 = time.perf_counter()
         image = imaging.image_subspace(
-            subspaces, cfg.grid(), cfg.steering_mode(), cfg.weight_scheme(), dirs,
-            threads=threads,
+            subspaces, cfg.grid(), cfg.steering_mode(), cfg.weight_scheme(), dirs
         )
         imaging.save_map(image, out / "map.csv")
         manifest.artifacts["map.csv"] = file_sha256(out / "map.csv")
@@ -558,10 +557,9 @@ def _add_common(parser):
     parser.add_argument("--config", type=str, help="config file path")
     parser.add_argument("--preset", type=str, help="catalog preset, e.g. G1,TM")
     parser.add_argument("--aperture", type=str, default="full", help=f"one of {sorted(APERTURES)}")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None, help="noise seed (presets: 0)")
     parser.add_argument("--snr", type=float, default=None, help="noise SNR in dB")
     parser.add_argument("--out", type=str, required=True)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--mode", type=str, default=None, help="tm | te-search | te-plain")
     parser.add_argument("--weight", type=str, default=None, help="unit | power:p | log")
 
@@ -573,10 +571,10 @@ def _config_from_args(args):
         )
         if args.snr is not None:
             cfg.snr_db = args.snr
-        if args.seed:
+        if args.seed is not None:
             cfg.seed = args.seed
     elif args.preset:
-        cfg = preset_config(args.preset, args.aperture, seed=args.seed, snr_db=args.snr)
+        cfg = preset_config(args.preset, args.aperture, seed=args.seed or 0, snr_db=args.snr)
     else:
         raise ConfigError("either --config or --preset is required")
     if args.mode:
@@ -628,13 +626,13 @@ def main(argv=None):
 def _dispatch(args):
     if args.command == "forward":
         cfg = _config_from_args(args)
-        manifest = run_experiment(cfg, args.out, threads=args.threads, stop_after="forward")
+        manifest = run_experiment(cfg, args.out, stop_after="forward")
         print(f"wrote {len(manifest.artifacts)} MSR files to {args.out}")
         return EXIT_OK
 
     if args.command == "image":
         cfg = _config_from_args(args)
-        manifest = run_experiment(cfg, args.out, threads=args.threads)
+        manifest = run_experiment(cfg, args.out)
         print(f"stages: {', '.join(manifest.stages_completed)}; artifacts in {args.out}")
         return EXIT_OK
 

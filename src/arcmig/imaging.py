@@ -2,15 +2,16 @@
 normal search, the TE alternative, frequency-weighted and log-weighted
 variants, and Kirchhoff migration, all evaluated over a rectangular grid.
 
-Grid evaluation is row-major and the reduction order over frequencies and
-singular-vector indices is fixed, so maps are bitwise reproducible; optional
-threading splits the grid into row blocks without reordering any per-point
-reduction.
+Every functional is a conjugate plane-wave phase block times a small
+per-frequency factor matrix, followed by a reduction over the subspace
+index. One engine walks the row-major grid in fixed 1024-point row blocks,
+which bounds memory; the reduction order over frequencies and
+singular-vector indices is fixed and independent of the block, so maps are
+bitwise reproducible.
 """
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -233,9 +234,7 @@ def steering_te(x, k, dirs: DirectionSet, nu):
     return v / norm
 
 
-def _phase_matrix(points, k, dirs):
-    # rows = grid points, columns = directions; un-normalized exp(i k theta.x)
-    return np.exp(1j * k * (points @ dirs.directions().T))
+_BLOCK = 1024                      # grid points per row block of the imaging engine
 
 
 def candidate_normals(count):
@@ -244,59 +243,78 @@ def candidate_normals(count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _subspace_point_block(points, subspaces, ks, weights, mode, dirs):
-    """Per-point complex accumulator sum_f sum_m w_f (S*U_m)(S*Vbar_m)."""
+def _blocked_sum(points, ks, dirs, factors, reduce):
+    """Per-point sum over f of reduce(f, s, s @ g_1, s @ g_2, ...) with
+    (g_1, g_2, ...) = factors[f] and s the conjugate TM steering block
+    conj(exp(i k_f theta_n . x)) / sqrt(N) of the points.
+
+    The grid is walked in fixed row blocks of _BLOCK points, which bounds
+    the working set; no per-point reduction depends on where its block
+    starts."""
+    d_t = dirs.directions().T
+    root_n = math.sqrt(dirs.count)
     total = np.zeros(points.shape[0], dtype=np.complex128)
-    if mode.kind in ("tm", "te-plain"):
-        for sub, k, w in zip(subspaces, ks, weights):
-            phases = _phase_matrix(points, k, dirs)
-            s_conj = phases.conj() / math.sqrt(dirs.count)
-            m_f = sub.cut_index
-            a = s_conj @ sub.left_vectors[:, :m_f]
-            b = s_conj @ sub.right_vectors[:, :m_f].conj()
-            total += w * np.sum(a * b, axis=1)
-        return total
-    normals = candidate_normals(mode.candidates)
-    d = dirs.directions()
-    proj = d @ normals.T                                   # (N, L)
-    for sub, k, w in zip(subspaces, ks, weights):
-        phases = _phase_matrix(points, k, dirs)            # (P, N)
-        m_f = sub.cut_index
-        u = sub.left_vectors[:, :m_f]
-        v = sub.right_vectors[:, :m_f].conj()
-        best = None
-        best_mag = None
-        for l in range(mode.candidates):
-            sv = phases * proj[None, :, l]                 # un-normalized TE steering
-            norms = np.linalg.norm(sv, axis=1)
-            if np.any(norms <= 1e-14 * math.sqrt(dirs.count)):
-                raise DegenerateSteeringError(
-                    "degenerate TE steering for a candidate normal"
-                )
-            s_conj = sv.conj() / norms[:, None]
-            terms = (s_conj @ u) * (s_conj @ v)            # (P, M_f)
-            if best is None:
-                best = terms.copy()
-                best_mag = np.abs(terms)
-            else:
-                mag = np.abs(terms)
-                better = mag > best_mag                    # ties keep smallest l
-                best = np.where(better, terms, best)
-                best_mag = np.where(better, mag, best_mag)
-        total += w * np.sum(best, axis=1)
+    for start in range(0, points.shape[0], _BLOCK):
+        pts = points[start : start + _BLOCK]
+        acc = total[start : start + _BLOCK]
+        for f, k in enumerate(ks):
+            s = np.exp(1j * k * (pts @ d_t)).conj() / root_n
+            acc += reduce(f, s, *(s @ g for g in factors[f]))
     return total
 
 
-def _run_blocks(points, worker, threads):
-    if threads <= 1:
-        return worker(points)
-    out = np.empty(points.shape[0], dtype=np.complex128)
-    blocks = np.array_split(np.arange(points.shape[0]), threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(idx, pool.submit(worker, points[idx])) for idx in blocks if idx.size]
-        for idx, fut in futures:
-            out[idx] = fut.result()
-    return out
+def _te_search(subspaces, weights, candidates, dirs):
+    """Factor matrices and reduction of the TE normal search.
+
+    With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u],
+    S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM per frequency
+    serves every candidate and ||Theta nu|| is one scalar per candidate.
+    Each (f, m) term keeps the candidate of largest modulus."""
+    d = dirs.directions()
+    normals = candidate_normals(candidates)
+    if candidates % 2 == 0:
+        normals = normals[: candidates // 2]       # nu_{l+L/2} = -nu_l: same term
+    norms = np.linalg.norm(d @ normals.T, axis=0)
+    if np.any(norms <= 1e-14 * math.sqrt(dirs.count)):
+        raise DegenerateSteeringError("degenerate TE steering for a candidate normal")
+    scaled = normals * (dirs.count / norms**2)[:, None]
+    dx, dy = d[:, :1], d[:, 1:]
+    factors = []
+    for sub in subspaces:
+        u, v = sub.retained_left(), sub.retained_right().conj()
+        factors.append((np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1),))
+
+    def reduce(f, s, prod):
+        a = prod.reshape(len(s), 4, -1)                      # (P, 4, M)
+        terms = (scaled @ a[:, :2]) * (normals @ a[:, 2:])  # (P, L', M)
+        pick = np.abs(terms).argmax(axis=1)[:, None]        # ties keep smallest l
+        return weights[f] * np.sum(np.take_along_axis(terms, pick, axis=1)[:, 0], axis=1)
+
+    return factors, reduce
+
+
+def _wavenumbers(items, dirs, what):
+    """The wavenumbers of per-frequency inputs, checked against dirs."""
+    if not items:
+        raise ConfigError(f"need at least one {what}")
+    key = dirs.key()
+    if any(item.dirs.key() != key for item in items):
+        raise ConfigError(f"a {what} was built over a different direction set")
+    ks = [item.k for item in items]
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ConfigError("frequencies must be strictly increasing")
+    return ks
+
+
+def _provenance(functional, weight, ks, dirs):
+    return {
+        "functional": functional,
+        "weight": weight,
+        "frequencies": ",".join(format(k, ".17g") for k in ks),
+        "alpha": dirs.alpha,
+        "beta": dirs.beta,
+        "directions": dirs.count,
+    }
 
 
 def image_subspace(
@@ -305,82 +323,38 @@ def image_subspace(
     mode: SteeringMode,
     weight: WeightScheme,
     dirs: DirectionSet,
-    threads: int = 1,
 ) -> ImageMap:
     """Multi-frequency subspace-migration map over the grid:
     value(x) = (1/F) |sum_f sum_{m<=M_f} w(k_f) (S*(x)U_m)(S*(x)Vbar_m)|,
     with the TE search maximizing each (f, m) term's modulus over the
     candidate normals before summation."""
-    if not subspaces:
-        raise ConfigError("need at least one frequency subspace")
-    key = dirs.key()
-    for sub in subspaces:
-        if sub.dirs.key() != key:
-            raise ConfigError("subspaces were built over a different direction set")
-    ks = [sub.k for sub in subspaces]
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ConfigError("frequencies must be strictly increasing")
+    ks = _wavenumbers(subspaces, dirs, "frequency subspace")
     weights = weight.values(ks)
-    points = grid.points()
-    f_count = len(subspaces)
-
-    def worker(pts):
-        return _subspace_point_block(pts, subspaces, ks, weights, mode, dirs)
-
-    acc = _run_blocks(points, worker, threads)
-    values = np.abs(acc) / f_count
-    prov = {
-        "functional": {"tm": "subspace-tm", "te-search": "subspace-te-search",
-                       "te-plain": "subspace-te-plain"}[mode.kind],
-        "weight": weight.describe(),
-        "frequencies": ",".join(format(k, ".17g") for k in ks),
-        "alpha": dirs.alpha,
-        "beta": dirs.beta,
-        "directions": dirs.count,
-    }
+    prov = _provenance(f"subspace-{mode.kind}", weight.describe(), ks, dirs)
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
-    return ImageMap(grid=grid, values=values, provenance=prov)
+        factors, reduce = _te_search(subspaces, weights, mode.candidates, dirs)
+    else:
+        factors = [(sub.retained_left(), sub.retained_right().conj()) for sub in subspaces]
+
+        def reduce(f, s, a, b):
+            return weights[f] * np.sum(a * b, axis=1)
+
+    acc = _blocked_sum(grid.points(), ks, dirs, factors, reduce)
+    return ImageMap(grid=grid, values=np.abs(acc) / len(subspaces), provenance=prov)
 
 
 def image_kirchhoff(
     matrices: Sequence[MsrMatrix],
     grid: SearchGrid,
     dirs: DirectionSet,
-    threads: int = 1,
 ) -> ImageMap:
     """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|."""
-    if not matrices:
-        raise ConfigError("need at least one MSR matrix")
-    key = dirs.key()
-    for m in matrices:
-        if m.dirs.key() != key:
-            raise ConfigError("matrices were built over a different direction set")
-    ks = [m.k for m in matrices]
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ConfigError("frequencies must be strictly increasing")
-    points = grid.points()
-    f_count = len(matrices)
-
-    def worker(pts):
-        total = np.zeros(pts.shape[0], dtype=np.complex128)
-        for m in matrices:
-            phases = _phase_matrix(pts, m.k, dirs)
-            s_conj = phases.conj() / math.sqrt(dirs.count)
-            total += np.sum((s_conj @ m.entries) * s_conj, axis=1)
-        return total
-
-    acc = _run_blocks(points, worker, threads)
-    values = np.abs(acc) / f_count
-    prov = {
-        "functional": "kirchhoff",
-        "weight": "unit",
-        "frequencies": ",".join(format(k, ".17g") for k in ks),
-        "alpha": dirs.alpha,
-        "beta": dirs.beta,
-        "directions": dirs.count,
-    }
-    return ImageMap(grid=grid, values=values, provenance=prov)
+    ks = _wavenumbers(matrices, dirs, "MSR matrix")
+    factors = [(m.entries,) for m in matrices]
+    acc = _blocked_sum(grid.points(), ks, dirs, factors, lambda f, s, a: np.sum(a * s, axis=1))
+    prov = _provenance("kirchhoff", "unit", ks, dirs)
+    return ImageMap(grid=grid, values=np.abs(acc) / len(matrices), provenance=prov)
 
 
 def save_map(image: ImageMap, path):

@@ -17,6 +17,7 @@ __all__ = [
     "MsrMatrix",
     "SignalSubspace",
     "assemble",
+    "noisy_values",
     "add_noise",
     "svd_threshold",
     "save_msr",
@@ -102,11 +103,7 @@ class MsrMatrix:
 
 @dataclass(frozen=True)
 class SignalSubspace:
-    """Full SVD of an MSR matrix plus the threshold cut index M_f.
-
-    Thresholding is a view on the stored full decomposition, so maps can be
-    re-thresholded without re-decomposition.
-    """
+    """Full SVD of an MSR matrix plus the threshold cut index M_f."""
 
     k: float
     singular_values: np.ndarray
@@ -121,10 +118,6 @@ class SignalSubspace:
 
     def retained_right(self):
         return self.right_vectors[:, : self.cut_index]
-
-    def with_threshold(self, tau):
-        cut = _cut_index(self.singular_values, tau)
-        return replace(self, cut_index=cut, tau=tau)
 
 
 def assemble(
@@ -142,16 +135,22 @@ def assemble(
     return MsrMatrix(k=k, entries=entries, dirs=dirs, bc=bc)
 
 
-def add_noise(m: MsrMatrix, spec: NoiseSpec) -> MsrMatrix:
-    """K + E with i.i.d. circular complex Gaussian E scaled so that
-    ||E||_F / ||K||_F = 10^(-snr_db/20); deterministic under the seed."""
-    signal = np.linalg.norm(m.entries, "fro")
+def noisy_values(values, spec: NoiseSpec):
+    """values + E with i.i.d. circular complex Gaussian E scaled so that
+    ||E|| / ||values|| = 10^(-snr_db/20) in the Frobenius (vector 2-) norm;
+    deterministic under the seed."""
+    signal = np.linalg.norm(values)
     if signal == 0.0:
-        raise DomainError("SNR is undefined for a zero matrix")
+        raise DomainError("SNR is undefined for zero data")
     rng = np.random.default_rng(spec.seed)
-    noise = rng.standard_normal(m.entries.shape) + 1j * rng.standard_normal(m.entries.shape)
-    noise *= signal * 10.0 ** (-spec.snr_db / 20.0) / np.linalg.norm(noise, "fro")
-    return replace(m, entries=m.entries + noise, noise=spec)
+    noise = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    noise *= signal * 10.0 ** (-spec.snr_db / 20.0) / np.linalg.norm(noise)
+    return values + noise
+
+
+def add_noise(m: MsrMatrix, spec: NoiseSpec) -> MsrMatrix:
+    """K + E with ||E||_F / ||K||_F = 10^(-snr_db/20); see noisy_values."""
+    return replace(m, entries=noisy_values(m.entries, spec), noise=spec)
 
 
 def _cut_index(singular_values, tau):

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, IterationError
 from .forward import BoundaryCondition, NystromConfig, PlaneWave, far_field_many, solve_density
 from .geometry import chebyshev_graph_arc, chebyshev_value, validate_crack
+from .msr import NoiseSpec, noisy_values
 
 __all__ = [
     "ChebyshevCrack",
@@ -116,11 +117,7 @@ def synthesize_data(
     sol = solve_density(crack, PlaneWave(np.asarray(theta), k), BoundaryCondition.DIRICHLET, cfg)
     values = far_field_many(sol, observation_dirs)
     if noise is not None:
-        snr_db, seed = noise
-        rng = np.random.default_rng(seed)
-        e = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-        e *= np.linalg.norm(values) * 10.0 ** (-snr_db / 20.0) / np.linalg.norm(e)
-        values = values + e
+        values = noisy_values(values, NoiseSpec(*noise))
     return FarFieldData(k=k, theta=np.asarray(theta), observation_dirs=observation_dirs, values=values)
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "bessel_j_many",
     "hankel1",
     "hankel1_many",
-    "bessel_y",
     "jacobi_anger_partial",
     "bessel_j_table",
 ]
@@ -53,17 +52,6 @@ def bessel_j_many(n, x):
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise DomainError("arguments must be finite and >= 0")
     return kernels.jnv(int(n), x)
-
-
-def bessel_y(n, x):
-    """Y_n(x) for n in {0, 1}, x > 0.  Support function for hankel1."""
-    if n not in (0, 1):
-        raise DomainError(f"Y_n implemented for n in {{0, 1}} only, got {n}")
-    x = _check_x(x)
-    if x <= 0.0:
-        raise DomainError(f"Y_n requires x > 0, got {x}")
-    arr = np.array([x])
-    return float(kernels.y0v(arr)[0] if n == 0 else kernels.y1v(arr)[0])
 
 
 def hankel1(n, x):

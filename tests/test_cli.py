@@ -227,6 +227,23 @@ def test_cli_image_from_config_file(tmp_path):
     assert meta["config.noise.seed"] == "9"
 
 
+def test_cli_seed_zero_overrides_config(tmp_path, monkeypatch):
+    seeds = []
+
+    def record(cfg, out_dir, stop_after=None):
+        seeds.append(cfg.seed)
+        return cli.RunManifest(config_tables={})
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    path = tmp_path / "exp.cfg"
+    cfg = cli.preset_config("G1,TM", seed=5, snr_db=15.0)
+    path.write_text(cli.serialize_config(cfg.to_tables()))
+    assert cli.main(["image", "--config", str(path), "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert cli.main(["image", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert cli.main(["image", "--preset", "G1,TM", "--out", str(tmp_path)]) == 0
+    assert seeds == [0, 5, 0]     # --seed 0 wins; the file's seed; the preset default
+
+
 def test_cli_verify_fast():
     assert cli.main(["verify", "--fast"]) == 0
 

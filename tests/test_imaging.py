@@ -180,16 +180,34 @@ def test_direction_set_mismatch_rejected(micro_subspaces):
         )
 
 
-def test_threaded_map_matches_serial(micro_subspaces):
-    center, dirs, sub, _ = micro_subspaces
-    grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)
-    serial = imaging.image_subspace(
-        [sub], grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs, threads=1
-    )
-    threaded = imaging.image_subspace(
-        [sub], grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs, threads=4
-    )
-    assert np.array_equal(serial.values, threaded.values)
+def test_map_rows_do_not_depend_on_block_position(micro_subspaces):
+    # 65 x 65 = 4225 points span five row blocks; the sub-grid starts at
+    # y = -0.5, point 1560 of the full grid, in the middle of its second
+    # block. A dyadic step makes the shared points bitwise equal.
+    _, dirs, sub, _ = micro_subspaces
+    mode, unit = imaging.SteeringMode.tm(), imaging.WeightScheme.unit()
+    full_grid = imaging.SearchGrid(-2.0, 2.0, -2.0, 2.0, 0.0625)
+    sub_grid = imaging.SearchGrid(-2.0, 2.0, -0.5, 2.0, 0.0625)
+    start = full_grid.index_nearest(np.array([-2.0, -0.5]))
+    assert full_grid.nx * full_grid.ny > 3 * 1024 and start % 1024 != 0
+    assert np.array_equal(sub_grid.points(), full_grid.points()[start:])
+    full = imaging.image_subspace([sub], full_grid, mode, unit, dirs)
+    part = imaging.image_subspace([sub], sub_grid, mode, unit, dirs)
+    assert np.array_equal(part.values, full.values[start:])
+
+
+def test_te_search_degenerate_candidate_raises():
+    # directions 0 and pi: the first of L = 4 candidates, nu = (0, 1), is
+    # orthogonal to both
+    dirs = msr.DirectionSet(0.0, np.pi, 2)
+    rng = np.random.default_rng(3)
+    entries = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    sub = msr.svd_threshold(msr.MsrMatrix(k=K_HALF, entries=entries, dirs=dirs, bc=BC.NEUMANN))
+    grid = imaging.SearchGrid(-0.2, 0.2, -0.2, 0.2, 0.1)
+    with pytest.raises(DegenerateSteeringError):
+        imaging.image_subspace(
+            [sub], grid, imaging.SteeringMode.te_search(4), imaging.WeightScheme.unit(), dirs
+        )
 
 
 def test_te_search_matches_brute_force_oracle():
