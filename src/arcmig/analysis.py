@@ -48,6 +48,10 @@ REGIMES = (
 
 _FULL_VIEW_TOL = 1e-12
 
+# grid points per `kernel_predict_grid` call in `validate_map`: bounds the
+# (points x samples) temporaries; rows do not depend on each other
+_PREDICT_BLOCK = 2048
+
 
 def _j0(z):
     return kernels.j0v(np.ravel(np.abs(z))).reshape(np.shape(z))
@@ -447,15 +451,17 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, 
     kwargs = dict(params)
     if needs_normals:
         kwargs.setdefault("normals", normals)
-    prediction = kernel_predict_grid(kind, grid_points, pts, **kwargs)
+    prediction = np.empty(grid_points.shape[0])
+    dist = np.empty(grid_points.shape[0])
+    for lo in range(0, grid_points.shape[0], _PREDICT_BLOCK):
+        block = grid_points[lo : lo + _PREDICT_BLOCK]
+        rows = slice(lo, lo + block.shape[0])
+        prediction[rows] = kernel_predict_grid(kind, block, pts, **kwargs)
+        dist[rows] = np.min(
+            np.hypot(block[:, None, 0] - pts[None, :, 0], block[:, None, 1] - pts[None, :, 1]),
+            axis=1,
+        )
     sup_dev = float(np.max(np.abs(image.values - prediction)))
-    dist = np.min(
-        np.hypot(
-            grid_points[:, None, 0] - pts[None, :, 0],
-            grid_points[:, None, 1] - pts[None, :, 1],
-        ),
-        axis=1,
-    )
     on_idx = np.unique([grid.index_nearest(p) for p in pts])
     on_mean = float(np.mean(image.values[on_idx]))
     off_mask = dist >= off_distance

@@ -327,6 +327,7 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
     stages_completed: list = field(default_factory=list)
     seed: int = 0
+    verify: dict = field(default_factory=dict)
 
     def write(self, path):
         meta = {"seed": self.seed, "backend": BACKEND, "version": __version__}
@@ -337,6 +338,8 @@ class RunManifest:
             meta[f"artifact.{name}.sha256"] = digest
         for stage, seconds in self.timings.items():
             meta[f"timing.{stage}_s"] = float(seconds)
+        for check, value in self.verify.items():
+            meta[f"verify.{check}"] = float(value)
         meta["stages"] = ",".join(self.stages_completed)
         imaging.save_metadata(meta, path)
 
@@ -385,6 +388,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
                 NystromConfig(nodes_per_arc=cfg.nodes_check),
             )
             defect = boundary_residual(probe, 64)
+            manifest.verify["boundary_residual"] = defect
             if defect > 1e-6:
                 raise SolverError(f"verification residual {defect:.3e} exceeds 1e-6")
         manifest.timings["verify"] = time.perf_counter() - t0

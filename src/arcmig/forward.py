@@ -13,6 +13,7 @@ the endpoint grid, with trigonometric differentiation for the outer
 arc-length derivative.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -128,6 +129,37 @@ def _km_log_weights(n, u):
     return out
 
 
+@functools.cache
+def _lattice_log_weights(n):
+    """R(p pi / n) for p = 0 .. 2n-1, read-only.
+
+    On both node grids every tau_i -+ sigma_j is such a lattice angle, so
+    these 2n values are all the weights an on-grid block needs.  Each
+    cosine is taken at the exact lattice angle (m p mod 2n) pi / n.
+    Depends on n only: one O(n^2) build per node count, shared by every
+    wavenumber and every solve; an entry holds 2n floats."""
+    p = np.arange(2 * n)
+    cos_lattice = np.cos(p * (np.pi / n))
+    m = np.arange(1, n)
+    series = cos_lattice[np.outer(p, m) % (2 * n)] @ (1.0 / m)
+    out = -(np.pi / n**2) * cos_lattice[(n * p) % (2 * n)] - (2.0 * np.pi / n) * series
+    out.flags.writeable = False
+    return out
+
+
+def _grid_log_weights(grid: _ArcGrid):
+    """0.5 (R(tau_i - sigma_j) + R(tau_i + sigma_j)) with targets = the
+    grid's own nodes: tau_i - sigma_j = (i - j) pi / n, and tau_i + sigma_j
+    = (i + j + 1) pi / n on the midpoint grid, (i + j) pi / n on the
+    endpoint grid."""
+    n = grid.n
+    idx = np.arange(grid.size())
+    lattice = _lattice_log_weights(n)
+    minus = (idx[:, None] - idx[None, :]) % (2 * n)
+    plus = (idx[:, None] + idx[None, :] + (1 if grid.midpoint else 0)) % (2 * n)
+    return 0.5 * (lattice[minus] + lattice[plus])
+
+
 def _hankel0(z):
     flat = np.ravel(z)
     vals = kernels.j0v(flat) + 1j * kernels.y0v(flat)
@@ -140,36 +172,34 @@ def _hankel1v(z):
     return vals.reshape(np.shape(z))
 
 
-def _j0(z):
-    return kernels.j0v(np.ravel(z)).reshape(np.shape(z))
+def _distances(tgt_points, src_points):
+    diff = tgt_points[:, None, :] - src_points[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
-def _slp_quad_matrix(k, tgt_tau, tgt_points, src: _ArcGrid, same_arc, tgt_speed=None):
+def _slp_block(k, r, hankel, src: _ArcGrid, rw=None, tgt_t=None, tgt_speed=None):
     """Matrix Q with S[g](x_i) = sum_j Q_ij g(sigma_j), where g is the even
-    2pi-periodic 1-form density sampled on ``src`` nodes.
+    2pi-periodic 1-form density sampled on ``src`` nodes, from the
+    target-node distances ``r`` and ``hankel`` = H0(k r) (ignored where
+    r <= 1e-14).
 
-    ``same_arc`` engages the split of both logarithmic singular lines; the
-    targets are then parameterized by ``tgt_tau`` on the same arc.
+    Log weights ``rw`` engage the split of both logarithmic singular lines
+    for targets on the source arc, parameterized by ``tgt_t`` = cos(tau).
     """
     n = src.n
-    diff = tgt_points[:, None, :] - src.points[None, :, :]
-    r = np.hypot(diff[..., 0], diff[..., 1])
-    if not same_arc:
+    if rw is None:
         if np.min(r) <= 0.0:
             raise SolverError("coincident points between distinct components")
-        return (np.pi / n) * src.fold[None, :] * (0.25j) * _hankel0(k * r)
+        return (np.pi / n) * src.fold[None, :] * (0.25j) * hankel
 
-    u_minus = tgt_tau[:, None] - src.tau[None, :]
-    u_plus = tgt_tau[:, None] + src.tau[None, :]
-    rw = 0.5 * (_km_log_weights(n, u_minus) + _km_log_weights(n, u_plus))
     coincident = r <= 1e-14
-    r_safe = np.where(coincident, 1.0, r)
-    m1 = -(1.0 / (4.0 * np.pi)) * _j0(k * r_safe)
+    # J0(k r) is the real part of the same Hankel value
+    m1 = -(1.0 / (4.0 * np.pi)) * hankel.real
     m1 = np.where(coincident, -1.0 / (4.0 * np.pi), m1)
     log_both = np.log(
-        np.where(coincident, 1.0, 4.0 * (np.cos(tgt_tau)[:, None] - src.t[None, :]) ** 2)
+        np.where(coincident, 1.0, 4.0 * (tgt_t[:, None] - src.t[None, :]) ** 2)
     )
-    m_full = np.where(coincident, 0.0, (0.25j) * _hankel0(k * np.where(coincident, 1.0, r)))
+    m_full = np.where(coincident, 0.0, (0.25j) * hankel)
     m2 = m_full - m1 * log_both
     if coincident.any():
         if tgt_speed is None:
@@ -181,6 +211,50 @@ def _slp_quad_matrix(k, tgt_tau, tgt_points, src: _ArcGrid, same_arc, tgt_speed=
         )
         m2 = np.where(coincident, diag_val[:, None], m2)
     return src.fold[None, :] * (rw * m1 + (np.pi / n) * m2)
+
+
+def _slp_quad_matrix(k, tgt_tau, tgt_points, src: _ArcGrid, same_arc, tgt_speed=None):
+    """`_slp_block` for arbitrary targets; ``same_arc`` means the targets
+    are parameterized by ``tgt_tau`` on the source arc."""
+    r = _distances(tgt_points, src.points)
+    if not same_arc:
+        return _slp_block(k, r, _hankel0(k * r), src)
+    n = src.n
+    u_minus = tgt_tau[:, None] - src.tau[None, :]
+    u_plus = tgt_tau[:, None] + src.tau[None, :]
+    rw = 0.5 * (_km_log_weights(n, u_minus) + _km_log_weights(n, u_plus))
+    hankel = _hankel0(k * np.where(r <= 1e-14, 1.0, r))
+    return _slp_block(k, r, hankel, src, rw, np.cos(tgt_tau), tgt_speed)
+
+
+def _slp_system(k, grids):
+    """`_slp_block` over all nodes of all components, targets = the nodes
+    themselves, as one square matrix.
+
+    Distances are symmetric, so H0(k r) is evaluated once per unordered
+    node pair and mirrored; self blocks take their log weights from the
+    lattice."""
+    points = np.concatenate([g.points for g in grids])
+    r = _distances(points, points)
+    upper = np.triu_indices(r.shape[0], 1)
+    pair_vals = _hankel0(k * r[upper])
+    hankel = np.zeros(r.shape, dtype=np.complex128)
+    hankel[upper] = pair_vals
+    hankel.T[upper] = pair_vals
+    edges = np.cumsum([0] + [g.size() for g in grids])
+    q_mat = np.empty_like(hankel)
+    for ia, ga in enumerate(grids):
+        rows = slice(edges[ia], edges[ia + 1])
+        for ib, gb in enumerate(grids):
+            cols = slice(edges[ib], edges[ib + 1])
+            if ia == ib:
+                q_mat[rows, cols] = _slp_block(
+                    k, r[rows, cols], hankel[rows, cols], ga,
+                    _grid_log_weights(ga), ga.t, ga.speed,
+                )
+            else:
+                q_mat[rows, cols] = _slp_block(k, r[rows, cols], hankel[rows, cols], gb)
+    return q_mat
 
 
 def _interp_derivative_rows(grid: _ArcGrid):
@@ -198,19 +272,7 @@ def _interp_derivative_rows(grid: _ArcGrid):
 
 def _build_dirichlet(crack, k, cfg):
     grids = [_ArcGrid(arc, cfg.nodes_per_arc, midpoint=True) for arc in crack.components]
-    sizes = [g.size() for g in grids]
-    total = sum(sizes)
-    a_mat = np.empty((total, total), dtype=np.complex128)
-    row = 0
-    for ga in grids:
-        col = 0
-        for gb in grids:
-            a_mat[row : row + ga.size(), col : col + gb.size()] = _slp_quad_matrix(
-                k, ga.tau, ga.points, gb, same_arc=ga is gb, tgt_speed=ga.speed
-            )
-            col += gb.size()
-        row += ga.size()
-    return grids, a_mat
+    return grids, _slp_system(k, grids)
 
 
 def _build_neumann(crack, k, cfg):
@@ -224,13 +286,13 @@ def _build_neumann(crack, k, cfg):
             (np.sin(np.outer(gb.tau, orders)), np.cos(np.outer(gb.tau, orders)) * orders)
         )
     interp_rows = [_interp_derivative_rows(g) for g in grids]
+    q_mat = _slp_system(k, grids)
+    q_edges = np.cumsum([0] + [g.size() for g in grids])
     row = 0
     for ia, ga in enumerate(grids):
         col = 0
         for ib, gb in enumerate(grids):
-            q_ab = _slp_quad_matrix(
-                k, ga.tau, ga.points, gb, same_arc=ga is gb, tgt_speed=ga.speed
-            )
+            q_ab = q_mat[q_edges[ia] : q_edges[ia + 1], q_edges[ib] : q_edges[ib + 1]]
             nu_dot = ga.normals @ gb.normals.T
             sin_b, dcos_b = sin_bases[ib]
             part1 = (k * k) * ((q_ab * nu_dot)[1:-1, :] * gb.jacobian[None, :]) @ sin_b

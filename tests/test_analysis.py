@@ -322,3 +322,21 @@ def test_first_sidelobe_ratio_ordering():
 def test_unknown_regime_rejected():
     with pytest.raises(ConfigError):
         analysis.kernel_predict("TM_NOPE", [0.0, 0.0], np.array([[0.0, 0.0]]))
+
+
+def test_validate_map_blocked_prediction_is_exact():
+    grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.04)
+    grid_points = grid.points()
+    assert grid_points.shape[0] > analysis._PREDICT_BLOCK
+    crack = geometry.line_segment([-0.3, 0.1], [0.4, -0.2])
+    values = np.random.default_rng(3).uniform(0.0, 1.0, grid_points.shape[0])
+    image = imaging.ImageMap(grid=grid, values=values)
+    metrics = analysis.validate_map(image, crack, "TM_BAND", {"k_first": K1, "k_last": KF})
+    pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
+    pred = analysis.kernel_predict_grid("TM_BAND", grid_points, pts, k_first=K1, k_last=KF)
+    assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
+    dist = np.min(
+        np.hypot(grid_points[:, None, 0] - pts[None, :, 0], grid_points[:, None, 1] - pts[None, :, 1]),
+        axis=1,
+    )
+    assert metrics["off_crack_mean"] == float(np.mean(values[dist >= 0.5]))

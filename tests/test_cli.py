@@ -126,6 +126,8 @@ def test_run_experiment_artifacts(small_run):
     meta = imaging.load_metadata(out / "map.meta")
     assert meta["functional"] == "subspace-tm"
     assert "input.msr_000.msr.sha256" in meta
+    manifest_meta = imaging.load_metadata(out / "manifest.txt")
+    assert float(manifest_meta["verify.boundary_residual"]) < 1e-6
 
 
 def test_run_experiment_deterministic(small_run, tmp_path):

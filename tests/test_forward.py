@@ -158,3 +158,50 @@ def test_far_field_requires_unit_direction():
     sol = forward.solve_density(crack, wave, BC.DIRICHLET, CFG64)
     with pytest.raises(DomainError):
         forward.far_field(sol, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("midpoint", [True, False])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_lattice_log_weights_match_direct(n, midpoint):
+    lattice = forward._lattice_log_weights(n)
+    assert lattice is forward._lattice_log_weights(n)
+    assert not lattice.flags.writeable
+    scale = np.max(np.abs(lattice))
+    p = np.arange(2 * n)
+    assert np.max(np.abs(lattice - forward._km_log_weights(n, p * np.pi / n))) < 1e-13 * scale
+    grid = forward._ArcGrid(geometry.catalog("G1").components[0], n, midpoint)
+    tau = grid.tau
+    direct = 0.5 * (
+        forward._km_log_weights(n, tau[:, None] - tau[None, :])
+        + forward._km_log_weights(n, tau[:, None] + tau[None, :])
+    )
+    assert np.max(np.abs(forward._grid_log_weights(grid) - direct)) < 1e-13 * scale
+
+
+def _general_slp_system(k, grids):
+    # the off-node path at a copy of each grid's own tau: direct weights,
+    # one Hankel evaluation per block entry
+    return np.block(
+        [
+            [
+                forward._slp_quad_matrix(
+                    k, ga.tau.copy(), ga.points, gb, same_arc=ga is gb, tgt_speed=ga.speed
+                )
+                for gb in grids
+            ]
+            for ga in grids
+        ]
+    )
+
+
+@pytest.mark.parametrize("name, bc", [("G4", BC.DIRICHLET), ("G1", BC.NEUMANN)])
+def test_on_grid_build_matches_general_path(name, bc, monkeypatch):
+    crack = geometry.catalog(name)
+    cfg = NystromConfig(nodes_per_arc=32)
+    k = 2.0 * np.pi / 0.4
+    build = forward._build_dirichlet if bc is BC.DIRICHLET else forward._build_neumann
+    grids, fast = build(crack, k, cfg)[:2]
+    assert len(grids) == len(crack.components)
+    monkeypatch.setattr(forward, "_slp_system", _general_slp_system)
+    reference = build(crack, k, cfg)[1]
+    assert np.max(np.abs(fast - reference)) < 1e-13 * np.max(np.abs(reference))
