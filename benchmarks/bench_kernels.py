@@ -1,114 +1,70 @@
 #!/usr/bin/env python3
-"""Benchmark: compiled Cython kernels vs the pure-NumPy fallback.
+"""Benchmark: the order-0/1 Bessel kernels per argument range.
 
-Times the Bessel-family primitives on representative workloads (argument
-ranges spanning all three evaluation regimes) and one Dirichlet system
-assembly, which is where the kernels sit in the hot path.
+For each range of the evaluation scheme (series below 9, recurrence band
+[9, 18), asymptotic sums from 18) it times separate calls of the views
+(``j0v`` + ``j1v``, ``j0v`` + ``y0v``) against one fused ``jy01v`` call, in
+nanoseconds per argument (best of five), and reports the largest deviation
+from `scipy.special` scaled by max(1, |reference|) when scipy is present.
 
-Run:  python benchmarks/bench_kernels.py [--sizes 200000]
+Run:  python benchmarks/bench_kernels.py [--size 200000]
 """
 
 import argparse
-import importlib
 import time
 
 import numpy as np
 
+from arcmig.backend import kernels
 
-def _load_backends():
-    pure = importlib.import_module("arcmig._kernels_py")
-    try:
-        compiled = importlib.import_module("arcmig._kernels")
-    except ImportError:
-        compiled = None
-    return compiled, pure
+RANGES = {
+    "series [1e-3, 9)": (1e-3, 9.0),
+    "recurrence [9, 18)": (9.0, 18.0),
+    "asymptotic [18, 400)": (18.0, 400.0),
+}
 
 
-def _time(fn, *args, repeats=5):
+def _ns_per_arg(fn, x, repeats=5):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(*args)
+        fn(x)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return 1e9 * best / x.size
 
 
-def bench_kernels(size):
-    compiled, pure = _load_backends()
-    rng = np.random.default_rng(0)
-    x_mixed = np.concatenate(
-        [
-            rng.uniform(1e-3, 9.0, size // 3),
-            rng.uniform(9.0, 18.0, size // 3),
-            rng.uniform(18.0, 500.0, size - 2 * (size // 3)),
-        ]
+def _scipy_deviation(x):
+    try:
+        from scipy import special
+    except ImportError:
+        return None
+    refs = (special.j0(x), special.j1(x), special.y0(x), special.y1(x))
+    return max(
+        float(np.max(np.abs(mine - ref) / np.maximum(1.0, np.abs(ref))))
+        for mine, ref in zip(kernels.jy01v(x), refs)
     )
-    x_small = rng.uniform(1e-3, 40.0, size)
-    cases = [
-        ("j0v (mixed ranges)", "j0v", (x_mixed,)),
-        ("j1v (mixed ranges)", "j1v", (x_mixed,)),
-        ("y0v (mixed ranges)", "y0v", (x_mixed,)),
-        ("jnv n=12", "jnv", (12, x_small)),
-        ("jn_table nmax=40", "jn_table", (40, x_small[: size // 10])),
-    ]
-    rows = []
-    for label, name, args in cases:
-        t_pure = _time(getattr(pure, name), *args)
-        if compiled is not None:
-            t_comp = _time(getattr(compiled, name), *args)
-            agreement = float(
-                np.max(np.abs(np.asarray(getattr(compiled, name)(*args))
-                              - np.asarray(getattr(pure, name)(*args))))
-            )
-            rows.append((label, t_pure, t_comp, t_pure / t_comp, agreement))
-        else:
-            rows.append((label, t_pure, None, None, None))
-    return rows
 
 
-def bench_assembly():
-    import os
-
-    results = {}
-    for backend, env in (("compiled", "0"), ("pure", "1")):
-        os.environ["ARCMIG_FORCE_PURE"] = env
-        for mod in ("arcmig.backend", "arcmig.forward", "arcmig.geometry"):
-            if mod in list(importlib.sys.modules):
-                importlib.reload(importlib.sys.modules[mod])
-        from arcmig import forward, geometry
-        from arcmig.forward import BoundaryCondition, NystromConfig, PlaneWave
-
-        if forward.kernels.BACKEND_NAME != backend and backend == "compiled":
-            continue
-        crack = geometry.catalog("G2")
-        wave = PlaneWave(np.array([0.0, -1.0]), 2.0 * np.pi / 0.4)
-        cfg = NystromConfig(nodes_per_arc=256)
-        results[backend] = _time(
-            lambda: forward.solve_density(crack, wave, BoundaryCondition.DIRICHLET, cfg),
-            repeats=3,
-        )
-    os.environ.pop("ARCMIG_FORCE_PURE", None)
-    return results
+CASES = (
+    ("j0v+j1v", lambda x: (kernels.j0v(x), kernels.j1v(x))),
+    ("jy01v J", lambda x: kernels.jy01v(x, want_y=False)),
+    ("j0v+y0v", lambda x: (kernels.j0v(x), kernels.y0v(x))),
+    ("jy01v JY", kernels.jy01v),
+)
 
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--sizes", type=int, default=200_000)
+    parser.add_argument("--size", type=int, default=200_000)
     args = parser.parse_args()
-    compiled, _ = _load_backends()
-    print(f"compiled backend available: {compiled is not None}\n")
-    print(f"{'kernel':28s} {'pure [ms]':>10s} {'compiled [ms]':>14s} {'speedup':>8s} {'max |diff|':>11s}")
-    for label, t_pure, t_comp, speedup, agreement in bench_kernels(args.sizes):
-        if t_comp is None:
-            print(f"{label:28s} {1e3 * t_pure:10.2f} {'-':>14s} {'-':>8s} {'-':>11s}")
-        else:
-            print(
-                f"{label:28s} {1e3 * t_pure:10.2f} {1e3 * t_comp:14.2f} "
-                f"{speedup:8.1f} {agreement:11.2e}"
-            )
-    print("\nDirichlet assembly+solve, Gamma2 at 256 nodes:")
-    for backend, seconds in bench_assembly().items():
-        print(f"  {backend:9s} {1e3 * seconds:8.1f} ms")
+    rng = np.random.default_rng(0)
+    print("ns per argument, best of 5; deviation = max |ours - scipy| / max(1, |scipy|)\n")
+    print(f"{'range':22s}" + "".join(f"{name:>10s}" for name, _ in CASES) + f"{'deviation':>11s}")
+    for label, (lo, hi) in RANGES.items():
+        x = rng.uniform(lo, hi, args.size)
+        times = "".join(f"{_ns_per_arg(fn, x):10.0f}" for _, fn in CASES)
+        dev = _scipy_deviation(x)
+        print(f"{label:22s}{times}{'-' if dev is None else f'{dev:.1e}':>11s}")
 
 
 if __name__ == "__main__":

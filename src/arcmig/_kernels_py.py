@@ -1,129 +1,240 @@
-"""Pure-NumPy implementation of the Bessel-family kernels.
+"""Pure-NumPy Bessel-family kernels, float64 throughout.
 
-This is the fallback backend; `arcmig._kernels` (Cython) implements the
-same surface.  Evaluation scheme, shared by both backends:
+Orders 0 and 1 come from one fused kernel, `jy01v`, which returns J_0 and
+J_1, and optionally Y_0 and Y_1, in one pass per argument range.  Every
+range uses a fixed amount of work per argument, chosen so that the first
+neglected term is below 1e-16 at the range's worst end:
 
-* ascending power series below ``x < 9`` (largest term stays small enough
-  that float64 cancellation is below 1e-13),
-* the same series in 80-bit extended precision on ``9 <= x < 18``,
-* Hankel asymptotic P/Q sums for orders 0 and 1 once ``x >= 18`` (optimal
-  truncation error there is ~ exp(-2x)),
-* normalized downward (Miller) recurrence for orders >= 2 at ``x >= 9``.
+* ``x < 9``: the ascending series, Horner in q = x^2/4 over 26 fixed
+  coefficients (powers q^0..q^25; the first neglected term is 6e-20 at
+  x = 9) for J_0, J_1 and the harmonic-number sums of Y_0 and Y_1
+  (Abramowitz & Stegun 9.1.13, 9.1.11);
+* ``9 <= x < 18``: a normalized downward (Miller) recurrence from the fixed
+  order 66, which gives J_0 and J_1 and, from the same sweep, the Neumann
+  series for Y_0 and Y_1 (A&S 9.1.88, 9.1.89);
+* ``x >= 18``: the Hankel asymptotic P/Q sums with the 36 fixed terms
+  a_0..a_35 (optimal truncation at x = 18; the first neglected term is
+  3e-17 of the amplitude there), Horner in 1/x^2, with one cos x and one
+  sin x shared by both orders.
 
-All functions assume finite ``x >= 0``; argument validation lives in
-`arcmig.specfun`.
+`j0v`, `j1v`, `y0v` and `y1v` are views of `jy01v`.  Higher orders use the
+series below ``x = 9`` and a normalized downward recurrence from an
+argument-dependent start above.
+
+All functions assume finite ``x >= 0`` (``x > 0`` for Y); argument
+validation lives in `arcmig.specfun`.
 """
+
+from math import factorial
 
 import numpy as np
 
 SERIES_CUT = 9.0
-EXTENDED_CUT = 18.0
+ASYMPTOTIC_CUT = 18.0
+
+_SERIES_TERMS = 26
+_RECURRENCE_START = 66
+_ASYMPTOTIC_TERMS = 36
 
 _EULER_GAMMA = 0.5772156649015328606
 
-BACKEND_NAME = "pure"
+
+def _series_coefficients():
+    """Rows J_0, J_1/(x/2), S_0/q and T in ascending powers of q = x^2/4,
+    where Y_0 = (2/pi)[(ln(x/2) + gamma) J_0 + S_0] and
+    Y_1 = (2/pi)[(ln(x/2) + gamma) J_1 - 1/x] - x T / (2 pi).
+
+    Each coefficient is an integer ratio, so it is rounded once."""
+    rows = np.empty((4, _SERIES_TERMS))
+    for m in range(_SERIES_TERMS):
+        sign = (-1) ** m
+        f0, f1 = factorial(m), factorial(m + 1)
+        h0 = sum(f0 // k for k in range(1, m + 1))        # m! H_m
+        h1 = sum(f1 // k for k in range(1, m + 2))        # (m+1)! H_{m+1}
+        rows[0, m] = sign / f0**2
+        rows[1, m] = sign / (f0 * f1)
+        rows[2, m] = sign * h1 / f1**3                    # H_{m+1} / ((m+1)!)^2
+        rows[3, m] = sign * ((m + 1) * h0 + h1) / (f0 * f1**2)
+    return rows
 
 
-def _series_j(n, x, dtype=np.float64):
-    """Ascending series for J_n on an array, in the requested precision."""
-    x = np.asarray(x, dtype=dtype)
-    half = x / dtype(2.0)
+def _asymptotic_coefficients():
+    """Rows P_0, Q_0 x, P_1, Q_1 x in ascending powers of 1/x^2."""
+    rows = np.empty((4, _ASYMPTOTIC_TERMS // 2))
+    for order in (0, 1):
+        num = 1                               # a_k(order) = num / (k! 8^k)
+        for k in range(_ASYMPTOTIC_TERMS):
+            if k > 0:
+                num *= 4 * order * order - (2 * k - 1) ** 2
+            sign = (-1) ** (k // 2)
+            rows[2 * order + k % 2, k // 2] = sign * num / (factorial(k) * 8**k)
+    return rows
+
+
+def _descending(rows):
+    """Coefficient columns, highest power first, shaped (rows, 1) each."""
+    return np.ascontiguousarray(rows[:, ::-1].T[:, :, None])
+
+
+_SERIES_COLUMNS = _descending(_series_coefficients())
+_ASYMPTOTIC_COLUMNS = _descending(_asymptotic_coefficients())
+
+
+def _neumann_weights():
+    """Weight of J_m, per recurrence order m, in sum (-1)^k J_2k / k (Y_0)
+    and in sum (-1)^k (2k+1) J_2k+1 / (k(k+1)) (Y_1), k >= 1."""
+    y0 = np.zeros(_RECURRENCE_START + 1)
+    y1 = np.zeros(_RECURRENCE_START + 1)
+    for m in range(2, _RECURRENCE_START + 1):
+        k = m // 2
+        if m % 2 == 0:
+            y0[m] = (-1) ** k / k
+        else:
+            y1[m] = (-1) ** k * (2 * k + 1) / (k * (k + 1))
+    return y0, y1
+
+
+_Y0_WEIGHTS, _Y1_WEIGHTS = _neumann_weights()
+
+
+def _horner(columns, t):
+    """Stacked polynomials at ``t``: shape (rows, len(t))."""
+    acc = np.empty((columns.shape[1], t.size))
+    acc[...] = columns[0]
+    for c in columns[1:]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _series_01(x, want_y):
+    """J_0, J_1 (and Y_0, Y_1) from the ascending series, Horner in q."""
+    half = 0.5 * x
+    q = half * half
+    out = _horner(_SERIES_COLUMNS[:, : 4 if want_y else 2], q)
+    out[1] *= half
+    if want_y:
+        with np.errstate(divide="ignore"):
+            log_term = np.log(half) + _EULER_GAMMA
+            inv_x = 1.0 / x
+        out[2] *= q
+        out[2] += log_term * out[0]
+        out[2] *= 2.0 / np.pi
+        out[3] *= x / (-2.0 * np.pi)
+        out[3] += (2.0 / np.pi) * (log_term * out[1] - inv_x)
+    return out
+
+
+def _recurrence_01(x, want_y):
+    """J_0, J_1 (and Y_0, Y_1) by downward recurrence from order 66."""
+    two_over_x = 2.0 / x
+    upper = np.zeros_like(x)                  # J_{m+1}
+    current = np.ones_like(x)                 # J_m, unnormalized
+    evens = np.zeros_like(x)                  # sum of J_2k, k >= 1
+    if want_y:
+        s0 = np.zeros_like(x)
+        s1 = np.zeros_like(x)
+    for m in range(_RECURRENCE_START, 0, -1):
+        lower = np.multiply(two_over_x, m)
+        lower *= current
+        lower -= upper
+        upper, current = current, lower       # current is now J_{m-1}
+        if m <= 2:                            # J_1 and J_0 carry no weight
+            continue
+        if m % 2:
+            evens += current
+            if want_y:
+                s0 += _Y0_WEIGHTS[m - 1] * current
+        elif want_y:
+            s1 += _Y1_WEIGHTS[m - 1] * current
+    norm = 2.0 * evens + current
+    out = np.empty((4 if want_y else 2, x.size))
+    np.divide(current, norm, out=out[0])
+    np.divide(upper, norm, out=out[1])
+    if want_y:
+        log_term = np.log(0.5 * x) + _EULER_GAMMA
+        out[2] = (2.0 / np.pi) * (log_term * out[0] - 2.0 * s0 / norm)
+        out[3] = (2.0 / np.pi) * (
+            (log_term - 1.0) * out[1] - out[0] / x - s1 / norm
+        )
+    return out
+
+
+def _asymptotic_01(x, want_y):
+    """Hankel P/Q sums for orders 0 and 1, sharing cos x and sin x."""
+    inv_x = 1.0 / x
+    p0, q0, p1, q1 = _horner(_ASYMPTOTIC_COLUMNS, inv_x * inv_x)
+    q0 *= inv_x
+    q1 *= inv_x
+    # sqrt(2/(pi x)) times cos/sin of x - pi/4 and x - 3pi/4
+    amp = np.sqrt(inv_x / np.pi)
+    cos_x = np.cos(x)
+    sin_x = np.sin(x)
+    u = (cos_x + sin_x) * amp                 # sqrt(2/(pi x)) cos(x - pi/4)
+    v = (sin_x - cos_x) * amp                 # sqrt(2/(pi x)) sin(x - pi/4)
+    out = np.empty((4 if want_y else 2, x.size))
+    out[0] = p0 * u - q0 * v
+    out[1] = p1 * v + q1 * u
+    if want_y:
+        out[2] = p0 * v + q0 * u
+        out[3] = q1 * v - p1 * u
+    return out
+
+
+_RANGES = (_series_01, _recurrence_01, _asymptotic_01)
+
+
+def jy01v(x, want_y=True):
+    """(J_0, J_1, Y_0, Y_1) at ``x``, or (J_0, J_1) when ``want_y`` is false.
+
+    The J values do not depend on ``want_y``.  Y needs ``x > 0``.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    flat = x.ravel()
+    lo = flat < SERIES_CUT
+    hi = flat >= ASYMPTOTIC_CUT
+    masks = (lo, ~(lo | hi), hi)
+    for mask, evaluate in zip(masks, _RANGES):
+        if mask.all():
+            out = evaluate(flat, want_y)
+            break
+    else:
+        out = np.empty((4 if want_y else 2, flat.size))
+        for mask, evaluate in zip(masks, _RANGES):
+            if mask.any():
+                out[:, mask] = evaluate(flat[mask], want_y)
+    return tuple(row.reshape(x.shape) for row in out)
+
+
+def j0v(x):
+    return jy01v(x, want_y=False)[0]
+
+
+def j1v(x):
+    return jy01v(x, want_y=False)[1]
+
+
+def y0v(x):
+    return jy01v(x)[2]
+
+
+def y1v(x):
+    return jy01v(x)[3]
+
+
+def _series_j(n, x):
+    """Ascending series for J_n, ``x < 9``, with the fixed term count."""
+    half = 0.5 * x
     q = half * half
     # leading term (x/2)^n / n!
     term = np.ones_like(x)
     for i in range(1, n + 1):
-        term = term * half / dtype(i)
+        term = term * half / i
     total = term.copy()
-    for m in range(1, 200):
-        term = -term * q / dtype(m * (n + m))
+    for m in range(1, _SERIES_TERMS):
+        term = -term * q / (m * (n + m))
         total += term
-        if np.all(np.abs(term) <= 1e-25 * (np.abs(total) + 1e-30)):
-            break
     return total
-
-
-def _series_y0(x, j0val, dtype=np.float64):
-    """Series for Y_0 given J_0 at the same points."""
-    x = np.asarray(x, dtype=dtype)
-    q = (x / dtype(2.0)) ** 2
-    term = q.copy()          # m = 1 term of sum H_m (x^2/4)^m / (m!)^2
-    harmonic = dtype(1.0)
-    total = term * harmonic
-    sign = -1.0
-    for m in range(2, 200):
-        term = term * q / dtype(m * m)
-        harmonic = harmonic + dtype(1.0) / dtype(m)
-        total += dtype(sign) * term * harmonic
-        sign = -sign
-        if np.all(np.abs(term) <= 1e-25 * (np.abs(total) + 1e-30)):
-            break
-    logpart = (np.log(x / dtype(2.0)) + dtype(_EULER_GAMMA)) * j0val
-    return (dtype(2.0) / dtype(np.pi)) * (logpart + total)
-
-
-def _series_y1(x, j1val, dtype=np.float64):
-    """Series for Y_1 given J_1 at the same points."""
-    x = np.asarray(x, dtype=dtype)
-    q = (x / dtype(2.0)) ** 2
-    # sum over m of (psi(m+1)+psi(m+2)) (-q)^m / (m! (m+1)!), psi(1) = -gamma
-    term = np.ones_like(x)
-    h_m = dtype(0.0)
-    h_m1 = dtype(1.0)
-    total = term * (h_m + h_m1)
-    sign = -1.0
-    for m in range(1, 200):
-        term = term * q / dtype(m * (m + 1))
-        h_m = h_m + dtype(1.0) / dtype(m)
-        h_m1 = h_m1 + dtype(1.0) / dtype(m + 1)
-        total += dtype(sign) * term * (h_m + h_m1)
-        sign = -sign
-        if np.all(np.abs(term) <= 1e-25 * (np.abs(total) + 1e-30)):
-            break
-    out = (dtype(2.0) / dtype(np.pi)) * (np.log(x / dtype(2.0)) + dtype(_EULER_GAMMA)) * j1val
-    out = out - (dtype(2.0) / dtype(np.pi)) / x
-    out = out - (x / (dtype(2.0) * dtype(np.pi))) * total
-    return out
-
-
-def _asymptotic_jy(n, x):
-    """Hankel asymptotic expansion for order n in {0, 1}, x >= 18.
-
-    Returns (J_n, Y_n).  Terms are accumulated to optimal truncation.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mu = 4.0 * n * n
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    c = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for j in range(1, 80):
-        c = c * (mu - (2.0 * j - 1.0) ** 2) / (8.0 * j * x)
-        mag = np.abs(c)
-        active &= mag < prev          # optimal truncation: stop once terms grow
-        if not active.any():
-            break
-        prev = np.where(active, mag, prev)
-        contrib = np.where(active, c, 0.0)
-        k4 = j % 4
-        if k4 == 0:
-            p += contrib
-        elif k4 == 1:
-            q += contrib
-        elif k4 == 2:
-            p -= contrib
-        else:
-            q -= contrib
-        active &= mag > 1e-18
-        if not active.any():
-            break
-    chi = x - (0.5 * n + 0.25) * np.pi
-    pref = np.sqrt(2.0 / (np.pi * x))
-    cos_chi = np.cos(chi)
-    sin_chi = np.sin(chi)
-    jval = pref * (p * cos_chi - q * sin_chi)
-    yval = pref * (p * sin_chi + q * cos_chi)
-    return jval, yval
 
 
 def _miller_table(nmax, x):
@@ -162,71 +273,6 @@ def _miller_table(nmax, x):
             table[:, big] *= 1e-250
     norm = 2.0 * norm + jc
     return table / norm
-
-
-def _dispatch_01(n, x):
-    """(J_n, Y_n) for n in {0,1} over the three ranges. x > 0 for Y."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    jv = np.empty_like(x)
-    yv = np.empty_like(x)
-    lo = x < SERIES_CUT
-    mid = (~lo) & (x < EXTENDED_CUT)
-    hi = x >= EXTENDED_CUT
-    if lo.any():
-        xs = x[lo]
-        j = _series_j(n, xs)
-        jv[lo] = j
-        with np.errstate(divide="ignore"):
-            yv[lo] = _series_y0(xs, j) if n == 0 else _series_y1(xs, j)
-    if mid.any():
-        xs = x[mid].astype(np.longdouble)
-        j = _series_j(n, xs, dtype=np.longdouble)
-        y = _series_y0(xs, j, np.longdouble) if n == 0 else _series_y1(xs, j, np.longdouble)
-        jv[mid] = j.astype(np.float64)
-        yv[mid] = y.astype(np.float64)
-    if hi.any():
-        j, y = _asymptotic_jy(n, x[hi])
-        jv[hi] = j
-        yv[hi] = y
-    return jv, yv
-
-
-def j0v(x):
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(x)
-    lo = x < SERIES_CUT
-    mid = (~lo) & (x < EXTENDED_CUT)
-    hi = x >= EXTENDED_CUT
-    if lo.any():
-        out[lo] = _series_j(0, x[lo])
-    if mid.any():
-        out[mid] = _series_j(0, x[mid].astype(np.longdouble), np.longdouble).astype(np.float64)
-    if hi.any():
-        out[hi] = _asymptotic_jy(0, x[hi])[0]
-    return out
-
-
-def j1v(x):
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(x)
-    lo = x < SERIES_CUT
-    mid = (~lo) & (x < EXTENDED_CUT)
-    hi = x >= EXTENDED_CUT
-    if lo.any():
-        out[lo] = _series_j(1, x[lo])
-    if mid.any():
-        out[mid] = _series_j(1, x[mid].astype(np.longdouble), np.longdouble).astype(np.float64)
-    if hi.any():
-        out[hi] = _asymptotic_jy(1, x[hi])[0]
-    return out
-
-
-def y0v(x):
-    return _dispatch_01(0, x)[1]
-
-
-def y1v(x):
-    return _dispatch_01(1, x)[1]
 
 
 def jnv(n, x):

@@ -48,8 +48,9 @@ REGIMES = (
 
 _FULL_VIEW_TOL = 1e-12
 
-# grid points per `kernel_predict_grid` call in `validate_map`: bounds the
-# (points x samples) temporaries; rows do not depend on each other
+# grid points per `kernel_predict_grid` call in `validate_map` and per
+# nearest-distance block: bounds the (points x samples) temporaries; rows
+# do not depend on each other
 _PREDICT_BLOCK = 2048
 
 
@@ -59,6 +60,18 @@ def _j0(z):
 
 def _j1(z):
     return kernels.j1v(np.ravel(np.abs(z))).reshape(np.shape(z))
+
+
+def _j01(z):
+    """(J_0(z), J_1(z)) from one fused kernel call."""
+    j0, j1 = kernels.jy01v(np.ravel(np.abs(z)), want_y=False)
+    return j0.reshape(np.shape(z)), j1.reshape(np.shape(z))
+
+
+def _j01_squares(z):
+    """J_0(z)^2 + J_1(z)^2."""
+    j0, j1 = _j01(z)
+    return j0**2 + j1**2
 
 
 def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
@@ -173,10 +186,9 @@ def ring_integrals(alpha, beta, k, x, xi, truncation=None):
         raise DomainError(f"truncation must be >= 1, got {truncation}")
     L = int(truncation)
     table = kernels.jn_table(max(L, 1), np.array([kr]))[:, 0]
-    # principal terms from the dedicated order-0/1 kernels (shared
+    # principal terms from the dedicated order-0/1 kernel (shared
     # evaluation path with every other module)
-    j0 = float(kernels.j0v(np.array([kr]))[0])
-    j1 = float(kernels.j1v(np.array([kr]))[0])
+    j0, j1 = (float(v[0]) for v in kernels.jy01v(np.array([kr]), want_y=False))
     full_view = abs(span - 2.0 * np.pi) <= _FULL_VIEW_TOL
 
     xhat_dot_xi = (x @ xi) / r if r > 0.0 else 0.0
@@ -265,8 +277,7 @@ def kernel_predict_grid(
     if kind == "TM_BAND":
         dk = k_last - k_first
         bracket = (
-            k_last * (_j0(k_last * r) ** 2 + _j1(k_last * r) ** 2)
-            - k_first * (_j0(k_first * r) ** 2 + _j1(k_first * r) ** 2)
+            k_last * _j01_squares(k_last * r) - k_first * _j01_squares(k_first * r)
         ) / dk
         if include_remainder:
             flat = band_j1sq_integral(k_first, k_last, r.ravel()) / dk
@@ -283,8 +294,8 @@ def kernel_predict_grid(
 
     if kind == "TM_WEIGHTED_BAND":
         dk = k_last - k_first
-        bracket = 0.5 * k_last**2 * (_j0(k_last * r) ** 2 + _j1(k_last * r) ** 2)
-        bracket -= 0.5 * k_first**2 * (_j0(k_first * r) ** 2 + _j1(k_first * r) ** 2)
+        bracket = 0.5 * k_last**2 * _j01_squares(k_last * r)
+        bracket -= 0.5 * k_first**2 * _j01_squares(k_first * r)
         return np.abs(np.sum(bracket, axis=1)) / dk
 
     if kind == "TM_WEIGHTED_INF":
@@ -358,8 +369,8 @@ def kernel_predict_grid(
         rhat_nu = np.einsum("pmd,md->pm", diff, normals) / r
         c1 = 2.0 * math.sin(span / 2.0) * np.cos((beta + alpha - 2.0 * nu_ang) / 2.0)
         c2 = span * rhat_nu + math.sin(span) * np.cos(beta + alpha - nu_ang[None, :] - phi)
-        j0_hi, j1_hi = _j0(k_last * r), _j1(k_last * r)
-        j0_lo, j1_lo = _j0(k_first * r), _j1(k_first * r)
+        j0_hi, j1_hi = _j01(k_last * r)
+        j0_lo, j1_lo = _j01(k_first * r)
         term = (c1**2)[None, :] * (
             k_last * (j0_hi**2 + j1_hi**2) - k_first * (j0_lo**2 + j1_lo**2)
         ) / dk
@@ -422,6 +433,19 @@ def first_sidelobe_ratio(values):
     return float(values[j] / peak)
 
 
+def _nearest_distances(grid_points, pts):
+    """Distance from each grid point to the nearest of ``pts``, computed in
+    `_PREDICT_BLOCK` row blocks to bound the (points x samples) temporaries."""
+    dist = np.empty(grid_points.shape[0])
+    for lo in range(0, grid_points.shape[0], _PREDICT_BLOCK):
+        block = grid_points[lo : lo + _PREDICT_BLOCK]
+        dist[lo : lo + block.shape[0]] = np.min(
+            np.hypot(block[:, None, 0] - pts[None, :, 0], block[:, None, 1] - pts[None, :, 1]),
+            axis=1,
+        )
+    return dist
+
+
 def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, m_samples=None):
     """Compare a computed map against a kernel prediction and report
     localization metrics.
@@ -452,15 +476,10 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, 
     if needs_normals:
         kwargs.setdefault("normals", normals)
     prediction = np.empty(grid_points.shape[0])
-    dist = np.empty(grid_points.shape[0])
     for lo in range(0, grid_points.shape[0], _PREDICT_BLOCK):
         block = grid_points[lo : lo + _PREDICT_BLOCK]
-        rows = slice(lo, lo + block.shape[0])
-        prediction[rows] = kernel_predict_grid(kind, block, pts, **kwargs)
-        dist[rows] = np.min(
-            np.hypot(block[:, None, 0] - pts[None, :, 0], block[:, None, 1] - pts[None, :, 1]),
-            axis=1,
-        )
+        prediction[lo : lo + block.shape[0]] = kernel_predict_grid(kind, block, pts, **kwargs)
+    dist = _nearest_distances(grid_points, pts)
     sup_dev = float(np.max(np.abs(image.values - prediction)))
     on_idx = np.unique([grid.index_nearest(p) for p in pts])
     on_mean = float(np.mean(image.values[on_idx]))
@@ -481,14 +500,7 @@ def localization_metrics(image: ImageMap, crack: Crack, off_distance=0.5, m_samp
     grid = image.grid
     samples = sample_points(crack, m_samples)
     pts = np.array([s.point for s in samples])
-    grid_points = grid.points()
-    dist = np.min(
-        np.hypot(
-            grid_points[:, None, 0] - pts[None, :, 0],
-            grid_points[:, None, 1] - pts[None, :, 1],
-        ),
-        axis=1,
-    )
+    dist = _nearest_distances(grid.points(), pts)
     on_idx = np.unique([grid.index_nearest(p) for p in pts])
     on_mean = float(np.mean(image.values[on_idx]))
     off_mask = dist >= off_distance

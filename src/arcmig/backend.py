@@ -1,23 +1,10 @@
-"""Kernel backend selection.
+"""Kernel backend: the pure-NumPy Bessel-family kernels.
 
-The compiled extension `arcmig._kernels` is preferred when it imports;
-otherwise the pure-NumPy twin is used.  Set ``ARCMIG_FORCE_PURE=1`` to
-force the fallback (used by the benchmark and for debugging).
+`kernels` is the module the rest of the package calls; `BACKEND` names it
+in run manifests.
 """
-
-import os
 
 from . import _kernels_py
 
-if os.environ.get("ARCMIG_FORCE_PURE", "") == "1":
-    kernels = _kernels_py
-    BACKEND = "pure"
-else:
-    try:
-        from . import _kernels as _compiled
-
-        kernels = _compiled
-        BACKEND = "compiled"
-    except ImportError:
-        kernels = _kernels_py
-        BACKEND = "pure"
+kernels = _kernels_py
+BACKEND = "pure"

@@ -161,15 +161,13 @@ def _grid_log_weights(grid: _ArcGrid):
 
 
 def _hankel0(z):
-    flat = np.ravel(z)
-    vals = kernels.j0v(flat) + 1j * kernels.y0v(flat)
-    return vals.reshape(np.shape(z))
+    j0, _, y0, _ = kernels.jy01v(np.ravel(z))
+    return (j0 + 1j * y0).reshape(np.shape(z))
 
 
 def _hankel1v(z):
-    flat = np.ravel(z)
-    vals = kernels.j1v(flat) + 1j * kernels.y1v(flat)
-    return vals.reshape(np.shape(z))
+    _, j1, _, y1 = kernels.jy01v(np.ravel(z))
+    return (j1 + 1j * y1).reshape(np.shape(z))
 
 
 def _distances(tgt_points, src_points):

@@ -1,8 +1,8 @@
 """Integer-order Bessel and Hankel functions and truncated Jacobi-Anger sums.
 
-Built from scratch (series / extended-precision series / asymptotic forms /
-downward recurrence); no external special-function dependency.  The heavy
-array paths dispatch to the selected kernel backend.
+Built from scratch (series / downward recurrence / asymptotic forms); no
+external special-function dependency.  The array paths call the kernels
+in `arcmig.backend`.
 """
 
 import math
@@ -66,10 +66,7 @@ def hankel1(n, x):
     x = _check_x(x)
     if x <= 0.0:
         raise DomainError(f"H_n^(1) requires x > 0, got {x}")
-    arr = np.array([x])
-    if n == 0:
-        return complex(kernels.j0v(arr)[0] + 1j * kernels.y0v(arr)[0])
-    return complex(kernels.j1v(arr)[0] + 1j * kernels.y1v(arr)[0])
+    return complex(hankel1_many(n, np.array([x]))[0])
 
 
 def hankel1_many(n, x):
@@ -79,9 +76,8 @@ def hankel1_many(n, x):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise DomainError("arguments must be finite and > 0")
-    if n == 0:
-        return kernels.j0v(x) + 1j * kernels.y0v(x)
-    return kernels.j1v(x) + 1j * kernels.y1v(x)
+    j0, j1, y0, y1 = kernels.jy01v(x)
+    return j0 + 1j * y0 if n == 0 else j1 + 1j * y1
 
 
 def bessel_j_table(nmax, x):

@@ -335,8 +335,16 @@ def test_validate_map_blocked_prediction_is_exact():
     pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
     pred = analysis.kernel_predict_grid("TM_BAND", grid_points, pts, k_first=K1, k_last=KF)
     assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
-    dist = np.min(
-        np.hypot(grid_points[:, None, 0] - pts[None, :, 0], grid_points[:, None, 1] - pts[None, :, 1]),
-        axis=1,
-    )
-    assert metrics["off_crack_mean"] == float(np.mean(values[dist >= 0.5]))
+
+    def unblocked_mean_off(pts):
+        dist = np.min(
+            np.hypot(grid_points[:, None, 0] - pts[None, :, 0], grid_points[:, None, 1] - pts[None, :, 1]),
+            axis=1,
+        )
+        return float(np.mean(values[dist >= 0.5]))
+
+    assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
+    # localization_metrics shares the blocked distances (64 samples)
+    pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
+    loc = analysis.localization_metrics(image, crack)
+    assert loc["off_crack_mean"] == unblocked_mean_off(pts64)

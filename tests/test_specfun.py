@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arcmig import specfun
+from arcmig.backend import kernels
 from arcmig.errors import DomainError
 
 
@@ -197,17 +200,53 @@ def test_negative_argument_reflection():
     assert abs(specfun.bessel_j(3, -3.0) + specfun.bessel_j(3, 3.0)) < 1e-15
 
 
-def test_backend_parity():
-    from arcmig import _kernels_py
-    from arcmig.backend import BACKEND, kernels
+# the scheme cuts of the order-0/1 kernel and their float64 neighbours
+CUT_SAMPLES = [
+    x for cut in (9.0, 18.0) for x in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf))
+]
 
-    if BACKEND != "compiled":
-        pytest.skip("compiled backend not built")
+
+def test_order01_kernels_match_scipy_across_ranges():
+    # series below 9, recurrence band [9, 18), asymptotic sums from 18
     xs = np.concatenate(
-        [np.linspace(0.0, 8.9, 57), np.linspace(9.0, 17.9, 41), np.linspace(18.1, 900.0, 63)]
+        [np.linspace(1e-3, 9.0, 3001), np.linspace(9.0, 18.0, 3001),
+         np.linspace(18.0, 400.0, 6001), CUT_SAMPLES]
     )
-    assert np.max(np.abs(kernels.j0v(xs) - _kernels_py.j0v(xs))) < 1e-13
-    assert np.max(np.abs(kernels.j1v(xs) - _kernels_py.j1v(xs))) < 1e-13
-    pos = xs[xs > 0]
-    assert np.max(np.abs(kernels.y0v(pos) - _kernels_py.y0v(pos))) < 1e-12
-    assert np.max(np.abs(kernels.jn_table(30, xs) - _kernels_py.jn_table(30, xs))) < 1e-13
+    j0, j1, y0, y1 = kernels.jy01v(xs)
+    for name, mine, ref in [("J0", j0, sp.j0(xs)), ("J1", j1, sp.j1(xs)),
+                            ("Y0", y0, sp.y0(xs)), ("Y1", y1, sp.y1(xs))]:
+        err = np.abs(mine - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(err) <= 1e-12, f"{name}: {np.max(err):.2e} at x = {xs[np.argmax(err)]}"
+
+
+def test_order01_views_equal_fused_kernel():
+    xs = np.concatenate([np.linspace(0.05, 60.0, 997), CUT_SAMPLES])
+    fused = kernels.jy01v(xs)
+    j_only = kernels.jy01v(xs, want_y=False)
+    views = (kernels.j0v(xs), kernels.j1v(xs), kernels.y0v(xs), kernels.y1v(xs))
+    for view, value in zip(views, fused):
+        assert np.array_equal(view, value)
+    for j, value in zip(j_only, fused[:2]):
+        assert np.array_equal(j, value)
+    # a mixed-range call equals calls that each lie in one range, and the
+    # outputs keep the input's shape
+    single = np.array([[v[0] for v in kernels.jy01v(xs[i : i + 1])] for i in range(xs.size)])
+    assert np.array_equal(single.T, np.array(fused))
+    assert all(v.shape == (3, 5) for v in kernels.jy01v(np.linspace(1.0, 30.0, 15).reshape(3, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=np.finfo(float).tiny, max_value=400.0))
+@example(np.finfo(float).tiny)
+@example(400.0)
+@example(CUT_SAMPLES[0])
+@example(CUT_SAMPLES[1])
+@example(CUT_SAMPLES[2])
+@example(CUT_SAMPLES[3])
+@example(CUT_SAMPLES[4])
+@example(CUT_SAMPLES[5])
+def test_wronskian(x):
+    # J1 Y0 - J0 Y1 = 2 / (pi x); for subnormal x, 2 / (pi x) overflows
+    j0, j1, y0, y1 = (float(v[0]) for v in kernels.jy01v(np.array([x])))
+    expected = 2.0 / (math.pi * x)
+    assert abs(j1 * y0 - j0 * y1 - expected) <= 1e-12 * expected
