@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Benchmark: the imaging engine, layer by layer.
+
+It builds the signal subspaces that ``arcmig image --preset P --snr 15
+--seed 7`` builds for P = G2,TE and G3,TE, then reports:
+
+* per block of ``imaging._BLOCK`` grid points and frequency, in ms (median
+  over repeats and frequencies): the conjugate phase block gathered from
+  the factored phase tables, the same block from direct complex exps for
+  comparison, the projection GEMM, and the TE normal-search reduction;
+* for one whole ``image_subspace`` call on G2,TE: wall seconds, minor page
+  faults (``ru_minflt``) and system seconds (``ru_stime``), both in the
+  first call of the process and again after a call on a coarser grid.
+
+The last line is one JSON record of the results with the git SHA,
+``os.cpu_count()`` and the NumPy version.
+
+Run:  python benchmarks/bench_imaging.py [--block 256] [--repeats 20]
+"""
+
+import argparse
+import json
+import math
+import os
+import resource
+import statistics
+import subprocess
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from arcmig import cli, imaging, msr
+from arcmig.forward import BoundaryCondition, NystromConfig
+
+PRESETS = ("G2,TE", "G3,TE")
+
+
+def preset_inputs(preset):
+    """Config, direction set and thresholded subspaces of a preset run."""
+    cfg = cli.preset_config(preset, seed=7, snr_db=15.0)
+    crack, dirs = cfg.crack(), cfg.direction_set()
+    nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
+    subspaces = []
+    for f, k in enumerate(cfg.frequency_set().wavenumbers()):
+        matrix = msr.assemble(crack, k, dirs, BoundaryCondition.parse(cfg.bc), nystrom)
+        matrix = msr.add_noise(matrix, msr.NoiseSpec(cfg.snr_db, cfg.seed + f))
+        subspaces.append(msr.svd_threshold(matrix, cfg.threshold))
+    return cfg, dirs, subspaces
+
+
+def layer_ms(cfg, dirs, subspaces, repeats):
+    """Median ms per block and frequency of each engine stage, on the first
+    block of the preset grid."""
+    grid = cfg.grid()
+    factors, reduce = imaging._te_search(
+        subspaces, np.ones(len(subspaces)), cfg.candidates, dirs
+    )
+    rows = min(imaging._BLOCK, grid.nx * grid.ny)
+    iy, ix = np.divmod(np.arange(rows), grid.nx)
+    points = grid.points()[:rows]
+    s = np.empty((rows, dirs.count), dtype=np.complex128)
+    scratch = np.empty_like(s)
+    samples = {"phase_tables": [], "phase_direct": [], "gemm": [], "te_reduce": []}
+    for f, sub in enumerate(subspaces):
+        tx, ty = imaging._phase_tables(grid, sub.k, dirs)
+        prod = np.empty((len(factors[f]), rows), dtype=np.complex128)
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            np.exp(1j * sub.k * (points @ dirs.directions().T)).conj() / math.sqrt(dirs.count)
+            t1 = time.perf_counter()
+            imaging._steering_block(tx, ty, ix, iy, s, scratch)
+            t2 = time.perf_counter()
+            np.matmul(factors[f], s.T, out=prod)
+            t3 = time.perf_counter()
+            reduce(f, s, prod)
+            t4 = time.perf_counter()
+            for key, dt in zip(samples, (t2 - t1, t1 - t0, t3 - t2, t4 - t3)):
+                samples[key].append(1e3 * dt)
+    out = {key: round(statistics.median(vals), 4) for key, vals in samples.items()}
+    out.update(block=rows, directions=dirs.count, frequencies=len(subspaces),
+               max_cut=max(sub.cut_index for sub in subspaces))
+    return out
+
+
+def image_call(cfg, dirs, subspaces, grid):
+    """Wall seconds, minor faults and system seconds of one image_subspace call."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    t0 = time.perf_counter()
+    imaging.image_subspace(subspaces, grid, cfg.steering_mode(), cfg.weight_scheme(), dirs)
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {"wall_s": round(wall, 3), "ru_minflt": after.ru_minflt - before.ru_minflt,
+            "ru_stime": round(after.ru_stime - before.ru_stime, 3)}
+
+
+def git_sha():
+    root = Path(__file__).resolve().parent.parent
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--block", type=int, default=imaging._BLOCK,
+                        help="grid points per engine block (default: the module's)")
+    parser.add_argument("--repeats", type=int, default=20)
+    args = parser.parse_args()
+    imaging._BLOCK = args.block
+
+    inputs = {preset: preset_inputs(preset) for preset in PRESETS}
+    cfg, dirs, subspaces = inputs["G2,TE"]
+    grid = cfg.grid()
+    calls = {"first": image_call(cfg, dirs, subspaces, grid)}
+    coarse = replace(grid, h=2.0 * grid.h)
+    image_call(cfg, dirs, subspaces, coarse)
+    calls["after_coarse"] = image_call(cfg, dirs, subspaces, grid)
+
+    print(f"imaging engine, block {args.block} points; ms per block and frequency, median")
+    layers = {}
+    for preset, (pcfg, pdirs, psubs) in inputs.items():
+        layers[preset] = layer_ms(pcfg, pdirs, psubs, args.repeats)
+        print(f"  {preset}: " + ", ".join(f"{k} {v}" for k, v in layers[preset].items()))
+    for label, call in calls.items():
+        print(f"image_subspace G2,TE ({label}): " + ", ".join(f"{k} {v}" for k, v in call.items()))
+    print(json.dumps({
+        "bench": "imaging", "git_sha": git_sha(), "cpu_count": os.cpu_count(),
+        "numpy": np.__version__, "block": args.block, "layers": layers,
+        "image_subspace_G2_TE": calls,
+    }))
+
+
+if __name__ == "__main__":
+    main()

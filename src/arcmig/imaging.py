@@ -4,10 +4,11 @@ variants, and Kirchhoff migration, all evaluated over a rectangular grid.
 
 Every functional is a conjugate plane-wave phase block times a small
 per-frequency factor matrix, followed by a reduction over the subspace
-index. One engine walks the row-major grid in fixed 1024-point row blocks,
-which bounds memory; the reduction order over frequencies and
-singular-vector indices is fixed and independent of the block, so maps are
-bitwise reproducible.
+index. One engine walks the row-major grid in fixed row blocks; a block's
+phases are gathered from per-frequency x and y phase tables, and its
+working set lives in buffers allocated once per map, which bounds memory.
+The reduction order over frequencies and singular-vector indices is fixed
+and independent of the block, so maps are bitwise reproducible.
 """
 
 import hashlib
@@ -234,7 +235,7 @@ def steering_te(x, k, dirs: DirectionSet, nu):
     return v / norm
 
 
-_BLOCK = 1024                      # grid points per row block of the imaging engine
+_BLOCK = 256                       # grid points per row block of the imaging engine
 
 
 def candidate_normals(count):
@@ -243,33 +244,96 @@ def candidate_normals(count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _blocked_sum(points, ks, dirs, factors, reduce):
-    """Per-point sum over f of reduce(f, s, s @ g_1, s @ g_2, ...) with
-    (g_1, g_2, ...) = factors[f] and s the conjugate TM steering block
-    conj(exp(i k_f theta_n . x)) / sqrt(N) of the points.
+def _prefix(buf, *shape):
+    """C-contiguous view of the leading elements of a flat scratch buffer."""
+    return buf[: math.prod(shape)].reshape(shape)
 
-    The grid is walked in fixed row blocks of _BLOCK points, which bounds
-    the working set; no per-point reduction depends on where its block
-    starts."""
-    d_t = dirs.directions().T
-    root_n = math.sqrt(dirs.count)
-    total = np.zeros(points.shape[0], dtype=np.complex128)
-    for start in range(0, points.shape[0], _BLOCK):
-        pts = points[start : start + _BLOCK]
-        acc = total[start : start + _BLOCK]
-        for f, k in enumerate(ks):
-            s = np.exp(1j * k * (pts @ d_t)).conj() / root_n
-            acc += reduce(f, s, *(s @ g for g in factors[f]))
+
+def _phase_tables(grid, k, dirs):
+    """Factored conjugate steering phases at wavenumber k: exp(-i k theta_x x)
+    / sqrt(N) per grid column x (nx x N) and exp(-i k theta_y y) per grid
+    row y (ny x N). The conjugate steering vector of grid point (ix, iy) is
+    the product of row ix of the first table and row iy of the second."""
+    d = dirs.directions()
+    tx = np.exp(-1j * k * np.outer(grid.xs(), d[:, 0])) / math.sqrt(dirs.count)
+    ty = np.exp(-1j * k * np.outer(grid.ys(), d[:, 1]))
+    return tx, ty
+
+
+def _steering_block(tx, ty, ix, iy, out, scratch):
+    """Conjugate steering block of grid points (ix, iy) from the phase
+    tables, written into out; scratch has out's shape."""
+    # mode="clip" writes straight into out; the default "raise" buffers it
+    np.take(tx, ix, axis=0, out=out, mode="clip")
+    np.take(ty, iy, axis=0, out=scratch, mode="clip")
+    out *= scratch
+    return out
+
+
+def _blocked_sum(grid, ks, dirs, factors, reduce):
+    """Per-point sum over f of reduce(f, s, factors[f] @ s.T), with s the
+    (P, N) conjugate TM steering block conj(exp(i k_f theta_n . x)) / sqrt(N)
+    of the points, gathered from the frequency's phase tables. The product
+    is (W, P): each factor row gives one contiguous row over the points.
+
+    The row-major grid is walked in fixed blocks of _BLOCK points. s and
+    the product are written into buffers allocated once per call, and
+    reduce returns a view of buffers of its own, so the block loop
+    allocates nothing large. No per-point result depends on where its
+    block starts."""
+    tables = [_phase_tables(grid, k, dirs) for k in ks]
+    count = grid.nx * grid.ny
+    iy, ix = np.divmod(np.arange(count), grid.nx)
+    rows = min(_BLOCK, count)
+    s_buf = np.empty((rows, dirs.count), dtype=np.complex128)
+    t_buf = np.empty_like(s_buf)
+    prod_buf = np.empty(rows * max(len(g) for g in factors), dtype=np.complex128)
+    total = np.zeros(count, dtype=np.complex128)
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        s, t = s_buf[: stop - start], t_buf[: stop - start]
+        acc = total[start:stop]
+        for f, (tx, ty) in enumerate(tables):
+            _steering_block(tx, ty, ix[start:stop], iy[start:stop], s, t)
+            prod = np.matmul(factors[f], s.T, out=_prefix(prod_buf, len(factors[f]), len(s)))
+            acc += reduce(f, s, prod)
     return total
+
+
+def _weighted_row_dot(weights, width):
+    """dot(f, a, b) = weights[f] * sum_m a[m] b[m] for (M, P) operands with
+    M <= width and P <= _BLOCK, returned as a view of a reused buffer."""
+    prod_buf = np.empty(_BLOCK * width, dtype=np.complex128)
+    row_buf = np.empty(_BLOCK, dtype=np.complex128)
+
+    def dot(f, a, b):
+        ab = np.multiply(a, b, out=_prefix(prod_buf, *a.shape))
+        row = np.sum(ab, axis=0, out=row_buf[: a.shape[1]])
+        row *= weights[f]
+        return row
+
+    return dot
+
+
+# (i, j) of the six coefficients Re(z_i conj(z_j)) of the TE scan, z = (alpha, beta, gamma)
+_TE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 def _te_search(subspaces, weights, candidates, dirs):
     """Factor matrices and reduction of the TE normal search.
 
-    With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u],
-    S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM per frequency
-    serves every candidate and ||Theta nu|| is one scalar per candidate.
-    Each (f, m) term keeps the candidate of largest modulus."""
+    With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u]
+    = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM
+    per frequency serves every candidate. For nu = (cos phi, sin phi),
+    (nu . A_u)(nu . A_v) = alpha + beta cos 2phi + gamma sin 2phi with
+    alpha = (u_0 v_0 + u_1 v_1)/2, beta = (u_0 v_0 - u_1 v_1)/2 and
+    gamma = (u_0 v_1 + u_1 v_0)/2. Candidate l's term is w_l times that,
+    w_l = N / ||Theta nu_l||^2, and its squared modulus is one real GEMM
+    of the weights [1, c^2, s^2, 2c, 2s, 2cs] w_l^2 (c = cos 2phi_l,
+    s = sin 2phi_l) against the six coefficients |alpha|^2, |beta|^2,
+    |gamma|^2, Re alpha conj(beta), Re alpha conj(gamma) and
+    Re beta conj(gamma). Each (f, m) term keeps the candidate of largest
+    modulus (ties keep the smallest l), and only that term is formed."""
     d = dirs.directions()
     normals = candidate_normals(candidates)
     if candidates % 2 == 0:
@@ -277,18 +341,66 @@ def _te_search(subspaces, weights, candidates, dirs):
     norms = np.linalg.norm(d @ normals.T, axis=0)
     if np.any(norms <= 1e-14 * math.sqrt(dirs.count)):
         raise DegenerateSteeringError("degenerate TE steering for a candidate normal")
-    scaled = normals * (dirs.count / norms**2)[:, None]
+    w = dirs.count / norms**2
+    cos2 = normals[:, 0] ** 2 - normals[:, 1] ** 2
+    sin2 = 2.0 * normals[:, 0] * normals[:, 1]
+    # the working set holds 2 alpha, 2 beta and 2 gamma: the uniform factor 4
+    # leaves the argmax alone, and the halved weights form the picked term
+    # (L', 6), column-major: the small GEMM runs twice as fast that way
+    scan = (np.stack([np.ones_like(w), cos2**2, sin2**2, 2 * cos2, 2 * sin2, 2 * cos2 * sin2])
+            * w**2).T
+    picked = (0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2)
     dx, dy = d[:, :1], d[:, 1:]
     factors = []
     for sub in subspaces:
         u, v = sub.retained_left(), sub.retained_right().conj()
-        factors.append((np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1),))
+        factors.append(np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T)
+
+    size = _BLOCK * max(sub.cut_index for sub in subspaces)
+    z_bufs = [np.empty(size, dtype=np.complex128) for _ in range(4)]
+    coef_buf = np.empty(6 * size)
+    real_buf = np.empty(size)
+    mod_buf = np.empty(len(w) * size)
+    below_buf = np.empty((len(w) - 1) * size, dtype=np.uint8)
+    pick_buf = np.empty(size, dtype=np.min_scalar_type(len(w)))
+    row_buf = np.empty(_BLOCK, dtype=np.complex128)
 
     def reduce(f, s, prod):
-        a = prod.reshape(len(s), 4, -1)                      # (P, 4, M)
-        terms = (scaled @ a[:, :2]) * (normals @ a[:, 2:])  # (P, L', M)
-        pick = np.abs(terms).argmax(axis=1)[:, None]        # ties keep smallest l
-        return weights[f] * np.sum(np.take_along_axis(terms, pick, axis=1)[:, 0], axis=1)
+        m, p = len(prod) // 4, len(s)
+        pm = p * m
+        u0, u1, v0, v1 = (prod[i * m : (i + 1) * m] for i in range(4))
+        alpha, beta, gamma, tmp = (_prefix(buf, m, p) for buf in z_bufs)
+        np.multiply(u0, v0, out=beta)
+        np.multiply(u1, v1, out=tmp)
+        np.add(beta, tmp, out=alpha)
+        np.subtract(beta, tmp, out=beta)
+        np.multiply(u0, v1, out=gamma)
+        np.multiply(u1, v0, out=tmp)
+        gamma += tmp
+        z = [c.reshape(-1) for c in (alpha, beta, gamma)]
+        coef = _prefix(coef_buf, 6, pm)
+        rtmp = real_buf[:pm]
+        for row, (i, j) in zip(coef, _TE_PAIRS):
+            np.multiply(z[i].real, z[j].real, out=row)
+            row += np.multiply(z[i].imag, z[j].imag, out=rtmp)
+        moduli = np.matmul(scan, coef, out=_prefix(mod_buf, len(w), pm))
+        # first index of each column maximum, so ties keep the smallest l:
+        # the running maximum in place, then the count of entries below the
+        # final one (argmax over the short axis costs a call per column)
+        for l in range(1, len(w)):
+            np.maximum(moduli[l - 1], moduli[l], out=moduli[l])
+        below = _prefix(below_buf, len(w) - 1, pm)
+        np.less(moduli[:-1], moduli[-1], out=below.view(bool))
+        pick = np.add.reduce(below, axis=0, dtype=pick_buf.dtype, out=pick_buf[:pm])
+        for zc, table in zip(z, picked):
+            sel = np.take(table, pick, out=rtmp, mode="clip")
+            np.multiply(zc.real, sel, out=zc.real)
+            np.multiply(zc.imag, sel, out=zc.imag)
+        alpha += beta
+        alpha += gamma
+        row = np.sum(alpha, axis=0, out=row_buf[:p])
+        row *= weights[f]
+        return row
 
     return factors, reduce
 
@@ -335,12 +447,17 @@ def image_subspace(
         prov["candidates"] = mode.candidates
         factors, reduce = _te_search(subspaces, weights, mode.candidates, dirs)
     else:
-        factors = [(sub.retained_left(), sub.retained_right().conj()) for sub in subspaces]
+        factors = [
+            np.concatenate([sub.retained_left(), sub.retained_right().conj()], axis=1).T
+            for sub in subspaces
+        ]
+        dot = _weighted_row_dot(weights, max(sub.cut_index for sub in subspaces))
 
-        def reduce(f, s, a, b):
-            return weights[f] * np.sum(a * b, axis=1)
+        def reduce(f, s, prod):
+            m = len(prod) // 2
+            return dot(f, prod[:m], prod[m:])
 
-    acc = _blocked_sum(grid.points(), ks, dirs, factors, reduce)
+    acc = _blocked_sum(grid, ks, dirs, factors, reduce)
     return ImageMap(grid=grid, values=np.abs(acc) / len(subspaces), provenance=prov)
 
 
@@ -351,8 +468,9 @@ def image_kirchhoff(
 ) -> ImageMap:
     """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|."""
     ks = _wavenumbers(matrices, dirs, "MSR matrix")
-    factors = [(m.entries,) for m in matrices]
-    acc = _blocked_sum(grid.points(), ks, dirs, factors, lambda f, s, a: np.sum(a * s, axis=1))
+    dot = _weighted_row_dot(np.ones(len(ks)), dirs.count)
+    factors = [m.entries.T for m in matrices]
+    acc = _blocked_sum(grid, ks, dirs, factors, lambda f, s, prod: dot(f, prod, s.T))
     prov = _provenance("kirchhoff", "unit", ks, dirs)
     return ImageMap(grid=grid, values=np.abs(acc) / len(matrices), provenance=prov)
 
