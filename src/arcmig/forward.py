@@ -407,26 +407,16 @@ def _check_unit(obs):
 def far_field(density: DensitySolution, obs) -> complex:
     """Far-field pattern u_inf at one unit observation direction."""
     obs = _check_unit(obs)
-    return complex(far_field_many(density, obs[None, :])[0])
-
-
-def far_field_many(density: DensitySolution, obs_dirs) -> np.ndarray:
-    obs_dirs = np.atleast_2d(np.asarray(obs_dirs, dtype=np.float64))
-    k = density.k
-    phases = np.exp(-1j * k * (obs_dirs @ density.points.T))
-    if density.bc is BoundaryCondition.DIRICHLET:
-        pref = np.exp(1j * np.pi / 4.0) / math.sqrt(8.0 * np.pi * k)
-        return pref * phases @ (density.quad_weights * density.values)
-    pref = -math.sqrt(k / (8.0 * np.pi)) * np.exp(-1j * np.pi / 4.0)
-    proj = obs_dirs @ density.normals.T
-    return pref * np.sum(
-        proj * phases * (density.quad_weights * density.values)[None, :], axis=1
-    )
+    return complex(far_field_matrix(density.values[:, None], vars(density), obs[None, :])[0, 0])
 
 
 def far_field_matrix(batch_values, template, obs_dirs):
-    """Far field for a batch solve: rows = observation dirs, cols = incidences."""
-    obs_dirs = np.atleast_2d(obs_dirs)
+    """Far field for a batch solve: rows = observation dirs, cols = incidences.
+
+    ``template`` maps bc, k, points, normals and quad_weights, as the batch
+    solver's template or ``vars()`` of a DensitySolution do; one density is
+    the batch ``values[:, None]``."""
+    obs_dirs = np.atleast_2d(np.asarray(obs_dirs, dtype=np.float64))
     k = template["k"]
     phases = np.exp(-1j * k * (obs_dirs @ template["points"].T))
     wq = template["quad_weights"]

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, IterationError
-from .forward import BoundaryCondition, NystromConfig, PlaneWave, far_field_many, solve_density
+from .forward import BoundaryCondition, NystromConfig, PlaneWave, far_field_matrix, solve_density
 from .geometry import chebyshev_graph_arc, chebyshev_value, validate_crack
 from .msr import NoiseSpec, noisy_values
 
@@ -104,6 +104,11 @@ def observation_directions(alpha, beta, count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
+def _far_field(sol, observation_dirs):
+    """The far field of one density at the observation directions."""
+    return far_field_matrix(sol.values[:, None], vars(sol), observation_dirs)[:, 0]
+
+
 def synthesize_data(
     crack,
     k,
@@ -115,7 +120,7 @@ def synthesize_data(
     """Forward-solve a truth crack and record far-field data; optional
     (snr_db, seed) noise with the Frobenius-calibrated convention."""
     sol = solve_density(crack, PlaneWave(np.asarray(theta), k), BoundaryCondition.DIRICHLET, cfg)
-    values = far_field_many(sol, observation_dirs)
+    values = _far_field(sol, observation_dirs)
     if noise is not None:
         values = noisy_values(values, NoiseSpec(*noise))
     return FarFieldData(k=k, theta=np.asarray(theta), observation_dirs=observation_dirs, values=values)
@@ -124,7 +129,7 @@ def synthesize_data(
 def _residual_vector(coeffs, data: FarFieldData, cfg: NystromConfig):
     crack = chebyshev_graph_arc(np.asarray(coeffs, dtype=np.float64))
     sol = solve_density(crack, PlaneWave(data.theta, data.k), BoundaryCondition.DIRICHLET, cfg)
-    diff = data.values - far_field_many(sol, data.observation_dirs)
+    diff = data.values - _far_field(sol, data.observation_dirs)
     return np.concatenate([diff.real, diff.imag])
 
 

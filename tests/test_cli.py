@@ -6,6 +6,7 @@ import pytest
 
 from arcmig import cli, imaging, msr
 from arcmig.errors import ConfigError, LookupNameError, SolverError
+from arcmig.forward import NystromConfig
 
 
 def test_preset_catalog_values():
@@ -128,6 +129,23 @@ def test_run_experiment_artifacts(small_run):
     assert "input.msr_000.msr.sha256" in meta
     manifest_meta = imaging.load_metadata(out / "manifest.txt")
     assert float(manifest_meta["verify.boundary_residual"]) < 1e-6
+
+
+def test_te_run_records_symmetry_defect(tmp_path):
+    # full-view Neumann runs check every clean MSR matrix for reciprocal
+    # symmetry and record the largest defect over the frequencies
+    cfg = cli.preset_config("G1,TE", seed=5, snr_db=15.0)
+    cfg.freq_count = 3
+    manifest = cli.run_experiment(cfg, tmp_path, stop_after="forward")
+    recorded = float(imaging.load_metadata(tmp_path / "manifest.txt")["verify.symmetry_defect"])
+    assert recorded == manifest.verify["symmetry_defect"]
+    assert recorded < 1e-6
+    nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
+    defects = [
+        msr.assemble(cfg.crack(), k, cfg.direction_set(), "neumann", nystrom).symmetry_defect()
+        for k in cfg.frequency_set().wavenumbers()
+    ]
+    assert recorded == max(defects)
 
 
 def test_run_experiment_deterministic(small_run, tmp_path):

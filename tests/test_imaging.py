@@ -181,15 +181,16 @@ def test_direction_set_mismatch_rejected(micro_subspaces):
 
 
 def test_map_rows_do_not_depend_on_block_position(micro_subspaces):
-    # 65 x 65 = 4225 points span five row blocks; the sub-grid starts at
-    # y = -0.5, point 1560 of the full grid, in the middle of its second
+    # 65 x 65 = 4225 points span more than three row blocks; the sub-grid
+    # starts at y = -0.5, point 1560 of the full grid, in the middle of a
     # block. A dyadic step makes the shared points bitwise equal.
     _, dirs, sub, _ = micro_subspaces
     mode, unit = imaging.SteeringMode.tm(), imaging.WeightScheme.unit()
     full_grid = imaging.SearchGrid(-2.0, 2.0, -2.0, 2.0, 0.0625)
     sub_grid = imaging.SearchGrid(-2.0, 2.0, -0.5, 2.0, 0.0625)
     start = full_grid.index_nearest(np.array([-2.0, -0.5]))
-    assert full_grid.nx * full_grid.ny > 3 * 1024 and start % 1024 != 0
+    block = imaging._BLOCK
+    assert full_grid.nx * full_grid.ny > 3 * block and start % block != 0
     assert np.array_equal(sub_grid.points(), full_grid.points()[start:])
     full = imaging.image_subspace([sub], full_grid, mode, unit, dirs)
     part = imaging.image_subspace([sub], sub_grid, mode, unit, dirs)
@@ -242,6 +243,67 @@ def test_te_search_matches_brute_force_oracle():
                 acc += best
         expected.append(abs(acc) / len(subs))
     assert np.allclose(img.values, expected, atol=1e-12)
+
+
+def _te_search_oracle(subs, grid, dirs, candidates):
+    """The TE normal-search map by a direct loop over points, subspace
+    vectors and candidate normals."""
+    normals = imaging.candidate_normals(candidates)
+    expected = []
+    for x in grid.points():
+        acc = 0.0 + 0.0j
+        for sub in subs:
+            for m_i in range(sub.cut_index):
+                u = sub.left_vectors[:, m_i]
+                vbar = sub.right_vectors[:, m_i].conj()
+                best = None
+                for nu in normals:
+                    sv = imaging.steering_te(x, sub.k, dirs, nu)
+                    term = np.vdot(sv, u) * np.vdot(sv, vbar)
+                    if best is None or abs(term) > abs(best):
+                        best = term
+                acc += best
+        expected.append(abs(acc) / len(subs))
+    return np.array(expected)
+
+
+def test_te_search_limited_aperture_odd_candidates_matches_oracle():
+    # a limited aperture makes the candidate weights N / ||Theta nu_l||^2
+    # differ, and an odd L scans every candidate (no nu_{l+L/2} = -nu_l fold)
+    crack = geometry.catalog("G1")
+    dirs = msr.DirectionSet(np.pi / 6.0, 5.0 * np.pi / 6.0, 16)
+    candidates = 7
+    norms = np.linalg.norm(dirs.directions() @ imaging.candidate_normals(candidates).T, axis=0)
+    assert norms.max() > 1.4 * norms.min()
+    freqs = imaging.FrequencySet.from_wavelengths(0.5, 0.4, 2)
+    subs = []
+    for kf in freqs.wavenumbers():
+        m = msr.assemble(crack, kf, dirs, BC.NEUMANN, NystromConfig(nodes_per_arc=64))
+        subs.append(msr.svd_threshold(m, 0.01))
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.1, 0.7, 0.2)
+    img = imaging.image_subspace(
+        subs, grid, imaging.SteeringMode.te_search(candidates),
+        imaging.WeightScheme.unit(), dirs,
+    )
+    expected = _te_search_oracle(subs, grid, dirs, candidates)
+    assert np.allclose(img.values, expected, atol=1e-12)
+
+
+def test_factored_phase_block_matches_direct_exponentials():
+    # phases k theta . x reach ~75 rad on this grid; the product of the x
+    # and y tables agrees with the direct exponentials within 1e-13
+    dirs = msr.DirectionSet.full_view(36)
+    grid = imaging.SearchGrid(-1.5, 1.5, -1.0, 2.0, 0.05)
+    k = 2.0 * np.pi / 0.2
+    pts = grid.points()
+    phase = k * (pts @ dirs.directions().T)
+    assert np.max(np.abs(phase)) > 50.0
+    direct = np.exp(1j * phase).conj() / np.sqrt(dirs.count)
+    tx, ty = imaging._phase_tables(grid, k, dirs)
+    iy, ix = np.divmod(np.arange(len(pts)), grid.nx)
+    block = np.empty_like(direct)
+    imaging._steering_block(tx, ty, ix, iy, block, np.empty_like(direct))
+    assert np.max(np.abs(block - direct)) < 1e-13
 
 
 def test_noiseless_peak_normalization():
