@@ -344,9 +344,9 @@ def _te_search(subspaces, weights, candidates, dirs):
     w = dirs.count / norms**2
     cos2 = normals[:, 0] ** 2 - normals[:, 1] ** 2
     sin2 = 2.0 * normals[:, 0] * normals[:, 1]
-    # the working set holds 2 alpha, 2 beta and 2 gamma: the uniform factor 4
-    # leaves the argmax alone, and the halved weights form the picked term
-    # (L', 6), column-major: the small GEMM runs twice as fast that way
+    # reduce forms 2 alpha, 2 beta and 2 gamma: the common factor 4 of the
+    # moduli leaves the pick alone, and halved weights form the picked term.
+    # scan is (L', 6) and column-major, which runs the small GEMM twice as fast
     scan = (np.stack([np.ones_like(w), cos2**2, sin2**2, 2 * cos2, 2 * sin2, 2 * cos2 * sin2])
             * w**2).T
     picked = (0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2)
