@@ -400,8 +400,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
             matrix = msr.assemble(crack, k, dirs, bc, data_cfg)
             if bc is BoundaryCondition.NEUMANN and dirs.is_full_view:
                 defect = matrix.symmetry_defect()
-                worst = max(manifest.verify.get("symmetry_defect", 0.0), defect)
-                manifest.verify["symmetry_defect"] = worst
+                manifest.verify["symmetry_defect"] = max(
+                    manifest.verify.get("symmetry_defect", 0.0), defect
+                )
                 if defect > 1e-6:
                     raise SolverError("assembled matrix violates reciprocal symmetry")
             if cfg.snr_db is not None:
