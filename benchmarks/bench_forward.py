@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Benchmark: the forward layer, stacked and one crack at a time.
+
+It reports, as medians over repeats:
+
+* the 2p central-difference residuals of one Gauss-Newton step at the
+  reference scenario's initial guess (p + 1 = 6 coefficients, 64 nodes):
+  the 12 cracks as one stack against 12 stacks of one, in ms, split into
+  kernel (H0 over the node pairs), build (the rest of the system fill),
+  solve (the batched LU solve) and far field;
+* ms per `msr.assemble` frequency on the G3,TM and G2,TE presets (the
+  stack-of-one path), split the same way;
+* ms per `validate_crack` call on the catalog cracks and the reference
+  initial guess.
+
+The split comes from timing wrappers placed around `forward._hankel0`,
+the system builders, `forward._solve_linear` and `far_field_matrix` for
+the duration of the measurement; what is left of the total is "other"
+(grids, right-hand sides, density scaling).  The last line is one JSON
+record with the git SHA, ``os.cpu_count()`` and the NumPy version.
+
+Run:  python benchmarks/bench_forward.py [--repeats 20]
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+from arcmig import cli, forward, geometry, msr, refine
+from arcmig.forward import NystromConfig, PlaneWave
+
+# stage -> the functions whose time it collects; build excludes the kernel
+STAGES = {
+    "kernel": [(forward, "_hankel0")],
+    "build": [(forward, "_build_dirichlet"), (forward, "_build_neumann")],
+    "solve": [(forward, "_solve_linear")],
+    "far_field": [(forward, "far_field_matrix"), (msr, "far_field_matrix")],
+}
+
+
+@contextmanager
+def stage_timers():
+    """Accumulate seconds per stage while the block runs."""
+    seconds = dict.fromkeys(STAGES, 0.0)
+    saved = []
+
+    def timed(stage, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[stage] += time.perf_counter() - t0
+
+        return wrapper
+
+    for stage, targets in STAGES.items():
+        for module, name in targets:
+            fn = getattr(module, name)
+            saved.append((module, name, fn))
+            setattr(module, name, timed(stage, fn))
+    try:
+        yield seconds
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+
+
+def split_ms(run, repeats):
+    """Median total ms of ``run()`` and the median ms of each stage."""
+    samples = []
+    for _ in range(repeats):
+        with stage_timers() as seconds:
+            t0 = time.perf_counter()
+            run()
+            total = time.perf_counter() - t0
+        seconds["build"] -= seconds["kernel"]
+        seconds["other"] = total - sum(seconds.values())
+        seconds["total"] = total
+        samples.append(seconds)
+    return {key: round(1e3 * statistics.median(s[key] for s in samples), 3) for key in samples[0]}
+
+
+def fd_cracks():
+    """The 2p central-difference cracks at the reference initial guess."""
+    initial, _, data = refine.reference_scenario()
+    coeffs, h = initial.coefficients, refine.RefineConfig().fd_step
+    bumps = h * np.eye(coeffs.size)
+    rows = np.concatenate([coeffs + bumps, coeffs - bumps])
+    return [geometry.chebyshev_graph_arc(c) for c in rows], data
+
+
+def jacobian_ms(repeats):
+    cracks, data = fd_cracks()
+    wave = PlaneWave(data.theta, data.k)
+    cfg = NystromConfig(nodes_per_arc=64)
+
+    def stacked():
+        forward.dirichlet_far_fields(cracks, wave, data.observation_dirs, cfg)
+
+    def one_by_one():
+        for crack in cracks:
+            forward.dirichlet_far_fields([crack], wave, data.observation_dirs, cfg)
+
+    return {"cracks": len(cracks), "stack": split_ms(stacked, repeats),
+            "stacks_of_one": split_ms(one_by_one, repeats)}
+
+
+def assemble_ms(preset, repeats):
+    cfg = cli.preset_config(preset, seed=7, snr_db=15.0)
+    crack, dirs = cfg.crack(), cfg.direction_set()
+    nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
+    ks = cfg.frequency_set().wavenumbers()
+    state = {"f": 0}
+
+    def one_frequency():
+        msr.assemble(crack, ks[state["f"] % len(ks)], dirs, cfg.bc, nystrom)
+        state["f"] += 1
+
+    out = split_ms(one_frequency, max(repeats, len(ks)))
+    out.update(nodes=cfg.nodes_data, directions=dirs.count)
+    return out
+
+
+def validate_ms(repeats):
+    cracks = {name: geometry.catalog(name) for name in geometry.catalog_names()}
+    cracks["reference"] = geometry.chebyshev_graph_arc(refine.REFERENCE_INITIAL)
+    out = {}
+    for name, crack in cracks.items():
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            geometry.validate_crack(crack)
+            samples.append(time.perf_counter() - t0)
+        out[name] = round(1e3 * statistics.median(samples), 3)
+    return out
+
+
+def git_sha():
+    root = Path(__file__).resolve().parent.parent
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--repeats", type=int, default=20)
+    args = parser.parse_args()
+
+    jac = jacobian_ms(args.repeats)
+    print(f"FD residuals of one step ({jac['cracks']} cracks, 64 nodes), ms, median:")
+    for label in ("stack", "stacks_of_one"):
+        print(f"  {label}: " + ", ".join(f"{k} {v}" for k, v in jac[label].items()))
+    assemble = {preset: assemble_ms(preset, args.repeats) for preset in ("G3,TM", "G2,TE")}
+    for preset, row in assemble.items():
+        print(f"msr.assemble {preset}, ms per frequency: "
+              + ", ".join(f"{k} {v}" for k, v in row.items()))
+    validate = validate_ms(args.repeats)
+    print("validate_crack, ms per call: " + ", ".join(f"{k} {v}" for k, v in validate.items()))
+    print(json.dumps({
+        "bench": "forward", "git_sha": git_sha(), "cpu_count": os.cpu_count(),
+        "numpy": np.__version__, "repeats": args.repeats, "fd_residuals": jac,
+        "assemble": assemble, "validate_crack": validate,
+    }))
+
+
+if __name__ == "__main__":
+    main()

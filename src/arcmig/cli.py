@@ -104,9 +104,12 @@ def _parse_value(text, path, lineno):
     if text in ("true", "false"):
         return text == "true"
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         pass
+    else:
+        # "-0" is how the float -0.0 serializes; no integer carries that sign
+        return -0.0 if value == 0 and text.startswith("-") else value
     try:
         return float(text)
     except ValueError as exc:
@@ -398,13 +401,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
         data_cfg = NystromConfig(nodes_per_arc=cfg.nodes_data)
         for f_idx, k in enumerate(wavenumbers):
             matrix = msr.assemble(crack, k, dirs, bc, data_cfg)
-            if bc is BoundaryCondition.NEUMANN and dirs.is_full_view:
-                defect = matrix.symmetry_defect()
-                manifest.verify["symmetry_defect"] = max(
-                    manifest.verify.get("symmetry_defect", 0.0), defect
+            # entry (j, l) observes incidence theta_l at -theta_j, so
+            # reciprocity makes the clean matrix symmetric for any
+            # direction set and either boundary condition
+            defect = matrix.symmetry_defect()
+            manifest.verify["symmetry_defect"] = max(
+                manifest.verify.get("symmetry_defect", 0.0), defect
+            )
+            if defect > 1e-6:
+                raise SolverError(
+                    f"assembled matrix violates reciprocal symmetry (defect {defect:.3e})"
                 )
-                if defect > 1e-6:
-                    raise SolverError("assembled matrix violates reciprocal symmetry")
             if cfg.snr_db is not None:
                 matrix = msr.add_noise(matrix, msr.NoiseSpec(cfg.snr_db, cfg.seed + f_idx))
             name = f"msr_{f_idx:03d}.msr"

@@ -11,6 +11,11 @@ midpoint grid; the Neumann hypersingular operator is regularized with the
 Maue identity (tangential-derivative form) and solved in a sine basis on
 the endpoint grid, with trigonometric differentiation for the outer
 arc-length derivative.
+
+The Dirichlet build takes a stack of cracks with one component count and
+node count: the node-only tables are formed once, H0 is one kernel call
+over the node pairs of every crack, and the solve and far field are
+batched, so each crack's arithmetic is the same as when it is solved alone.
 """
 
 import functools
@@ -30,6 +35,7 @@ __all__ = [
     "NystromConfig",
     "DensitySolution",
     "solve_density",
+    "dirichlet_far_fields",
     "far_field",
     "far_field_matrix",
     "scattered_field",
@@ -175,30 +181,31 @@ def _distances(tgt_points, src_points):
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-def _slp_block(k, r, hankel, src: _ArcGrid, rw=None, tgt_t=None, tgt_speed=None):
+def _slp_block(k, hankel, src: _ArcGrid, self_terms=None, tgt_speed=None):
     """Matrix Q with S[g](x_i) = sum_j Q_ij g(sigma_j), where g is the even
-    2pi-periodic 1-form density sampled on ``src`` nodes, from the
-    target-node distances ``r`` and ``hankel`` = H0(k r) (ignored where
-    r <= 1e-14).
+    2pi-periodic 1-form density sampled on ``src`` nodes, from ``hankel`` =
+    H0(k r) at the target-node distances r.  Leading axes of ``hankel`` and
+    ``tgt_speed`` index a stack of cracks.
 
-    Log weights ``rw`` engage the split of both logarithmic singular lines
-    for targets on the source arc, parameterized by ``tgt_t`` = cos(tau).
+    ``self_terms`` = (rw, log_both, coincident) engages the split of both
+    logarithmic singular lines for targets on the source arc: the log
+    weights, log 4 (t_i - t_j)^2 in the parameters t = cos(tau) (0 where
+    coincident), and the mask of coincident target-node pairs, where
+    ``hankel`` is ignored and the limit with ``tgt_speed`` = |z'| applies.
     """
     n = src.n
-    if rw is None:
-        if np.min(r) <= 0.0:
-            raise SolverError("coincident points between distinct components")
+    if self_terms is None:
         return (np.pi / n) * src.fold[None, :] * (0.25j) * hankel
 
-    coincident = r <= 1e-14
-    # J0(k r) is the real part of the same Hankel value
+    rw, log_both, coincident = self_terms
+    # J0(k r) is the real part of the same Hankel value.  Two working
+    # arrays, updated in place: a stack's temporaries are too large to
+    # stay in cache
     m1 = -(1.0 / (4.0 * np.pi)) * hankel.real
-    m1 = np.where(coincident, -1.0 / (4.0 * np.pi), m1)
-    log_both = np.log(
-        np.where(coincident, 1.0, 4.0 * (tgt_t[:, None] - src.t[None, :]) ** 2)
-    )
-    m_full = np.where(coincident, 0.0, (0.25j) * hankel)
-    m2 = m_full - m1 * log_both
+    np.copyto(m1, -1.0 / (4.0 * np.pi), where=coincident)
+    m2 = (0.25j) * hankel
+    np.copyto(m2, 0.0, where=coincident)
+    m2 -= m1 * log_both
     if coincident.any():
         if tgt_speed is None:
             raise SolverError("coincident targets need tangent speeds")
@@ -207,8 +214,11 @@ def _slp_block(k, r, hankel, src: _ArcGrid, rw=None, tgt_t=None, tgt_speed=None)
             - _EULER_GAMMA / (2.0 * np.pi)
             - np.log(k * tgt_speed / 4.0) / (2.0 * np.pi)
         )
-        m2 = np.where(coincident, diag_val[:, None], m2)
-    return src.fold[None, :] * (rw * m1 + (np.pi / n) * m2)
+        np.copyto(m2, diag_val[..., None], where=coincident)
+    m1 *= rw
+    m2 *= np.pi / n
+    np.add(m1, m2, out=m2)
+    return np.multiply(src.fold[None, :], m2, out=m2)
 
 
 def _slp_quad_matrix(k, tgt_tau, tgt_points, src: _ArcGrid, same_arc, tgt_speed=None):
@@ -216,42 +226,66 @@ def _slp_quad_matrix(k, tgt_tau, tgt_points, src: _ArcGrid, same_arc, tgt_speed=
     are parameterized by ``tgt_tau`` on the source arc."""
     r = _distances(tgt_points, src.points)
     if not same_arc:
-        return _slp_block(k, r, _hankel0(k * r), src)
+        if np.min(r) <= 0.0:
+            raise SolverError("coincident points between distinct components")
+        return _slp_block(k, _hankel0(k * r), src)
     n = src.n
     u_minus = tgt_tau[:, None] - src.tau[None, :]
     u_plus = tgt_tau[:, None] + src.tau[None, :]
     rw = 0.5 * (_km_log_weights(n, u_minus) + _km_log_weights(n, u_plus))
-    hankel = _hankel0(k * np.where(r <= 1e-14, 1.0, r))
-    return _slp_block(k, r, hankel, src, rw, np.cos(tgt_tau), tgt_speed)
+    coincident = r <= 1e-14
+    log_both = np.log(
+        np.where(coincident, 1.0, 4.0 * (np.cos(tgt_tau)[:, None] - src.t[None, :]) ** 2)
+    )
+    hankel = _hankel0(k * np.where(coincident, 1.0, r))
+    return _slp_block(k, hankel, src, (rw, log_both, coincident), tgt_speed)
 
 
-def _slp_system(k, grids):
+def _stack_nodes(grid_stack, attr):
+    """A per-node grid attribute over all components, one row per crack."""
+    return np.stack([np.concatenate([getattr(g, attr) for g in grids]) for grids in grid_stack])
+
+
+def _slp_system(k, grid_stack):
     """`_slp_block` over all nodes of all components, targets = the nodes
-    themselves, as one square matrix.
+    themselves, as one square matrix per crack: shape (B, N, N) for the B
+    lists of component grids in ``grid_stack``, which share the component
+    count and the node grid.
 
     Distances are symmetric, so H0(k r) is evaluated once per unordered
-    node pair and mirrored; self blocks take their log weights from the
-    lattice."""
-    points = np.concatenate([g.points for g in grids])
-    r = _distances(points, points)
-    upper = np.triu_indices(r.shape[0], 1)
-    pair_vals = _hankel0(k * r[upper])
-    hankel = np.zeros(r.shape, dtype=np.complex128)
-    hankel[upper] = pair_vals
-    hankel.T[upper] = pair_vals
-    edges = np.cumsum([0] + [g.size() for g in grids])
+    node pair and mirrored, in one kernel call for the whole stack.  The
+    node-only tables of the self blocks (lattice log weights, the log term
+    and the coincident diagonal) are formed once per call."""
+    node_grid = grid_stack[0][0]
+    points = _stack_nodes(grid_stack, "points")
+    size = points.shape[1]
+    iu, ju = np.triu_indices(size, 1)
+    diff = points[:, iu] - points[:, ju]
+    r_pairs = np.hypot(diff[..., 0], diff[..., 1])
+    component = np.repeat(np.arange(len(grid_stack[0])), node_grid.size())
+    if np.any(r_pairs[:, component[iu] != component[ju]] <= 0.0):
+        raise SolverError("coincident points between distinct components")
+    pair_vals = _hankel0(k * r_pairs)
+    hankel = np.zeros((len(grid_stack), size, size), dtype=np.complex128)
+    hankel[:, iu, ju] = pair_vals
+    hankel[:, ju, iu] = pair_vals
+    coincident = np.eye(node_grid.size(), dtype=bool)
+    t = node_grid.t
+    log_both = np.log(np.where(coincident, 1.0, 4.0 * (t[:, None] - t[None, :]) ** 2))
+    self_terms = (_grid_log_weights(node_grid), log_both, coincident)
+    edges = np.cumsum([0] + [g.size() for g in grid_stack[0]])
     q_mat = np.empty_like(hankel)
-    for ia, ga in enumerate(grids):
+    for ia in range(len(edges) - 1):
         rows = slice(edges[ia], edges[ia + 1])
-        for ib, gb in enumerate(grids):
+        for ib in range(len(edges) - 1):
             cols = slice(edges[ib], edges[ib + 1])
             if ia == ib:
-                q_mat[rows, cols] = _slp_block(
-                    k, r[rows, cols], hankel[rows, cols], ga,
-                    _grid_log_weights(ga), ga.t, ga.speed,
+                speed = np.stack([grids[ia].speed for grids in grid_stack])
+                q_mat[:, rows, cols] = _slp_block(
+                    k, hankel[:, rows, cols], node_grid, self_terms, speed
                 )
             else:
-                q_mat[rows, cols] = _slp_block(k, r[rows, cols], hankel[rows, cols], gb)
+                q_mat[:, rows, cols] = _slp_block(k, hankel[:, rows, cols], node_grid)
     return q_mat
 
 
@@ -268,9 +302,15 @@ def _interp_derivative_rows(grid: _ArcGrid):
     return scale[:, None] * rows
 
 
-def _build_dirichlet(crack, k, cfg):
-    grids = [_ArcGrid(arc, cfg.nodes_per_arc, midpoint=True) for arc in crack.components]
-    return grids, _slp_system(k, grids)
+def _build_dirichlet(cracks, k, cfg):
+    """Grids and single-layer matrices (B, N, N) of a stack of cracks."""
+    if len({len(crack) for crack in cracks}) != 1:
+        raise DomainError("a crack stack needs one shared, nonzero component count")
+    grid_stack = [
+        [_ArcGrid(arc, cfg.nodes_per_arc, midpoint=True) for arc in crack.components]
+        for crack in cracks
+    ]
+    return grid_stack, _slp_system(k, grid_stack)
 
 
 def _build_neumann(crack, k, cfg):
@@ -284,7 +324,7 @@ def _build_neumann(crack, k, cfg):
             (np.sin(np.outer(gb.tau, orders)), np.cos(np.outer(gb.tau, orders)) * orders)
         )
     interp_rows = [_interp_derivative_rows(g) for g in grids]
-    q_mat = _slp_system(k, grids)
+    q_mat = _slp_system(k, [grids])[0]
     q_edges = np.cumsum([0] + [g.size() for g in grids])
     row = 0
     for ia, ga in enumerate(grids):
@@ -302,13 +342,15 @@ def _build_neumann(crack, k, cfg):
 
 
 def _solve_linear(a_mat, rhs, what):
+    """One LU solve per matrix of a stack; the reported condition number is
+    the stack's largest."""
     try:
         sol = np.linalg.solve(a_mat, rhs)
     except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(a_mat))
+        cond = float(np.max(np.linalg.cond(a_mat)))
         raise SolverError(f"{what} system is singular (cond={cond:.3e})", cond) from exc
     if not np.all(np.isfinite(sol)):
-        cond = float(np.linalg.cond(a_mat))
+        cond = float(np.max(np.linalg.cond(a_mat)))
         raise SolverError(f"{what} solve produced non-finite values (cond={cond:.3e})", cond)
     return sol
 
@@ -336,24 +378,34 @@ class DensitySolution:
     _flat: np.ndarray  # transformed even/odd density samples (solver unknowns)
 
 
-def _solve_many(crack: Crack, k: float, thetas: np.ndarray, bc, cfg: NystromConfig):
-    """Shared-factorization solve for a batch of incident directions.
+# template entries with a leading stack axis; the others are shared
+_STACKED = ("points", "normals", "quad_weights", "_grids")
 
-    Returns (template arrays, per-direction density matrix)."""
+
+def _solve_many(cracks, k: float, thetas: np.ndarray, bc, cfg: NystromConfig):
+    """Shared-factorization solve of a stack of B cracks with one component
+    count, for a batch of incident directions: one system build, one
+    batched LU solve.  Neumann takes a stack of one.
+
+    Returns (template, thetas, values, flat); values and flat are
+    (B, unknowns, directions) and the `_STACKED` template entries carry the
+    same leading axis."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"wavenumber must be positive and finite, got {k}")
     bc = BoundaryCondition.parse(bc)
     if bc is BoundaryCondition.DIRICHLET:
-        grids, a_mat = _build_dirichlet(crack, k, cfg)
-        pts = np.concatenate([g.points for g in grids])
-        rhs = -np.exp(1j * k * (pts @ thetas.T))
+        grid_stack, a_mat = _build_dirichlet(cracks, k, cfg)
+        points = _stack_nodes(grid_stack, "points")
+        rhs = -np.exp(1j * k * (points @ thetas.T))
         w = _solve_linear(a_mat, rhs, "Dirichlet")
-        jac = np.concatenate([g.jacobian for g in grids])
-        values = w / jac[:, None]
+        values = w / _stack_nodes(grid_stack, "jacobian")[..., None]
         flat = w
     else:
+        (crack,) = cracks
         grids, t_mat, sin_bases = _build_neumann(crack, k, cfg)
+        grid_stack = [grids]
+        points = _stack_nodes(grid_stack, "points")
         pts_int = np.concatenate([g.points[1:-1] for g in grids])
         nu_int = np.concatenate([g.normals[1:-1] for g in grids])
         u_inc = np.exp(1j * k * (pts_int @ thetas.T))
@@ -367,22 +419,22 @@ def _solve_many(crack: Crack, k: float, thetas: np.ndarray, bc, cfg: NystromConf
         # the solver unknown is the double-layer density mu; the stored psi
         # follows the jump convention -psi = u_+ - u_- = mu, which is the
         # sign that makes the Neumann far-field formula below exact
-        values = -np.concatenate(blocks)
+        values = -np.concatenate(blocks)[None]
         flat = values
     slices = []
     start = 0
-    for g in grids:
+    for g in grid_stack[0]:
         slices.append(slice(start, start + g.size()))
         start += g.size()
     template = dict(
         bc=bc,
         k=k,
-        nodes_t=np.concatenate([g.t for g in grids]),
-        points=np.concatenate([g.points for g in grids]),
-        normals=np.concatenate([g.normals for g in grids]),
-        quad_weights=np.concatenate([g.quad_w for g in grids]),
+        nodes_t=np.concatenate([g.t for g in grid_stack[0]]),
+        points=points,
+        normals=_stack_nodes(grid_stack, "normals"),
+        quad_weights=_stack_nodes(grid_stack, "quad_w"),
         component_slices=tuple(slices),
-        _grids=tuple(grids),
+        _grids=tuple(tuple(grids) for grids in grid_stack),
     )
     return template, thetas, values, flat
 
@@ -390,11 +442,22 @@ def _solve_many(crack: Crack, k: float, thetas: np.ndarray, bc, cfg: NystromConf
 def solve_density(crack: Crack, wave: PlaneWave, bc, cfg: NystromConfig = NystromConfig()):
     """Solve the boundary integral equation for one incident plane wave."""
     template, thetas, values, flat = _solve_many(
-        crack, wave.k, wave.direction[None, :], bc, cfg
+        [crack], wave.k, wave.direction[None, :], bc, cfg
     )
-    return DensitySolution(
-        theta=thetas[0], values=values[:, 0], _flat=flat[:, 0], **template
+    one = {key: value[0] if key in _STACKED else value for key, value in template.items()}
+    return DensitySolution(theta=thetas[0], values=values[0, :, 0], _flat=flat[0, :, 0], **one)
+
+
+def dirichlet_far_fields(cracks, wave: PlaneWave, obs_dirs, cfg: NystromConfig = NystromConfig()):
+    """Dirichlet far fields of a stack of cracks with one component count,
+    for one incident wave: rows = cracks, cols = observation directions.
+
+    One system build, one batched solve and one batched far-field product;
+    each row equals, bit for bit, the crack solved on its own."""
+    template, _, values, _ = _solve_many(
+        cracks, wave.k, wave.direction[None, :], BoundaryCondition.DIRICHLET, cfg
     )
+    return far_field_matrix(values, template, obs_dirs)[..., 0]
 
 
 def _check_unit(obs):
@@ -415,17 +478,18 @@ def far_field_matrix(batch_values, template, obs_dirs):
 
     ``template`` maps bc, k, points, normals and quad_weights, as the batch
     solver's template or ``vars()`` of a DensitySolution do; one density is
-    the batch ``values[:, None]``."""
+    the batch ``values[:, None]``.  A leading stack axis on the values and
+    on points, normals and quad_weights gives one such matrix per crack."""
     obs_dirs = np.atleast_2d(np.asarray(obs_dirs, dtype=np.float64))
     k = template["k"]
-    phases = np.exp(-1j * k * (obs_dirs @ template["points"].T))
+    phases = np.exp(-1j * k * (obs_dirs @ np.swapaxes(template["points"], -1, -2)))
     wq = template["quad_weights"]
     if template["bc"] is BoundaryCondition.DIRICHLET:
         pref = np.exp(1j * np.pi / 4.0) / math.sqrt(8.0 * np.pi * k)
-        return pref * phases @ (wq[:, None] * batch_values)
+        return pref * phases @ (wq[..., None] * batch_values)
     pref = -math.sqrt(k / (8.0 * np.pi)) * np.exp(-1j * np.pi / 4.0)
-    proj = obs_dirs @ template["normals"].T
-    return pref * (proj * phases) @ (wq[:, None] * batch_values)
+    proj = obs_dirs @ np.swapaxes(template["normals"], -1, -2)
+    return pref * (proj * phases) @ (wq[..., None] * batch_values)
 
 
 def scattered_field(density: DensitySolution, x) -> complex:

@@ -491,6 +491,29 @@ def save_map(image: ImageMap, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _saved_step(ux, uy):
+    """The step of a saved grid from its sorted axis coordinates: the least
+    h > 0 with lo + h i >= u_i on both axes, evaluated as `SearchGrid.xs`
+    evaluates it.  Each coordinate is monotone in h, so when some step
+    reproduces every saved coordinate this one does; a bisection over the
+    bit patterns of positive floats finds it."""
+    axes = [(u[0], np.arange(u.size), u) for u in (ux, uy)]
+
+    def reaches(bits):
+        h = np.int64(bits).view(np.float64)
+        return all(np.all(lo + h * i >= u) for lo, i, u in axes)
+
+    # twice the end-to-end step of the x axis reaches every coordinate
+    low, high = 0, int(np.float64(2.0 * (ux[-1] - ux[0]) / (ux.size - 1)).view(np.int64))
+    while high - low > 1:
+        mid = (low + high) // 2
+        if reaches(mid):
+            high = mid
+        else:
+            low = mid
+    return float(np.int64(high).view(np.float64))
+
+
 def load_map(path) -> ImageMap:
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -511,11 +534,11 @@ def load_map(path) -> ImageMap:
     ux, uy = np.unique(xs), np.unique(ys)
     if ux.size * uy.size != vals.size:
         raise MapParseError(f"{path}: points do not form a full grid", line=len(raw))
-    # end-to-end step estimate is stabler against rounding than ux[1]-ux[0]
-    hx = (ux[-1] - ux[0]) / (ux.size - 1) if ux.size > 1 else (uy[-1] - uy[0]) / (uy.size - 1)
+    if ux.size < 2 or uy.size < 2:
+        raise MapParseError(f"{path}: a map needs two rows and two columns", line=len(raw))
     grid = SearchGrid(
         x_lo=float(ux[0]), x_hi=float(ux[-1]), y_lo=float(uy[0]), y_hi=float(uy[-1]),
-        h=float(hx),
+        h=_saved_step(ux, uy),
     )
     if grid.nx != ux.size or grid.ny != uy.size:
         raise MapParseError(f"{path}: inconsistent grid step", line=1)

@@ -130,8 +130,8 @@ def assemble(
     """Solve N incident problems and evaluate at the N reversed directions."""
     bc = BoundaryCondition.parse(bc)
     thetas = dirs.directions()
-    template, _, values, _ = _solve_many(crack, k, thetas, bc, cfg)
-    entries = far_field_matrix(values, template, -thetas)
+    template, _, values, _ = _solve_many([crack], k, thetas, bc, cfg)
+    entries = far_field_matrix(values, template, -thetas)[0]
     return MsrMatrix(k=k, entries=entries, dirs=dirs, bc=bc)
 
 
@@ -218,5 +218,5 @@ def load_msr(path) -> MsrMatrix:
         if len(parts) != 4:
             raise MapParseError(f"{path}: malformed entry line", line=idx + 2)
         j, l = int(parts[0]) - 1, int(parts[1]) - 1
-        entries[j, l] = float(parts[2]) + 1j * float(parts[3])
+        entries[j, l] = complex(float(parts[2]), float(parts[3]))
     return MsrMatrix(k=k, entries=entries, dirs=dirs, bc=bc, noise=noise)

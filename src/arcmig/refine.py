@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, IterationError
-from .forward import BoundaryCondition, NystromConfig, PlaneWave, far_field_matrix, solve_density
+from .forward import NystromConfig, PlaneWave, dirichlet_far_fields
 from .geometry import chebyshev_graph_arc, chebyshev_value, validate_crack
 from .msr import NoiseSpec, noisy_values
 
@@ -104,11 +104,6 @@ def observation_directions(alpha, beta, count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _far_field(sol, observation_dirs):
-    """The far field of one density at the observation directions."""
-    return far_field_matrix(sol.values[:, None], vars(sol), observation_dirs)[:, 0]
-
-
 def synthesize_data(
     crack,
     k,
@@ -119,25 +114,42 @@ def synthesize_data(
 ) -> FarFieldData:
     """Forward-solve a truth crack and record far-field data; optional
     (snr_db, seed) noise with the Frobenius-calibrated convention."""
-    sol = solve_density(crack, PlaneWave(np.asarray(theta), k), BoundaryCondition.DIRICHLET, cfg)
-    values = _far_field(sol, observation_dirs)
+    wave = PlaneWave(np.asarray(theta), k)
+    values = dirichlet_far_fields([crack], wave, observation_dirs, cfg)[0]
     if noise is not None:
         values = noisy_values(values, NoiseSpec(*noise))
     return FarFieldData(k=k, theta=np.asarray(theta), observation_dirs=observation_dirs, values=values)
 
 
-def _residual_vector(coeffs, data: FarFieldData, cfg: NystromConfig):
-    crack = chebyshev_graph_arc(np.asarray(coeffs, dtype=np.float64))
-    sol = solve_density(crack, PlaneWave(data.theta, data.k), BoundaryCondition.DIRICHLET, cfg)
-    diff = data.values - _far_field(sol, data.observation_dirs)
-    return np.concatenate([diff.real, diff.imag])
+def _residual_vectors(coeff_rows, data: FarFieldData, cfg: NystromConfig):
+    """Stacked real/imaginary residuals, one row per coefficient vector; the
+    cracks are solved as one stack."""
+    cracks = [chebyshev_graph_arc(np.asarray(c, dtype=np.float64)) for c in coeff_rows]
+    computed = dirichlet_far_fields(
+        cracks, PlaneWave(data.theta, data.k), data.observation_dirs, cfg
+    )
+    diff = data.values - computed
+    return np.concatenate([diff.real, diff.imag], axis=-1)
+
+
+def _fd_jacobian(coeffs, residual_rows, fd_step):
+    """Central-difference Jacobian; the 2p bumped coefficient vectors go to
+    ``residual_rows`` as one stack.  The result is C-ordered, as the normal
+    equations' products expect."""
+    p1 = coeffs.size
+    rows = np.repeat(coeffs[None, :], 2 * p1, axis=0)
+    idx = np.arange(p1)
+    rows[idx, idx] += fd_step
+    rows[p1 + idx, idx] -= fd_step
+    vecs = residual_rows(rows)
+    return np.ascontiguousarray(((vecs[:p1] - vecs[p1:]) / (2.0 * fd_step)).T)
 
 
 def residual(coeffs, data: FarFieldData, cfg: NystromConfig = NystromConfig(nodes_per_arc=64)):
     """Discrete least-square functional R = 1/2 sum_j |u_true - u_comp|^2."""
     if isinstance(coeffs, ChebyshevCrack):
         coeffs = coeffs.coefficients
-    vec = _residual_vector(coeffs, data, cfg)
+    vec = _residual_vectors([coeffs], data, cfg)[0]
     return 0.5 * float(vec @ vec)
 
 
@@ -158,28 +170,20 @@ def newton_refine(
     ChebyshevCrack(coeffs).validate()
     p1 = coeffs.size
 
-    def safe_residual_vec(c):
-        vec = _residual_vector(c, data, solver_cfg)
-        if not np.all(np.isfinite(vec)):
+    def safe_residual_vecs(rows):
+        vecs = _residual_vectors(rows, data, solver_cfg)
+        if not np.all(np.isfinite(vecs)):
             raise IterationError(
                 "non-finite residual during refinement", last_state=trajectory[-1]
             )
-        return vec
+        return vecs
 
     trajectory = []
-    vec = _residual_vector(coeffs, data, solver_cfg)
+    vec = _residual_vectors([coeffs], data, solver_cfg)[0]
     r_val = 0.5 * float(vec @ vec)
     trajectory.append(NewtonState(0, coeffs.copy(), r_val))
     for it in range(1, cfg.max_iters + 1):
-        jac = np.empty((vec.size, p1))
-        for j in range(p1):
-            bumped_up = coeffs.copy()
-            bumped_up[j] += cfg.fd_step
-            bumped_dn = coeffs.copy()
-            bumped_dn[j] -= cfg.fd_step
-            jac[:, j] = (safe_residual_vec(bumped_up) - safe_residual_vec(bumped_dn)) / (
-                2.0 * cfg.fd_step
-            )
+        jac = _fd_jacobian(coeffs, safe_residual_vecs, cfg.fd_step)
         jtj = jac.T @ jac
         jtr = jac.T @ vec
         mu = cfg.damping
@@ -193,7 +197,7 @@ def newton_refine(
                 raise IterationError(
                     "singular damped normal equations", last_state=trajectory[-1]
                 ) from exc
-            trial_vec = safe_residual_vec(coeffs + trial)
+            trial_vec = safe_residual_vecs([coeffs + trial])[0]
             trial_r = 0.5 * float(trial_vec @ trial_vec)
             if trial_r <= r_val:
                 step, new_vec, new_r = trial, trial_vec, trial_r

@@ -148,6 +148,34 @@ def test_te_run_records_symmetry_defect(tmp_path):
     assert recorded == max(defects)
 
 
+@pytest.mark.parametrize("preset, aperture", [("G1,TM", "full"), ("G1,TE", "limited")])
+def test_every_run_checks_reciprocity(preset, aperture, tmp_path):
+    # entry (j, l) observes theta_l at -theta_j, so the clean matrix is
+    # symmetric for any direction set and both boundary conditions
+    cfg = cli.preset_config(preset, aperture=aperture, seed=5, snr_db=15.0)
+    cfg.freq_count = 3
+    manifest = cli.run_experiment(cfg, tmp_path, stop_after="forward")
+    recorded = float(imaging.load_metadata(tmp_path / "manifest.txt")["verify.symmetry_defect"])
+    assert recorded == manifest.verify["symmetry_defect"]
+    nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
+    defects = [
+        msr.assemble(cfg.crack(), k, cfg.direction_set(), cfg.bc, nystrom).symmetry_defect()
+        for k in cfg.frequency_set().wavenumbers()
+    ]
+    assert recorded == max(defects)
+    assert recorded < 1e-6
+
+
+def test_reciprocity_violation_is_a_numeric_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(msr.MsrMatrix, "symmetry_defect", lambda self: 2e-6)
+    cfg = cli.preset_config("G1,TM", seed=1)
+    cfg.freq_count = 2
+    with pytest.raises(SolverError, match="reciprocal symmetry"):
+        cli.run_experiment(cfg, tmp_path / "run", stop_after="forward")
+    code = cli.main(["forward", "--preset", "G1,TM", "--out", str(tmp_path / "cli")])
+    assert code == 3
+
+
 def test_run_experiment_deterministic(small_run, tmp_path):
     cfg, out, _ = small_run
     cli.run_experiment(cfg, tmp_path / "again")

@@ -165,6 +165,24 @@ def test_multi_component_neumann_reciprocity():
         assert np.max(np.abs(s1.values[sl])) > 1e-4
 
 
+def test_stacked_two_component_build_equals_single_builds():
+    # a stack of two-component cracks: the coupling blocks and both self
+    # blocks of each crack are the ones its own build gives, bit for bit
+    segments = geometry.Crack(
+        list(geometry.line_segment([-0.5, 0.2], [0.4, 0.5]).components)
+        + list(geometry.line_segment([-0.3, -0.6], [0.6, -0.2]).components)
+    )
+    cracks = [geometry.catalog("G4"), segments]
+    thetas = np.array([[0.6, -0.8], [-1.0, 0.0]])
+    _, _, values, flat = forward._solve_many(cracks, K_HALF, thetas, BC.DIRICHLET, CFG64)
+    for b, crack in enumerate(cracks):
+        _, _, one_values, one_flat = forward._solve_many(
+            [crack], K_HALF, thetas, BC.DIRICHLET, CFG64
+        )
+        assert np.array_equal(values[b], one_values[0])
+        assert np.array_equal(flat[b], one_flat[0])
+
+
 def test_grazing_neumann_segment_is_silent():
     # flat sound-hard segment, incidence along the segment: the incident
     # field already satisfies the boundary condition
@@ -211,18 +229,23 @@ def test_lattice_log_weights_match_direct(n, midpoint):
     assert np.max(np.abs(forward._grid_log_weights(grid) - direct)) < 1e-13 * scale
 
 
-def _general_slp_system(k, grids):
+def _general_slp_system(k, grid_stack):
     # the off-node path at a copy of each grid's own tau: direct weights,
     # one Hankel evaluation per block entry
-    return np.block(
+    return np.stack(
         [
-            [
-                forward._slp_quad_matrix(
-                    k, ga.tau.copy(), ga.points, gb, same_arc=ga is gb, tgt_speed=ga.speed
-                )
-                for gb in grids
-            ]
-            for ga in grids
+            np.block(
+                [
+                    [
+                        forward._slp_quad_matrix(
+                            k, ga.tau.copy(), ga.points, gb, same_arc=ga is gb, tgt_speed=ga.speed
+                        )
+                        for gb in grids
+                    ]
+                    for ga in grids
+                ]
+            )
+            for grids in grid_stack
         ]
     )
 
@@ -232,9 +255,15 @@ def test_on_grid_build_matches_general_path(name, bc, monkeypatch):
     crack = geometry.catalog(name)
     cfg = NystromConfig(nodes_per_arc=32)
     k = 2.0 * np.pi / 0.4
-    build = forward._build_dirichlet if bc is BC.DIRICHLET else forward._build_neumann
-    grids, fast = build(crack, k, cfg)[:2]
+
+    def build():
+        if bc is BC.NEUMANN:
+            return forward._build_neumann(crack, k, cfg)[:2]
+        grid_stack, matrices = forward._build_dirichlet([crack], k, cfg)
+        return grid_stack[0], matrices[0]
+
+    grids, fast = build()
     assert len(grids) == len(crack.components)
     monkeypatch.setattr(forward, "_slp_system", _general_slp_system)
-    reference = build(crack, k, cfg)[1]
+    reference = build()[1]
     assert np.max(np.abs(fast - reference)) < 1e-13 * np.max(np.abs(reference))

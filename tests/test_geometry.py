@@ -88,6 +88,77 @@ def test_catalog_passes_validation_checks():
         assert geometry.validate_crack(geometry.catalog(name))
 
 
+def injectivity_reference(arc, samples=512):
+    """The injectivity sample rule written out with the full |i - j| index
+    matrix: no two samples with |i - j| > 4 closer than 0.25 min|z'| dt."""
+    ts = np.linspace(-1.0, 1.0, samples)
+    pts = np.atleast_2d(arc.points(ts))
+    tans = np.atleast_2d(arc.tangents(ts))
+    speeds = np.hypot(tans[:, 0], tans[:, 1])
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(dist, np.inf)
+    idx = np.abs(np.subtract.outer(np.arange(samples), np.arange(samples)))
+    return dist[idx > 4].min() > 0.25 * speeds.min() * np.abs(np.diff(ts)).min()
+
+
+def _hairpin(gap, width=0.05):
+    # two arms y = +-gap/2 joined by a tanh turn; the closest samples of
+    # the two arms are 5 indices apart
+    def pos(t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.stack([1.0 - t * t, 0.5 * gap * np.tanh(t / width)], axis=-1)
+
+    def der(t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.stack([-2.0 * t, 0.5 * gap / width / np.cosh(t / width) ** 2], axis=-1)
+
+    return geometry.ParametricArc("hairpin", pos, der)
+
+
+def _loop_arc(i, j, y_scale=1.0):
+    # x even and y odd about the midpoint of samples i and j, with y = 0
+    # at both: the two samples coincide
+    ts = np.linspace(-1.0, 1.0, 512)
+    t0 = 0.5 * (ts[i] + ts[j])
+    c = (0.5 * (ts[j] - ts[i])) ** 2
+
+    def pos(t):
+        s = np.asarray(t, dtype=np.float64) - t0
+        return np.stack([s * s, y_scale * s * (s * s - c)], axis=-1)
+
+    def der(t):
+        s = np.asarray(t, dtype=np.float64) - t0
+        return np.stack([2.0 * s, y_scale * (3.0 * s * s - c)], axis=-1)
+
+    return geometry.ParametricArc(f"loop{i}-{j}", pos, der)
+
+
+def test_injectivity_check_matches_reference_rule():
+    from arcmig.refine import REFERENCE_INITIAL, REFERENCE_TRUE
+
+    accepted = [
+        arc for name in geometry.catalog_names() for arc in geometry.catalog(name).components
+    ]
+    accepted += [
+        geometry.chebyshev_graph_arc(c).components[0] for c in (REFERENCE_INITIAL, REFERENCE_TRUE)
+    ]
+    # a hairpin whose arms stay just outside the threshold, and a loop
+    # closing at |i - j| = 4, inside the band the rule ignores
+    accepted += [_hairpin(3e-5), _loop_arc(254, 258)]
+    # arms within the threshold from |i - j| = 5 on; a loop closing at
+    # |i - j| = 5 whose other sample pairs stay outside the threshold; a
+    # crossing at |i - j| = 290
+    rejected = [_hairpin(1e-5), _loop_arc(253, 258, y_scale=10.0), _loop_arc(111, 401)]
+    for arc, expected in [(a, True) for a in accepted] + [(a, False) for a in rejected]:
+        assert bool(injectivity_reference(arc)) == expected, arc.name
+        if expected:
+            assert geometry.validate_crack(geometry.Crack([arc]))
+        else:
+            with pytest.raises(DomainError, match="injectivity"):
+                geometry.validate_crack(geometry.Crack([arc]))
+
+
 def test_reparameterization_invariance_gamma1():
     # sampling with internal t reproduces native-s equispaced sampling
     crack = geometry.catalog("G1")

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from arcmig import refine
+from arcmig import forward, refine
+from arcmig.errors import DomainError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig, PlaneWave, solve_density
-from arcmig.geometry import catalog, chebyshev_value
+from arcmig.geometry import catalog, chebyshev_graph_arc, chebyshev_value
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +92,73 @@ def test_jacobian_step_independence(scenario):
         up[j] += h
         dn = coeffs.copy()
         dn[j] -= h
-        ru = refine._residual_vector(up, data, cfg)
-        rd = refine._residual_vector(dn, data, cfg)
+        ru = refine._residual_vectors([up], data, cfg)[0]
+        rd = refine._residual_vectors([dn], data, cfg)[0]
         return (ru - rd) / (2.0 * h)
 
     for j in range(coeffs.size):
         c6 = column(j, 1e-6)
         c5 = column(j, 1e-5)
         assert np.linalg.norm(c6 - c5) / np.linalg.norm(c6) < 1e-3
+
+
+def fd_rows(coeffs, h):
+    """The 2p central-difference coefficient vectors: +h bumps, then -h."""
+    rows = []
+    for sign in (1.0, -1.0):
+        for j in range(coeffs.size):
+            bumped = coeffs.copy()
+            bumped[j] += sign * h
+            rows.append(bumped)
+    return rows
+
+
+def test_stacked_solve_equals_stacks_of_one(scenario):
+    # one build over the 12 FD-perturbed reference cracks gives, bit for
+    # bit, the densities and far fields of each crack solved on its own
+    initial, _, data = scenario
+    cfg = NystromConfig(nodes_per_arc=64)
+    cracks = [chebyshev_graph_arc(c) for c in fd_rows(initial.coefficients, 1e-6)]
+    wave = PlaneWave(data.theta, data.k)
+    _, _, values, flat = forward._solve_many(cracks, data.k, data.theta, BC.DIRICHLET, cfg)
+    fields = forward.dirichlet_far_fields(cracks, wave, data.observation_dirs, cfg)
+    assert values.shape == (12, 64, 1) and fields.shape == (12, 8)
+    for b, crack in enumerate(cracks):
+        single = solve_density(crack, wave, BC.DIRICHLET, cfg)
+        assert np.array_equal(values[b, :, 0], single.values)
+        assert np.array_equal(flat[b, :, 0], single._flat)
+        one = forward.dirichlet_far_fields([crack], wave, data.observation_dirs, cfg)[0]
+        assert np.array_equal(fields[b], one)
+        by_density = forward.far_field_matrix(
+            single.values[:, None], vars(single), data.observation_dirs
+        )[:, 0]
+        assert np.array_equal(fields[b], by_density)
+
+
+def test_stack_needs_one_component_count():
+    with pytest.raises(DomainError):
+        forward.dirichlet_far_fields(
+            [catalog("G1"), catalog("G4")], PlaneWave(np.array([0.0, -1.0]), 10.0), [[1.0, 0.0]]
+        )
+
+
+def test_stacked_jacobian_equals_column_loop(scenario):
+    initial, _, data = scenario
+    cfg = NystromConfig(nodes_per_arc=64)
+    coeffs, h = initial.coefficients, 1e-6
+    reference = np.empty((2 * data.values.size, coeffs.size))
+    for j in range(coeffs.size):
+        up = coeffs.copy()
+        up[j] += h
+        dn = coeffs.copy()
+        dn[j] -= h
+        reference[:, j] = (
+            refine._residual_vectors([up], data, cfg)[0]
+            - refine._residual_vectors([dn], data, cfg)[0]
+        ) / (2.0 * h)
+    jac = refine._fd_jacobian(coeffs, lambda rows: refine._residual_vectors(rows, data, cfg), h)
+    assert np.array_equal(jac, reference)
+    assert jac.flags.c_contiguous
 
 
 def test_start_at_truth_stops_immediately(scenario):
