@@ -2,12 +2,16 @@
 """Benchmark: the imaging engine, layer by layer.
 
 It builds the signal subspaces that ``arcmig image --preset P --snr 15
---seed 7`` builds for P = G2,TE and G3,TE, then reports:
+--seed 7`` builds for P = G3,TM, G4,TM, G2,TE and G3,TE, then reports:
 
+* the steering basis of each preset: paired (the phase tables keep N/2
+  directions and the real steering block has R = N columns) or unpaired
+  (N directions, R = 2N);
 * per block of ``imaging._BLOCK`` grid points and frequency, in ms (median
   over repeats and frequencies): the conjugate phase block gathered from
-  the factored phase tables, the same block from direct complex exps for
-  comparison, the projection GEMM, and the TE normal-search reduction;
+  the factored phase tables, the same full block from direct complex exps
+  for comparison, the real GEMM, and the reduction (two row dots for the
+  TM quadratic form, the normal search for TE);
 * for one whole ``image_subspace`` call on G2,TE: wall seconds, minor page
   faults (``ru_minflt``) and system seconds (``ru_stime``), both in the
   first call of the process and again after a call on a coarser grid.
@@ -34,7 +38,7 @@ import numpy as np
 from arcmig import cli, imaging, msr
 from arcmig.forward import BoundaryCondition, NystromConfig
 
-PRESETS = ("G2,TE", "G3,TE")
+PRESETS = ("G3,TM", "G4,TM", "G2,TE", "G3,TE")
 
 
 def preset_inputs(preset):
@@ -52,34 +56,41 @@ def preset_inputs(preset):
 
 def layer_ms(cfg, dirs, subspaces, repeats):
     """Median ms per block and frequency of each engine stage, on the first
-    block of the preset grid."""
+    block of the preset grid, and the steering basis."""
     grid = cfg.grid()
-    factors, reduce = imaging._te_search(
-        subspaces, np.ones(len(subspaces)), cfg.candidates, dirs
-    )
+    kept, expand = imaging._steering_basis(dirs)
+    if cfg.mode == "te-search":
+        product, reduce = imaging._te_search(
+            subspaces, np.ones(len(subspaces)), cfg.candidates, dirs, expand
+        )
+    else:
+        product, reduce = imaging._quadratic_form(
+            [sub.retained_left() @ sub.retained_right().conj().T for sub in subspaces], expand
+        )
     rows = min(imaging._BLOCK, grid.nx * grid.ny)
     iy, ix = np.divmod(np.arange(rows), grid.nx)
     points = grid.points()[:rows]
-    s = np.empty((rows, dirs.count), dtype=np.complex128)
+    s = np.empty((rows, kept), dtype=np.complex128)
     scratch = np.empty_like(s)
-    samples = {"phase_tables": [], "phase_direct": [], "gemm": [], "te_reduce": []}
+    samples = {"phase_tables": [], "phase_direct": [], "gemm": [], "reduce": []}
     for f, sub in enumerate(subspaces):
-        tx, ty = imaging._phase_tables(grid, sub.k, dirs)
-        prod = np.empty((len(factors[f]), rows), dtype=np.complex128)
+        tx, ty = imaging._phase_tables(grid, sub.k, dirs, kept)
+        real = s.view(np.float64)
         for _ in range(repeats):
             t0 = time.perf_counter()
             np.exp(1j * sub.k * (points @ dirs.directions().T)).conj() / math.sqrt(dirs.count)
             t1 = time.perf_counter()
             imaging._steering_block(tx, ty, ix, iy, s, scratch)
             t2 = time.perf_counter()
-            np.matmul(factors[f], s.T, out=prod)
+            prod = product(f, real)
             t3 = time.perf_counter()
-            reduce(f, s, prod)
+            reduce(f, real, prod)
             t4 = time.perf_counter()
             for key, dt in zip(samples, (t2 - t1, t1 - t0, t3 - t2, t4 - t3)):
                 samples[key].append(1e3 * dt)
     out = {key: round(statistics.median(vals), 4) for key, vals in samples.items()}
-    out.update(block=rows, directions=dirs.count, frequencies=len(subspaces),
+    out.update(basis="paired" if kept < dirs.count else "unpaired", real_columns=len(expand),
+               block=rows, directions=dirs.count, frequencies=len(subspaces),
                max_cut=max(sub.cut_index for sub in subspaces))
     return out
 

@@ -48,10 +48,17 @@ REGIMES = (
 
 _FULL_VIEW_TOL = 1e-12
 
-# grid points per `kernel_predict_grid` call in `validate_map` and per
-# nearest-distance block: bounds the (points x samples) temporaries; rows
-# do not depend on each other
-_PREDICT_BLOCK = 2048
+# grid points x crack samples per `kernel_predict_grid` call in
+# `validate_map` and per nearest-distance block: bounds the (points x
+# samples) temporaries whatever the sample count; rows do not depend on
+# each other
+_PREDICT_ARGS = 65536
+
+
+def _row_blocks(count, samples):
+    """Slices of at most _PREDICT_ARGS // samples rows (at least one)."""
+    rows = max(1, _PREDICT_ARGS // samples)
+    return [slice(lo, lo + rows) for lo in range(0, count, rows)]
 
 
 def _j0(z):
@@ -435,11 +442,11 @@ def first_sidelobe_ratio(values):
 
 def _nearest_distances(grid_points, pts):
     """Distance from each grid point to the nearest of ``pts``, computed in
-    `_PREDICT_BLOCK` row blocks to bound the (points x samples) temporaries."""
+    row blocks of at most `_PREDICT_ARGS` point-sample pairs."""
     dist = np.empty(grid_points.shape[0])
-    for lo in range(0, grid_points.shape[0], _PREDICT_BLOCK):
-        block = grid_points[lo : lo + _PREDICT_BLOCK]
-        dist[lo : lo + block.shape[0]] = np.min(
+    for rows in _row_blocks(grid_points.shape[0], pts.shape[0]):
+        block = grid_points[rows]
+        dist[rows] = np.min(
             np.hypot(block[:, None, 0] - pts[None, :, 0], block[:, None, 1] - pts[None, :, 1]),
             axis=1,
         )
@@ -476,9 +483,8 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, 
     if needs_normals:
         kwargs.setdefault("normals", normals)
     prediction = np.empty(grid_points.shape[0])
-    for lo in range(0, grid_points.shape[0], _PREDICT_BLOCK):
-        block = grid_points[lo : lo + _PREDICT_BLOCK]
-        prediction[lo : lo + block.shape[0]] = kernel_predict_grid(kind, block, pts, **kwargs)
+    for rows in _row_blocks(grid_points.shape[0], pts.shape[0]):
+        prediction[rows] = kernel_predict_grid(kind, grid_points[rows], pts, **kwargs)
     dist = _nearest_distances(grid_points, pts)
     sup_dev = float(np.max(np.abs(image.values - prediction)))
     on_idx = np.unique([grid.index_nearest(p) for p in pts])

@@ -314,32 +314,59 @@ def sample_points(crack: Crack, m: int):
     return out
 
 
+_BAND = 4                          # sample offsets |i - j| <= _BAND are legitimately close
+_ROWS = 32                         # rows per distance block of the injectivity check
+
+
+def _has_close_pair(pts, limit):
+    """Whether two samples with j - i > _BAND lie within limit of each
+    other, |p_i - p_j| <= limit by np.hypot, over row blocks of the upper
+    triangle (|p_i - p_j| and |p_j - p_i| round alike). Squared distances
+    screen each block: a pair within limit by np.hypot has a rounded
+    squared distance below limit^2 (1 + 1e-6), and only such pairs are
+    measured by np.hypot. The blocks live in one buffer allocated per call."""
+    x, y = np.ascontiguousarray(pts.T)
+    n = len(x)
+    screen = limit * limit * (1.0 + 1e-6)
+    below = np.tri(_ROWS, _ROWS, -1, dtype=bool)     # column c < row r: j - i <= _BAND
+    planes = np.empty((4, _ROWS * n))
+    for lo in range(0, n - _BAND - 1, _ROWS):
+        hi = min(lo + _ROWS, n - _BAND - 1)
+        first = lo + _BAND + 1                        # column 0 holds j = first
+        shape = (hi - lo, n - first)
+        dx, dy, sq, tmp = (plane[: shape[0] * shape[1]].reshape(shape) for plane in planes)
+        np.subtract.outer(x[lo:hi], x[first:], out=dx)
+        np.subtract.outer(y[lo:hi], y[first:], out=dy)
+        np.multiply(dx, dx, out=sq)
+        sq += np.multiply(dy, dy, out=tmp)
+        width = min(shape)
+        sq[:, :width][below[: shape[0], :width]] = np.inf
+        near = sq <= screen
+        if near.any() and np.any(np.hypot(dx[near], dy[near]) <= limit):
+            return True
+    return False
+
+
 def validate_crack(crack: Crack, samples: int = 512):
-    """Sample-based injectivity / no-cusp / disjointness checks."""
+    """Sample-based injectivity / no-cusp / disjointness checks.
+
+    Two components are disjoint unless a sample point of one coincides
+    exactly with a sample point of the other."""
     ts = np.linspace(-1.0, 1.0, samples)
-    all_points = []
+    point_sets = []
     for arc in crack.components:
         pts = np.atleast_2d(arc.points(ts))
         tans = np.atleast_2d(arc.tangents(ts))
         speeds = np.hypot(tans[:, 0], tans[:, 1])
         if np.any(speeds <= 0.0):
             raise DomainError(f"arc {arc.name!r} has a vanishing tangent (cusp)")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
         step = np.abs(np.diff(ts)).min()
-        # adjacent samples are legitimately close; only distinct-parameter
-        # near-coincidence (|i - j| > 4) signals self-intersection, so the
-        # band |i - j| <= 4 is masked: one strided write per diagonal
-        flat = dist.reshape(-1)
-        for d in range(5):
-            flat[d : (samples - d) * samples : samples + 1] = np.inf
-            flat[d * samples :: samples + 1] = np.inf
-        if dist.min() <= 0.25 * speeds.min() * step:
+        # only distinct-parameter near-coincidence signals self-intersection
+        if _has_close_pair(pts, 0.25 * speeds.min() * step):
             raise DomainError(f"arc {arc.name!r} fails the injectivity sample check")
-        all_points.append(pts)
-    for a in range(len(all_points)):
-        for b in range(a + 1, len(all_points)):
-            diff = all_points[a][:, None, :] - all_points[b][None, :, :]
-            if np.hypot(diff[..., 0], diff[..., 1]).min() <= 0.0:
+        point_sets.append(set(map(tuple, pts.tolist())))
+    for a in range(len(point_sets)):
+        for b in range(a + 1, len(point_sets)):
+            if not point_sets[a].isdisjoint(point_sets[b]):
                 raise DomainError("crack components are not pairwise disjoint")
     return True

@@ -2,13 +2,16 @@
 normal search, the TE alternative, frequency-weighted and log-weighted
 variants, and Kirchhoff migration, all evaluated over a rectangular grid.
 
-Every functional is a conjugate plane-wave phase block times a small
-per-frequency factor matrix, followed by a reduction over the subspace
-index. One engine walks the row-major grid in fixed row blocks; a block's
+Every functional is a conjugate plane-wave phase block, held as a real
+matrix, times a small per-frequency factor matrix, followed by a reduction:
+TM, the TE alternative and Kirchhoff are one quadratic form per frequency,
+and the TE search reduces over the subspace index. When the direction set
+holds the opposite of each direction, the phase block keeps only half of
+them. One engine walks the row-major grid in fixed row blocks; a block's
 phases are gathered from per-frequency x and y phase tables, and its
 working set lives in buffers allocated once per map, which bounds memory.
-The reduction order over frequencies and singular-vector indices is fixed
-and independent of the block, so maps are bitwise reproducible.
+The reduction order over frequencies and factor rows is fixed and
+independent of the block, so maps are bitwise reproducible.
 """
 
 import hashlib
@@ -87,6 +90,9 @@ class SearchGrid:
             raise ConfigError("grid step must be positive")
         if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
             raise ConfigError("grid bounds must be nonempty")
+        # a saved map records its step only through two rows and two columns
+        if self.nx < 2 or self.ny < 2:
+            raise ConfigError("grid step exceeds the extent: a map needs two rows and two columns")
 
     @property
     def nx(self):
@@ -249,12 +255,36 @@ def _prefix(buf, *shape):
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _phase_tables(grid, k, dirs):
-    """Factored conjugate steering phases at wavenumber k: exp(-i k theta_x x)
-    / sqrt(N) per grid column x (nx x N) and exp(-i k theta_y y) per grid
-    row y (ny x N). The conjugate steering vector of grid point (ix, iy) is
-    the product of row ix of the first table and row iy of the second."""
-    d = dirs.directions()
+def _steering_basis(dirs, pair=True):
+    """Real steering basis of a direction set: the number N' of directions
+    kept in the phase tables and the complex (R x N) map E with s = S E,
+    where S is the real (P x R) view of the (P x N') conjugate steering
+    block over the kept directions and s the full (P x N) one.
+
+    When the set holds the opposite of each of its directions (full view
+    with even N: theta_{n+N/2} = -theta_n) and pair is true, the tables keep
+    the first N/2 directions, the other half of s is the conjugate of the
+    first, and R = N. Otherwise N' = N and R = 2N."""
+    n = dirs.count
+    paired = pair and dirs.is_full_view and n % 2 == 0
+    kept = n // 2 if paired else n
+    idx = np.arange(kept)
+    expand = np.zeros((2 * kept, n), dtype=np.complex128)
+    expand[2 * idx, idx] = 1.0
+    expand[2 * idx + 1, idx] = 1j
+    if paired:
+        expand[2 * idx, idx + kept] = 1.0
+        expand[2 * idx + 1, idx + kept] = -1j
+    return kept, expand
+
+
+def _phase_tables(grid, k, dirs, kept=None):
+    """Factored conjugate steering phases at wavenumber k over the first
+    kept directions (all by default): exp(-i k theta_x x) / sqrt(N) per grid
+    column x (nx x N') and exp(-i k theta_y y) per grid row y (ny x N'). The
+    conjugate steering vector of grid point (ix, iy) over those directions
+    is the product of row ix of the first table and row iy of the second."""
+    d = dirs.directions()[:kept]
     tx = np.exp(-1j * k * np.outer(grid.xs(), d[:, 0])) / math.sqrt(dirs.count)
     ty = np.exp(-1j * k * np.outer(grid.ys(), d[:, 1]))
     return tx, ty
@@ -270,24 +300,23 @@ def _steering_block(tx, ty, ix, iy, out, scratch):
     return out
 
 
-def _blocked_sum(grid, ks, dirs, factors, reduce):
-    """Per-point sum over f of reduce(f, s, factors[f] @ s.T), with s the
-    (P, N) conjugate TM steering block conj(exp(i k_f theta_n . x)) / sqrt(N)
-    of the points, gathered from the frequency's phase tables. The product
-    is (W, P): each factor row gives one contiguous row over the points.
+def _blocked_sum(grid, ks, dirs, kept, product, reduce):
+    """Per-point sum over f of reduce(f, S, product(f, S)), with S the real
+    (P, 2N') view of the (P, N') conjugate TM steering block
+    conj(exp(i k_f theta_n . x)) / sqrt(N) of the points over the first
+    N' = kept directions, gathered from the frequency's phase tables.
 
-    The row-major grid is walked in fixed blocks of _BLOCK points. s and
-    the product are written into buffers allocated once per call, and
-    reduce returns a view of buffers of its own, so the block loop
-    allocates nothing large. No per-point result depends on where its
+    The row-major grid is walked in fixed blocks of _BLOCK points. The
+    steering block is written into buffers allocated once per call, and
+    product and reduce return views of buffers of their own, so the block
+    loop allocates nothing large. No per-point result depends on where its
     block starts."""
-    tables = [_phase_tables(grid, k, dirs) for k in ks]
+    tables = [_phase_tables(grid, k, dirs, kept) for k in ks]
     count = grid.nx * grid.ny
     iy, ix = np.divmod(np.arange(count), grid.nx)
     rows = min(_BLOCK, count)
-    s_buf = np.empty((rows, dirs.count), dtype=np.complex128)
+    s_buf = np.empty((rows, kept), dtype=np.complex128)
     t_buf = np.empty_like(s_buf)
-    prod_buf = np.empty(rows * max(len(g) for g in factors), dtype=np.complex128)
     total = np.zeros(count, dtype=np.complex128)
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
@@ -295,36 +324,53 @@ def _blocked_sum(grid, ks, dirs, factors, reduce):
         acc = total[start:stop]
         for f, (tx, ty) in enumerate(tables):
             _steering_block(tx, ty, ix[start:stop], iy[start:stop], s, t)
-            prod = np.matmul(factors[f], s.T, out=_prefix(prod_buf, len(factors[f]), len(s)))
-            acc += reduce(f, s, prod)
+            real = s.view(np.float64)
+            acc += reduce(f, real, product(f, real))
     return total
 
 
-def _weighted_row_dot(weights, width):
-    """dot(f, a, b) = weights[f] * sum_m a[m] b[m] for (M, P) operands with
-    M <= width and P <= _BLOCK, returned as a view of a reused buffer."""
-    prod_buf = np.empty(_BLOCK * width, dtype=np.complex128)
-    row_buf = np.empty(_BLOCK, dtype=np.complex128)
+def _quadratic_form(forms, expand):
+    """Product and reduction of the per-point form s B_f s^T, for complex
+    (N x N) matrices B_f and the conjugate steering block s = S E.
 
-    def dot(f, a, b):
-        ab = np.multiply(a, b, out=_prefix(prod_buf, *a.shape))
-        row = np.sum(ab, axis=0, out=row_buf[: a.shape[1]])
-        row *= weights[f]
-        return row
+    With C_f = E B_f E^T the form is S C_f S^T: one real GEMM of S against
+    [Re C_f | Im C_f] (R x 2R), then the dots of each point's two output
+    rows with its row of S give the real and imaginary parts."""
+    factors = []
+    for b in forms:
+        c = expand @ b @ expand.T
+        factors.append(np.concatenate([c.real, c.imag], axis=1))
+    r = len(expand)
+    prod_buf = np.empty(_BLOCK * 2 * r)
+    row_buf = np.empty((_BLOCK, 2))
 
-    return dot
+    def product(f, s):
+        return np.matmul(s, factors[f], out=_prefix(prod_buf, len(s), 2 * r))
+
+    def reduce(f, s, prod):
+        p = len(s)
+        rows = np.einsum("pkr,pr->pk", prod.reshape(p, 2, r), s, out=row_buf[:p])
+        return rows.view(np.complex128)[:, 0]
+
+    return product, reduce
 
 
 # (i, j) of the six coefficients Re(z_i conj(z_j)) of the TE scan, z = (alpha, beta, gamma)
 _TE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _te_search(subspaces, weights, candidates, dirs):
-    """Factor matrices and reduction of the TE normal search.
+def _te_search(subspaces, weights, candidates, dirs, expand):
+    """Product and reduction of the TE normal search.
 
     With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u]
     = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM
-    per frequency serves every candidate. For nu = (cos phi, sin phi),
+    per frequency serves every candidate: the complex (4M x N) factor F_f
+    stacks theta_x u, theta_y u, theta_x v and theta_y v. In the paired
+    basis, with G_f = F_f E^T and s = S E, the (4M x P) product F_f s^T is
+    the real GEMM of [Re G_f; Im G_f] against S^T (half the multiply-adds of
+    the complex GEMM), copied into complex form. Unpaired, S is the real
+    view of s itself, and the complex GEMM F_f s^T has the real GEMM's
+    multiply-adds without the copy. For nu = (cos phi, sin phi),
     (nu . A_u)(nu . A_v) = alpha + beta cos 2phi + gamma sin 2phi with
     alpha = (u_0 v_0 + u_1 v_1)/2, beta = (u_0 v_0 - u_1 v_1)/2 and
     gamma = (u_0 v_1 + u_1 v_0)/2. Candidate l's term is w_l times that,
@@ -350,20 +396,38 @@ def _te_search(subspaces, weights, candidates, dirs):
     scan = (np.stack([np.ones_like(w), cos2**2, sin2**2, 2 * cos2, 2 * sin2, 2 * cos2 * sin2])
             * w**2).T
     picked = (0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2)
+    paired = len(expand) == dirs.count
     dx, dy = d[:, :1], d[:, 1:]
     factors = []
     for sub in subspaces:
         u, v = sub.retained_left(), sub.retained_right().conj()
-        factors.append(np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T)
+        g = np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T
+        if paired:
+            g = g @ expand.T
+            g = np.concatenate([g.real, g.imag])
+        factors.append(g)
 
     size = _BLOCK * max(sub.cut_index for sub in subspaces)
+    # the paired GEMM planes are copied out before the moduli are formed,
+    # so the two share one buffer
+    mod_buf = np.empty(max(8, len(w)) * size)
+    prod_buf = np.empty(4 * size, dtype=np.complex128)
     z_bufs = [np.empty(size, dtype=np.complex128) for _ in range(4)]
     coef_buf = np.empty(6 * size)
     real_buf = np.empty(size)
-    mod_buf = np.empty(len(w) * size)
     below_buf = np.empty((len(w) - 1) * size, dtype=np.uint8)
     pick_buf = np.empty(size, dtype=np.min_scalar_type(len(w)))
     row_buf = np.empty(_BLOCK, dtype=np.complex128)
+
+    def product(f, s):
+        rows, p = len(factors[f]), len(s)
+        if not paired:
+            return np.matmul(factors[f], s.view(np.complex128).T, out=_prefix(prod_buf, rows, p))
+        planes = np.matmul(factors[f], s.T, out=_prefix(mod_buf, rows, p))
+        prod = _prefix(prod_buf, rows // 2, p)
+        prod.real[...] = planes[: rows // 2]
+        prod.imag[...] = planes[rows // 2 :]
+        return prod
 
     def reduce(f, s, prod):
         m, p = len(prod) // 4, len(s)
@@ -402,7 +466,7 @@ def _te_search(subspaces, weights, candidates, dirs):
         row *= weights[f]
         return row
 
-    return factors, reduce
+    return product, reduce
 
 
 def _wavenumbers(items, dirs, what):
@@ -443,21 +507,17 @@ def image_subspace(
     ks = _wavenumbers(subspaces, dirs, "frequency subspace")
     weights = weight.values(ks)
     prov = _provenance(f"subspace-{mode.kind}", weight.describe(), ks, dirs)
+    kept, expand = _steering_basis(dirs)
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
-        factors, reduce = _te_search(subspaces, weights, mode.candidates, dirs)
+        product, reduce = _te_search(subspaces, weights, mode.candidates, dirs, expand)
     else:
-        factors = [
-            np.concatenate([sub.retained_left(), sub.retained_right().conj()], axis=1).T
-            for sub in subspaces
-        ]
-        dot = _weighted_row_dot(weights, max(sub.cut_index for sub in subspaces))
-
-        def reduce(f, s, prod):
-            m = len(prod) // 2
-            return dot(f, prod[:m], prod[m:])
-
-    acc = _blocked_sum(grid, ks, dirs, factors, reduce)
+        product, reduce = _quadratic_form(
+            [w * (sub.retained_left() @ sub.retained_right().conj().T)
+             for w, sub in zip(weights, subspaces)],
+            expand,
+        )
+    acc = _blocked_sum(grid, ks, dirs, kept, product, reduce)
     return ImageMap(grid=grid, values=np.abs(acc) / len(subspaces), provenance=prov)
 
 
@@ -468,9 +528,9 @@ def image_kirchhoff(
 ) -> ImageMap:
     """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|."""
     ks = _wavenumbers(matrices, dirs, "MSR matrix")
-    dot = _weighted_row_dot(np.ones(len(ks)), dirs.count)
-    factors = [m.entries.T for m in matrices]
-    acc = _blocked_sum(grid, ks, dirs, factors, lambda f, s, prod: dot(f, prod, s.T))
+    kept, expand = _steering_basis(dirs)
+    product, reduce = _quadratic_form([m.entries for m in matrices], expand)
+    acc = _blocked_sum(grid, ks, dirs, kept, product, reduce)
     prov = _provenance("kirchhoff", "unit", ks, dirs)
     return ImageMap(grid=grid, values=np.abs(acc) / len(matrices), provenance=prov)
 
@@ -478,17 +538,13 @@ def image_kirchhoff(
 def save_map(image: ImageMap, path):
     """CSV persistence: header `x,y,value`, row-major rows, 17 digits."""
     g = image.grid
-    xs, ys = g.xs(), g.ys()
-    lines = ["x,y,value"]
-    idx = 0
-    for iy in range(g.ny):
-        for ix in range(g.nx):
-            lines.append(
-                f"{xs[ix]:.17g},{ys[iy]:.17g},{image.values[idx]:.17g}"
-            )
-            idx += 1
+    xs = [format(x, ".17g") for x in g.xs().tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,value\n")
+        for iy, y in enumerate(g.ys().tolist()):
+            mid = f",{y:.17g},"
+            row = image.values[iy * g.nx : (iy + 1) * g.nx].tolist()
+            fh.write("".join([f"{x}{mid}{v:.17g}\n" for x, v in zip(xs, row)]))
 
 
 def _saved_step(ux, uy):

@@ -187,10 +187,8 @@ def save_msr(m: MsrMatrix, path):
         f"MSR {n} {m.k:.17g} {m.dirs.alpha:.17g} {m.dirs.beta:.17g} "
         f"{m.bc.value} {snr} {seed}"
     ]
-    for j in range(n):
-        for l in range(n):
-            e = m.entries[j, l]
-            lines.append(f"{j + 1} {l + 1} {e.real:.17g} {e.imag:.17g}")
+    for j, row in enumerate(m.entries.tolist(), start=1):
+        lines.extend([f"{j} {l} {e.real:.17g} {e.imag:.17g}" for l, e in enumerate(row, start=1)])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

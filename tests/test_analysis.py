@@ -325,16 +325,13 @@ def test_unknown_regime_rejected():
 
 
 def test_validate_map_blocked_prediction_is_exact():
+    # one arc and the two-arc G4 crack: the blocks hold at most
+    # _PREDICT_ARGS point-sample pairs, so the grid spans several blocks
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.04)
     grid_points = grid.points()
-    assert grid_points.shape[0] > analysis._PREDICT_BLOCK
-    crack = geometry.line_segment([-0.3, 0.1], [0.4, -0.2])
+    assert grid_points.shape[0] * 32 > analysis._PREDICT_ARGS
     values = np.random.default_rng(3).uniform(0.0, 1.0, grid_points.shape[0])
     image = imaging.ImageMap(grid=grid, values=values)
-    metrics = analysis.validate_map(image, crack, "TM_BAND", {"k_first": K1, "k_last": KF})
-    pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
-    pred = analysis.kernel_predict_grid("TM_BAND", grid_points, pts, k_first=K1, k_last=KF)
-    assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
 
     def unblocked_mean_off(pts):
         dist = np.min(
@@ -343,8 +340,13 @@ def test_validate_map_blocked_prediction_is_exact():
         )
         return float(np.mean(values[dist >= 0.5]))
 
-    assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
-    # localization_metrics shares the blocked distances (64 samples)
-    pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
-    loc = analysis.localization_metrics(image, crack)
-    assert loc["off_crack_mean"] == unblocked_mean_off(pts64)
+    for crack in (geometry.line_segment([-0.3, 0.1], [0.4, -0.2]), geometry.catalog("G4")):
+        metrics = analysis.validate_map(image, crack, "TM_BAND", {"k_first": K1, "k_last": KF})
+        pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
+        pred = analysis.kernel_predict_grid("TM_BAND", grid_points, pts, k_first=K1, k_last=KF)
+        assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
+        assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
+        # localization_metrics shares the blocked distances (64 samples)
+        pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
+        loc = analysis.localization_metrics(image, crack)
+        assert loc["off_crack_mean"] == unblocked_mean_off(pts64)

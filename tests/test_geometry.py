@@ -159,6 +159,40 @@ def test_injectivity_check_matches_reference_rule():
                 geometry.validate_crack(geometry.Crack([arc]))
 
 
+def _line(name, slope, offset):
+    def pos(t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.stack([t, slope * t + offset], axis=-1)
+
+    def der(t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.stack([np.ones_like(t), np.full_like(t, slope)], axis=-1)
+
+    return geometry.ParametricArc(name, pos, der)
+
+
+def test_disjointness_is_exact_sample_coincidence():
+    # y = t and y = 2 t_0 - t meet exactly at the sample t_0; shifted by
+    # 1e-12 they cross between samples, which the sample rule accepts
+    t0 = np.linspace(-1.0, 1.0, 512)[100]
+    rising = _line("rising", 1.0, 0.0)
+
+    def coincide_reference(crack, samples=512):
+        ts = np.linspace(-1.0, 1.0, samples)
+        a, b = (np.atleast_2d(arc.points(ts)) for arc in crack.components)
+        diff = a[:, None, :] - b[None, :, :]
+        return np.hypot(diff[..., 0], diff[..., 1]).min() <= 0.0
+
+    meeting = geometry.Crack([rising, _line("falling", -1.0, 2.0 * t0)])
+    near = geometry.Crack([rising, _line("falling", -1.0, 2.0 * t0 + 1e-12)])
+    assert coincide_reference(meeting) and not coincide_reference(near)
+    with pytest.raises(DomainError, match="disjoint"):
+        geometry.validate_crack(meeting)
+    assert geometry.validate_crack(near)
+    assert not coincide_reference(geometry.catalog("G4"))
+    assert geometry.validate_crack(geometry.catalog("G4"))
+
+
 def test_reparameterization_invariance_gamma1():
     # sampling with internal t reproduces native-s equispaced sampling
     crack = geometry.catalog("G1")

@@ -306,6 +306,86 @@ def test_factored_phase_block_matches_direct_exponentials():
     assert np.max(np.abs(block - direct)) < 1e-13
 
 
+def _random_msr(dirs, ks, seed):
+    """Random complex MSR matrices over dirs, one per wavenumber."""
+    rng = np.random.default_rng(seed)
+    n = dirs.count
+    return [
+        msr.MsrMatrix(k=k, entries=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                      dirs=dirs, bc=BC.DIRICHLET)
+        for k in ks
+    ]
+
+
+def _engine_maps(matrices, grid, dirs):
+    """TM (power weight), TE-plain (log weight) and Kirchhoff maps; a
+    threshold of 0.3 keeps part of each spectrum."""
+    subs = [msr.svd_threshold(m, 0.3) for m in matrices]
+    assert all(0 < sub.cut_index < dirs.count for sub in subs)
+    return subs, {
+        "tm": imaging.image_subspace(subs, grid, imaging.SteeringMode.tm(),
+                                     imaging.WeightScheme.power_p(1), dirs).values,
+        "te-plain": imaging.image_subspace(subs, grid, imaging.SteeringMode.te_plain(),
+                                           imaging.WeightScheme.log(), dirs).values,
+        "kirchhoff": imaging.image_kirchhoff(matrices, grid, dirs).values,
+    }
+
+
+@pytest.mark.parametrize(
+    "dirs",
+    [msr.DirectionSet.full_view(15), msr.DirectionSet(np.pi / 6.0, 5.0 * np.pi / 6.0, 16),
+     msr.DirectionSet.full_view(16)],
+    ids=["odd-full-view", "limited", "even-full-view"],
+)
+def test_quadratic_form_maps_match_direct_formula(dirs):
+    # the real-arithmetic form S C_f S^T against per-point steering vectors;
+    # 625 points span three row blocks
+    ks = [9.0, 11.5]
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.05)
+    matrices = _random_msr(dirs, ks, seed=11)
+    subs, maps = _engine_maps(matrices, grid, dirs)
+    expected = {"tm": [], "te-plain": [], "kirchhoff": []}
+    for x in grid.points():
+        acc = dict.fromkeys(expected, 0.0 + 0.0j)
+        for m, sub in zip(matrices, subs):
+            sv = imaging.steering_tm(x, sub.k, dirs)
+            term = sum(np.vdot(sv, sub.left_vectors[:, i]) * np.vdot(sv, sub.right_vectors[:, i].conj())
+                       for i in range(sub.cut_index))
+            acc["tm"] += sub.k * term
+            acc["te-plain"] += np.log(sub.k) * term
+            acc["kirchhoff"] += sv.conj() @ m.entries @ sv.conj()
+        for key in expected:
+            expected[key].append(abs(acc[key]) / len(ks))
+    for key, values in maps.items():
+        peak = max(expected[key])
+        assert np.max(np.abs(values - expected[key])) <= 1e-12 * peak, key
+
+
+def test_paired_basis_matches_unpaired_basis(monkeypatch):
+    # full view with even N holds -theta for every theta: the phase tables
+    # keep N/2 directions and S has N columns, against 2N unpaired
+    dirs = msr.DirectionSet.full_view(24)
+    kept, expand = imaging._steering_basis(dirs)
+    assert (kept, expand.shape) == (12, (24, 24))
+    kept, expand = imaging._steering_basis(dirs, pair=False)
+    assert (kept, expand.shape) == (24, (48, 24))
+    ks = [8.0, 10.0, 12.0]
+    grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
+    matrices = _random_msr(dirs, ks, seed=12)
+    _, paired = _engine_maps(matrices, grid, dirs)
+    subs = [msr.svd_threshold(m, 0.3) for m in matrices]
+    search = imaging.SteeringMode.te_search(6)
+    paired["te-search"] = imaging.image_subspace(
+        subs, grid, search, imaging.WeightScheme.unit(), dirs).values
+    basis = imaging._steering_basis
+    monkeypatch.setattr(imaging, "_steering_basis", lambda d: basis(d, pair=False))
+    _, unpaired = _engine_maps(matrices, grid, dirs)
+    unpaired["te-search"] = imaging.image_subspace(
+        subs, grid, search, imaging.WeightScheme.unit(), dirs).values
+    for key, values in paired.items():
+        assert np.max(np.abs(values - unpaired[key])) <= 1e-13 * np.max(unpaired[key]), key
+
+
 def test_noiseless_peak_normalization():
     # noiseless full-view TM with unit weight: the map's global max sits in
     # [0.5, 1.3] (theoretical peak is about 1; discretization and the
@@ -343,6 +423,45 @@ def test_map_csv_round_trip(tmp_path, micro_subspaces):
     path2 = tmp_path / "map2.csv"
     imaging.save_map(img, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _reference_save_map(image, path):
+    """The per-point formatter of NumPy scalars that save_map replaced,
+    kept as the byte reference."""
+    g = image.grid
+    xs, ys = g.xs(), g.ys()
+    lines = ["x,y,value"]
+    idx = 0
+    for iy in range(g.ny):
+        for ix in range(g.nx):
+            lines.append(f"{xs[ix]:.17g},{ys[iy]:.17g},{image.values[idx]:.17g}")
+            idx += 1
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_save_map_bytes_match_reference_formatter(tmp_path):
+    # the G3 preset grid (201 x 201 points), values over many magnitudes
+    # and the special values
+    grid = imaging.SearchGrid(-2.0, 2.0, -1.0, 3.0, 0.02)
+    rng = np.random.default_rng(8)
+    size = grid.nx * grid.ny
+    values = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.integers(-300, 300, size)
+    values[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, np.finfo(float).max]
+    image = imaging.ImageMap(grid=grid, values=values)
+    imaging.save_map(image, tmp_path / "new.csv")
+    _reference_save_map(image, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_grid_with_one_row_or_column_is_refused():
+    # such a map would not record its step, so load_map could not read it
+    with pytest.raises(ConfigError):
+        imaging.SearchGrid(0.0, 0.05, 0.0, 1.0, 0.1)
+    with pytest.raises(ConfigError):
+        imaging.SearchGrid(0.0, 1.0, 0.0, 0.05, 0.1)
+    grid = imaging.SearchGrid(0.0, 0.1, 0.0, 0.1, 0.1)
+    assert (grid.nx, grid.ny) == (2, 2)
 
 
 def test_map_csv_parse_error_carries_line(tmp_path):

@@ -187,6 +187,43 @@ def test_msr_round_trip(tmp_path, gamma1_msr):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _reference_save_msr(m, path):
+    """The per-entry formatter of NumPy scalars that save_msr replaced,
+    kept as the byte reference."""
+    n = m.count
+    snr = "none" if m.noise is None else format(m.noise.snr_db, ".17g")
+    seed = "none" if m.noise is None else str(m.noise.seed)
+    lines = [
+        f"MSR {n} {m.k:.17g} {m.dirs.alpha:.17g} {m.dirs.beta:.17g} "
+        f"{m.bc.value} {snr} {seed}"
+    ]
+    for j in range(n):
+        for l in range(n):
+            e = m.entries[j, l]
+            lines.append(f"{j + 1} {l + 1} {e.real:.17g} {e.imag:.17g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_save_msr_bytes_match_reference_formatter(tmp_path):
+    # a G3-size matrix (N = 40) with entries over many magnitudes and the
+    # special values, with and without a noise record
+    rng = np.random.default_rng(9)
+    n = 40
+    parts = rng.normal(size=(2, n, n)) * 10.0 ** rng.integers(-300, 300, (2, n, n))
+    entries = parts[0] + 1j * parts[1]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, np.finfo(float).max]
+    entries.real[0, : len(specials)] = specials
+    entries.imag[1, : len(specials)] = specials
+    dirs = msr.DirectionSet.full_view(n)
+    for noise in (None, msr.NoiseSpec(15.0, 7)):
+        m = msr.MsrMatrix(k=12.566370614359172, entries=entries, dirs=dirs, bc=BC.NEUMANN,
+                          noise=noise)
+        msr.save_msr(m, tmp_path / "new.msr")
+        _reference_save_msr(m, tmp_path / "ref.msr")
+        assert (tmp_path / "new.msr").read_bytes() == (tmp_path / "ref.msr").read_bytes()
+
+
 def test_direction_set_validation():
     with pytest.raises(ConfigError):
         msr.DirectionSet(0.0, 0.0, 4)
