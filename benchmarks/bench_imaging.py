@@ -6,12 +6,13 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
 
 * the steering basis of each preset: paired (the phase tables keep N/2
   directions and the real steering block has R = N columns) or unpaired
-  (N directions, R = 2N);
+  (N directions, R = 2N; the TE search always runs unpaired);
 * per block of ``imaging._BLOCK`` grid points and frequency, in ms (median
   over repeats and frequencies): the conjugate phase block gathered from
   the factored phase tables, the same full block from direct complex exps
-  for comparison, the real GEMM, and the reduction (two row dots for the
-  TM quadratic form, the normal search for TE);
+  for comparison, the GEMM (real for the quadratic form, complex for the
+  TE search), and the reduction (two row dots for the TM quadratic form,
+  the normal search for TE);
 * for one whole ``image_subspace`` call on G2,TE: wall seconds, minor page
   faults (``ru_minflt``) and system seconds (``ru_stime``), both in the
   first call of the process and again after a call on a coarser grid.
@@ -58,11 +59,9 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     """Median ms per block and frequency of each engine stage, on the first
     block of the preset grid, and the steering basis."""
     grid = cfg.grid()
-    kept, expand = imaging._steering_basis(dirs)
+    kept, expand = imaging._steering_basis(dirs, pair=cfg.mode != "te-search")
     if cfg.mode == "te-search":
-        product, reduce = imaging._te_search(
-            subspaces, np.ones(len(subspaces)), cfg.candidates, dirs, expand
-        )
+        product, reduce = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates, dirs)
     else:
         product, reduce = imaging._quadratic_form(
             [sub.retained_left() @ sub.retained_right().conj().T for sub in subspaces], expand

@@ -359,18 +359,15 @@ def _quadratic_form(forms, expand):
 _TE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _te_search(subspaces, weights, candidates, dirs, expand):
-    """Product and reduction of the TE normal search.
+def _te_search(subspaces, weights, candidates, dirs):
+    """Product and reduction of the TE normal search, over the unpaired
+    steering basis (S is the real view of the conjugate steering block s).
 
     With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u]
     = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM
-    per frequency serves every candidate: the complex (4M x N) factor F_f
-    stacks theta_x u, theta_y u, theta_x v and theta_y v. In the paired
-    basis, with G_f = F_f E^T and s = S E, the (4M x P) product F_f s^T is
-    the real GEMM of [Re G_f; Im G_f] against S^T (half the multiply-adds of
-    the complex GEMM), copied into complex form. Unpaired, S is the real
-    view of s itself, and the complex GEMM F_f s^T has the real GEMM's
-    multiply-adds without the copy. For nu = (cos phi, sin phi),
+    per frequency serves every candidate: the complex (4M x P) product
+    F_f s^T, whose (4M x N) factor F_f stacks theta_x u, theta_y u,
+    theta_x v and theta_y v. For nu = (cos phi, sin phi),
     (nu . A_u)(nu . A_v) = alpha + beta cos 2phi + gamma sin 2phi with
     alpha = (u_0 v_0 + u_1 v_1)/2, beta = (u_0 v_0 - u_1 v_1)/2 and
     gamma = (u_0 v_1 + u_1 v_0)/2. Candidate l's term is w_l times that,
@@ -396,38 +393,25 @@ def _te_search(subspaces, weights, candidates, dirs, expand):
     scan = (np.stack([np.ones_like(w), cos2**2, sin2**2, 2 * cos2, 2 * sin2, 2 * cos2 * sin2])
             * w**2).T
     picked = (0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2)
-    paired = len(expand) == dirs.count
     dx, dy = d[:, :1], d[:, 1:]
     factors = []
     for sub in subspaces:
         u, v = sub.retained_left(), sub.retained_right().conj()
-        g = np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T
-        if paired:
-            g = g @ expand.T
-            g = np.concatenate([g.real, g.imag])
-        factors.append(g)
+        factors.append(np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T)
 
     size = _BLOCK * max(sub.cut_index for sub in subspaces)
-    # the paired GEMM planes are copied out before the moduli are formed,
-    # so the two share one buffer
-    mod_buf = np.empty(max(8, len(w)) * size)
     prod_buf = np.empty(4 * size, dtype=np.complex128)
     z_bufs = [np.empty(size, dtype=np.complex128) for _ in range(4)]
     coef_buf = np.empty(6 * size)
     real_buf = np.empty(size)
+    mod_buf = np.empty(len(w) * size)
     below_buf = np.empty((len(w) - 1) * size, dtype=np.uint8)
     pick_buf = np.empty(size, dtype=np.min_scalar_type(len(w)))
     row_buf = np.empty(_BLOCK, dtype=np.complex128)
 
     def product(f, s):
         rows, p = len(factors[f]), len(s)
-        if not paired:
-            return np.matmul(factors[f], s.view(np.complex128).T, out=_prefix(prod_buf, rows, p))
-        planes = np.matmul(factors[f], s.T, out=_prefix(mod_buf, rows, p))
-        prod = _prefix(prod_buf, rows // 2, p)
-        prod.real[...] = planes[: rows // 2]
-        prod.imag[...] = planes[rows // 2 :]
-        return prod
+        return np.matmul(factors[f], s.view(np.complex128).T, out=_prefix(prod_buf, rows, p))
 
     def reduce(f, s, prod):
         m, p = len(prod) // 4, len(s)
@@ -507,10 +491,11 @@ def image_subspace(
     ks = _wavenumbers(subspaces, dirs, "frequency subspace")
     weights = weight.values(ks)
     prov = _provenance(f"subspace-{mode.kind}", weight.describe(), ks, dirs)
-    kept, expand = _steering_basis(dirs)
+    # the TE search runs its complex GEMM on the unpaired steering block
+    kept, expand = _steering_basis(dirs, pair=mode.kind != "te-search")
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
-        product, reduce = _te_search(subspaces, weights, mode.candidates, dirs, expand)
+        product, reduce = _te_search(subspaces, weights, mode.candidates, dirs)
     else:
         product, reduce = _quadratic_form(
             [w * (sub.retained_left() @ sub.retained_right().conj().T)

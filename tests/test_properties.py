@@ -69,44 +69,46 @@ def test_msr_save_load_save_is_byte_identical(tmp_path_factory, n, k, alpha, spa
     assert (out / "a.msr").read_bytes() == (out / "b.msr").read_bytes()
 
 
-def _grid_args(fewest=2):
-    """SearchGrid arguments with nx and ny drawn from fewest..12, and the
-    smaller of the two drawn counts."""
+def _grid_args(nx, ny):
+    """SearchGrid arguments whose x and y extents hold nx and ny grid steps
+    plus a fraction of one."""
     return st.builds(
         lambda x_lo, y_lo, h, nx, ny, fx, fy: (
-            (x_lo, x_lo + h * (nx - 1 + fx), y_lo, y_lo + h * (ny - 1 + fy), h), min(nx, ny)
+            x_lo, x_lo + h * (nx - 1 + fx), y_lo, y_lo + h * (ny - 1 + fy), h
         ),
         st.floats(-100.0, 100.0),
         st.floats(-100.0, 100.0),
         st.floats(1e-3, 10.0),
-        st.integers(fewest, 12),
-        st.integers(fewest, 12),
+        nx,
+        ny,
         st.floats(0.0, 0.9),
         st.floats(0.0, 0.9),
     )
 
 
 def _grids():
-    return _grid_args().map(lambda drawn: imaging.SearchGrid(*drawn[0]))
+    counts = st.integers(2, 12)
+    return _grid_args(counts, counts).map(lambda args: imaging.SearchGrid(*args))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_grid_args(fewest=1), st.data())
-def test_map_save_load_save_is_byte_identical(tmp_path_factory, drawn, data):
-    # a step beyond the extent leaves one row or column, which a saved map
-    # cannot record: the grid is refused, so every saved map reads back
-    args, fewest = drawn
-    if fewest < 2:
-        with pytest.raises(ConfigError):
-            imaging.SearchGrid(*args)
-        return
-    grid = imaging.SearchGrid(*args)
+@given(_grids(), st.data())
+def test_map_save_load_save_is_byte_identical(tmp_path_factory, grid, data):
     size = grid.nx * grid.ny
     values = np.array(data.draw(st.lists(st.floats(), min_size=size, max_size=size)))
     out = tmp_path_factory.mktemp("map")
     imaging.save_map(imaging.ImageMap(grid=grid, values=values), out / "a.csv")
     imaging.save_map(imaging.load_map(out / "a.csv"), out / "b.csv")
     assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_args(st.just(1), st.integers(1, 12)) | _grid_args(st.integers(1, 12), st.just(1)))
+def test_any_grid_with_one_row_or_column_is_refused(args):
+    # a step beyond the extent leaves one row or column, which a saved map
+    # cannot record: the grid is refused, so every saved map reads back
+    with pytest.raises(ConfigError):
+        imaging.SearchGrid(*args)
 
 
 @settings(max_examples=200, deadline=None)
