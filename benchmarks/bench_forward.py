@@ -8,16 +8,19 @@ It reports, as medians over repeats:
   the 12 cracks as one stack against 12 stacks of one, in ms, split into
   kernel (H0 over the node pairs), build (the rest of the system fill),
   solve (the batched LU solve) and far field;
-* ms per `msr.assemble` frequency on the G3,TM and G2,TE presets (the
-  stack-of-one path), split the same way;
+* ms per `msr.assemble` frequency on the G3,TM, G4,TM and G2,TE presets
+  (the stack-of-one path), split the same way plus the discretization,
+  for the sweep on one `forward.discretize` result against one build per
+  frequency, and the one-time build on its own line;
 * ms per `validate_crack` call on the catalog cracks and the reference
   initial guess.
 
 The split comes from timing wrappers placed around `forward._hankel0`,
-the system builders, `forward._solve_linear` and `far_field_matrix` for
-the duration of the measurement; what is left of the total is "other"
-(grids, right-hand sides, density scaling).  The last line is one JSON
-record with the git SHA, ``os.cpu_count()`` and the NumPy version.
+the wavenumber-independent build (`forward._discretize`), the system
+builders, `forward._solve_linear` and `far_field_matrix` for the duration
+of the measurement; what is left of the total is "other" (right-hand
+sides, density scaling).  The last line is one JSON record with the git
+SHA, ``os.cpu_count()`` and the NumPy version.
 
 Run:  python benchmarks/bench_forward.py [--repeats 20]
 """
@@ -39,6 +42,7 @@ from arcmig.forward import NystromConfig, PlaneWave
 # stage -> the functions whose time it collects; build excludes the kernel
 STAGES = {
     "kernel": [(forward, "_hankel0")],
+    "discretize": [(forward, "_discretize")],
     "build": [(forward, "_build_dirichlet"), (forward, "_build_neumann")],
     "solve": [(forward, "_solve_linear")],
     "far_field": [(forward, "far_field_matrix"), (msr, "far_field_matrix")],
@@ -114,18 +118,33 @@ def jacobian_ms(repeats):
 
 
 def assemble_ms(preset, repeats):
+    """Per frequency of the preset's sweep: on one discretization, and with
+    one build per frequency; plus the median ms of one discretization."""
     cfg = cli.preset_config(preset, seed=7, snr_db=15.0)
     crack, dirs = cfg.crack(), cfg.direction_set()
     nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
     ks = cfg.frequency_set().wavenumbers()
+    disc = forward.discretize(crack, cfg.bc, nystrom)
     state = {"f": 0}
 
-    def one_frequency():
-        msr.assemble(crack, ks[state["f"] % len(ks)], dirs, cfg.bc, nystrom)
-        state["f"] += 1
+    def frequency(shared):
+        def run():
+            k = ks[state["f"] % len(ks)]
+            msr.assemble(crack, k, dirs, cfg.bc, nystrom, disc if shared else None)
+            state["f"] += 1
 
-    out = split_ms(one_frequency, max(repeats, len(ks)))
-    out.update(nodes=cfg.nodes_data, directions=dirs.count)
+        return run
+
+    count = max(repeats, len(ks))
+    out = {"shared": split_ms(frequency(True), count),
+           "per_frequency": split_ms(frequency(False), count)}
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        forward.discretize(crack, cfg.bc, nystrom)
+        samples.append(time.perf_counter() - t0)
+    out.update(discretize=round(1e3 * statistics.median(samples), 3),
+               nodes=cfg.nodes_data, directions=dirs.count, frequencies=len(ks))
     return out
 
 
@@ -161,10 +180,14 @@ def main():
     print(f"FD residuals of one step ({jac['cracks']} cracks, 64 nodes), ms, median:")
     for label in ("stack", "stacks_of_one"):
         print(f"  {label}: " + ", ".join(f"{k} {v}" for k, v in jac[label].items()))
-    assemble = {preset: assemble_ms(preset, args.repeats) for preset in ("G3,TM", "G2,TE")}
+    presets = ("G3,TM", "G4,TM", "G2,TE")
+    assemble = {preset: assemble_ms(preset, args.repeats) for preset in presets}
     for preset, row in assemble.items():
-        print(f"msr.assemble {preset}, ms per frequency: "
-              + ", ".join(f"{k} {v}" for k, v in row.items()))
+        print(f"msr.assemble {preset} ({row['nodes']} nodes per arc, {row['directions']} "
+              f"directions, {row['frequencies']} frequencies), ms per frequency, median:")
+        for label in ("shared", "per_frequency"):
+            print(f"  {label}: " + ", ".join(f"{k} {v}" for k, v in row[label].items()))
+        print(f"  discretize, once per sweep: {row['discretize']} ms")
     validate = validate_ms(args.repeats)
     print("validate_crack, ms per call: " + ", ".join(f"{k} {v}" for k, v in validate.items()))
     print(json.dumps({

@@ -29,7 +29,14 @@ from .errors import (
     SingularityError,
     SolverError,
 )
-from .forward import BoundaryCondition, NystromConfig, PlaneWave, boundary_residual, solve_density
+from .forward import (
+    BoundaryCondition,
+    NystromConfig,
+    PlaneWave,
+    boundary_residual,
+    discretize,
+    solve_density,
+)
 from .imaging import file_sha256
 
 EXIT_OK = 0
@@ -399,8 +406,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
         t0 = time.perf_counter()
         matrices = []
         data_cfg = NystromConfig(nodes_per_arc=cfg.nodes_data)
+        # one discretization serves every wavenumber of the sweep
+        disc = discretize(crack, bc, data_cfg)
         for f_idx, k in enumerate(wavenumbers):
-            matrix = msr.assemble(crack, k, dirs, bc, data_cfg)
+            matrix = msr.assemble(crack, k, dirs, bc, data_cfg, disc)
             # entry (j, l) observes incidence theta_l at -theta_j, so
             # reciprocity makes the clean matrix symmetric for any
             # direction set and either boundary condition
@@ -418,6 +427,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
             msr.save_msr(matrix, out / name)
             manifest.artifacts[name] = file_sha256(out / name)
             matrices.append(matrix)
+        # its tables must not outlive the forward stage
+        del disc
         manifest.timings["forward"] = time.perf_counter() - t0
         manifest.stages_completed.append("forward")
         if stop_after == "forward":
@@ -449,11 +460,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
 
         t0 = time.perf_counter()
         metrics = analysis.localization_metrics(image, crack)
-        for c_idx, arc in enumerate(crack.components):
-            for label, t_end in (("lo", -1.0), ("hi", 1.0)):
-                endpoint = np.atleast_2d(arc.points(np.array([t_end])))[0]
-                near = _endpoint_top_fraction(image, endpoint)
-                metrics[f"endpoint_{c_idx}_{label}_top5"] = near
+        metrics.update(_endpoint_top_fractions(image, crack))
         imaging.save_metadata(metrics, out / "metrics.txt")
         manifest.artifacts["metrics.txt"] = file_sha256(out / "metrics.txt")
         manifest.timings["metrics"] = time.perf_counter() - t0
@@ -463,13 +470,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
     return manifest
 
 
-def _endpoint_top_fraction(image, endpoint):
+def _endpoint_top_fractions(image, crack):
+    """Per arc endpoint, whether the map's largest value within two grid
+    steps of it reaches the map's 95th percentile (False when no grid point
+    is that close).  The grid points and the percentile are taken once."""
     grid = image.grid
     pts = grid.points()
-    near = np.hypot(pts[:, 0] - endpoint[0], pts[:, 1] - endpoint[1]) <= 2.0 * grid.h + 1e-12
-    if not near.any():
-        return False
-    return bool(np.max(image.values[near]) >= np.quantile(image.values, 0.95))
+    top = np.quantile(image.values, 0.95)
+    out = {}
+    for c_idx, arc in enumerate(crack.components):
+        for label, t_end in (("lo", -1.0), ("hi", 1.0)):
+            endpoint = np.atleast_2d(arc.points(np.array([t_end])))[0]
+            dist = np.hypot(pts[:, 0] - endpoint[0], pts[:, 1] - endpoint[1])
+            near = dist <= 2.0 * grid.h + 1e-12
+            out[f"endpoint_{c_idx}_{label}_top5"] = bool(
+                near.any() and np.max(image.values[near]) >= top
+            )
+    return out
 
 
 # ----------------------------------------------------------------- render

@@ -12,9 +12,13 @@ Maue identity (tangential-derivative form) and solved in a sine basis on
 the endpoint grid, with trigonometric differentiation for the outer
 arc-length derivative.
 
-The Dirichlet build takes a stack of cracks with one component count and
-node count: the node-only tables are formed once, H0 is one kernel call
-over the node pairs of every crack, and the solve and far field are
+Everything that does not depend on the wavenumber (grids, node arrays,
+node-pair distances, self-block log tables, the Neumann sine bases and
+interpolation rows) lives in a `Discretization`, built once and shared by
+every wavenumber of a sweep; a build at k adds only H0 over the node pairs,
+the block fill, the solve and the far field.  The Dirichlet system takes a
+stack of cracks with one component count and node count: H0 is one kernel
+call over the node pairs of every crack, and the solve and far field are
 batched, so each crack's arithmetic is the same as when it is solved alone.
 """
 
@@ -33,6 +37,8 @@ __all__ = [
     "BoundaryCondition",
     "PlaneWave",
     "NystromConfig",
+    "Discretization",
+    "discretize",
     "DensitySolution",
     "solve_density",
     "dirichlet_far_fields",
@@ -86,15 +92,12 @@ class PlaneWave:
 @dataclass(frozen=True)
 class NystromConfig:
     nodes_per_arc: int = 128
-    rhs_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.nodes_per_arc < 16 or self.nodes_per_arc % 2:
             raise ConfigError(
                 f"nodes_per_arc must be even and >= 16, got {self.nodes_per_arc}"
             )
-        if not self.rhs_tolerance > 0.0:
-            raise ConfigError("rhs_tolerance must be positive")
 
 
 class _ArcGrid:
@@ -246,49 +249,6 @@ def _stack_nodes(grid_stack, attr):
     return np.stack([np.concatenate([getattr(g, attr) for g in grids]) for grids in grid_stack])
 
 
-def _slp_system(k, grid_stack):
-    """`_slp_block` over all nodes of all components, targets = the nodes
-    themselves, as one square matrix per crack: shape (B, N, N) for the B
-    lists of component grids in ``grid_stack``, which share the component
-    count and the node grid.
-
-    Distances are symmetric, so H0(k r) is evaluated once per unordered
-    node pair and mirrored, in one kernel call for the whole stack.  The
-    node-only tables of the self blocks (lattice log weights, the log term
-    and the coincident diagonal) are formed once per call."""
-    node_grid = grid_stack[0][0]
-    points = _stack_nodes(grid_stack, "points")
-    size = points.shape[1]
-    iu, ju = np.triu_indices(size, 1)
-    diff = points[:, iu] - points[:, ju]
-    r_pairs = np.hypot(diff[..., 0], diff[..., 1])
-    component = np.repeat(np.arange(len(grid_stack[0])), node_grid.size())
-    if np.any(r_pairs[:, component[iu] != component[ju]] <= 0.0):
-        raise SolverError("coincident points between distinct components")
-    pair_vals = _hankel0(k * r_pairs)
-    hankel = np.zeros((len(grid_stack), size, size), dtype=np.complex128)
-    hankel[:, iu, ju] = pair_vals
-    hankel[:, ju, iu] = pair_vals
-    coincident = np.eye(node_grid.size(), dtype=bool)
-    t = node_grid.t
-    log_both = np.log(np.where(coincident, 1.0, 4.0 * (t[:, None] - t[None, :]) ** 2))
-    self_terms = (_grid_log_weights(node_grid), log_both, coincident)
-    edges = np.cumsum([0] + [g.size() for g in grid_stack[0]])
-    q_mat = np.empty_like(hankel)
-    for ia in range(len(edges) - 1):
-        rows = slice(edges[ia], edges[ia + 1])
-        for ib in range(len(edges) - 1):
-            cols = slice(edges[ib], edges[ib + 1])
-            if ia == ib:
-                speed = np.stack([grids[ia].speed for grids in grid_stack])
-                q_mat[:, rows, cols] = _slp_block(
-                    k, hankel[:, rows, cols], node_grid, self_terms, speed
-                )
-            else:
-                q_mat[:, rows, cols] = _slp_block(k, hankel[:, rows, cols], node_grid)
-    return q_mat
-
-
 def _interp_derivative_rows(grid: _ArcGrid):
     """Rows mapping samples of an even periodic function at the endpoint
     grid to its tau-derivative divided by |z'| sin(tau) at interior nodes."""
@@ -302,43 +262,168 @@ def _interp_derivative_rows(grid: _ArcGrid):
     return scale[:, None] * rows
 
 
-def _build_dirichlet(cracks, k, cfg):
-    """Grids and single-layer matrices (B, N, N) of a stack of cracks."""
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """The wavenumber-independent part of the Nystrom system of a stack of
+    B cracks with one component count, under one boundary condition and
+    node count.  Build it with `discretize`; one instance serves every
+    wavenumber of a sweep, and a build at k only adds H0 over the node
+    pairs, the block fill, the solve and the far field.
+
+    ``template`` holds the `DensitySolution` entries other than k (the
+    `_STACKED` ones carry the stack axis).  ``pairs`` and ``r_pairs`` are
+    the upper-triangle node pairs of the whole system and their distances
+    (B, P); ``self_terms`` = (rw, log_both, coincident) are the self-block
+    tables of `_slp_block`, shared by every component; ``speeds`` holds
+    |z'| per component, (B, n).  The Neumann entries are empty for
+    Dirichlet: the sine bases and derivative-interpolation rows per
+    component, the normal dot products per component pair, and the
+    interior nodes and normals of the right-hand side."""
+
+    cracks: tuple
+    bc: BoundaryCondition
+    nodes_per_arc: int
+    grid_stack: tuple
+    template: dict
+    jacobian: np.ndarray
+    edges: np.ndarray
+    pairs: tuple
+    r_pairs: np.ndarray
+    self_terms: tuple
+    speeds: tuple
+    sin_bases: tuple = ()
+    interp_rows: tuple = ()
+    normal_dots: tuple = ()
+    interior_points: np.ndarray = None
+    interior_normals: np.ndarray = None
+
+
+def discretize(crack: Crack, bc, cfg: NystromConfig = NystromConfig()) -> Discretization:
+    """The wavenumber-independent tables of one crack's system, to be
+    shared by the `msr.assemble` calls of a frequency sweep."""
+    return _discretize([crack], bc, cfg)
+
+
+def _discretize(cracks, bc, cfg: NystromConfig) -> Discretization:
+    """`Discretization` of a stack of cracks; Neumann takes a stack of one."""
+    bc = BoundaryCondition.parse(bc)
     if len({len(crack) for crack in cracks}) != 1:
         raise DomainError("a crack stack needs one shared, nonzero component count")
-    grid_stack = [
-        [_ArcGrid(arc, cfg.nodes_per_arc, midpoint=True) for arc in crack.components]
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    grid_stack = tuple(
+        tuple(_ArcGrid(arc, cfg.nodes_per_arc, midpoint=dirichlet) for arc in crack.components)
         for crack in cracks
-    ]
-    return grid_stack, _slp_system(k, grid_stack)
+    )
+    grids = grid_stack[0]
+    node_grid = grids[0]
+    points = _stack_nodes(grid_stack, "points")
+    size = points.shape[1]
+    # distances are symmetric: one entry per unordered node pair
+    iu, ju = np.triu_indices(size, 1)
+    diff = points[:, iu] - points[:, ju]
+    r_pairs = np.hypot(diff[..., 0], diff[..., 1])
+    component = np.repeat(np.arange(len(grids)), node_grid.size())
+    if np.any(r_pairs[:, component[iu] != component[ju]] <= 0.0):
+        raise SolverError("coincident points between distinct components")
+    coincident = np.eye(node_grid.size(), dtype=bool)
+    t = node_grid.t
+    log_both = np.log(np.where(coincident, 1.0, 4.0 * (t[:, None] - t[None, :]) ** 2))
+    edges = np.cumsum([0] + [g.size() for g in grids])
+    template = dict(
+        bc=bc,
+        nodes_t=np.concatenate([g.t for g in grids]),
+        points=points,
+        normals=_stack_nodes(grid_stack, "normals"),
+        quad_weights=_stack_nodes(grid_stack, "quad_w"),
+        component_slices=tuple(slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])),
+        _grids=grid_stack,
+    )
+    neumann = {}
+    if not dirichlet:
+        (grids,) = grid_stack
+        sin_bases = []
+        for gb in grids:
+            orders = np.arange(1, gb.n)
+            sin_bases.append(
+                (np.sin(np.outer(gb.tau, orders)), np.cos(np.outer(gb.tau, orders)) * orders)
+            )
+        neumann = dict(
+            sin_bases=tuple(sin_bases),
+            interp_rows=tuple(_interp_derivative_rows(g) for g in grids),
+            normal_dots=tuple(tuple(ga.normals @ gb.normals.T for gb in grids) for ga in grids),
+            interior_points=np.concatenate([g.points[1:-1] for g in grids]),
+            interior_normals=np.concatenate([g.normals[1:-1] for g in grids]),
+        )
+    return Discretization(
+        cracks=tuple(cracks),
+        bc=bc,
+        nodes_per_arc=cfg.nodes_per_arc,
+        grid_stack=grid_stack,
+        template=template,
+        jacobian=_stack_nodes(grid_stack, "jacobian"),
+        edges=edges,
+        pairs=(iu, ju),
+        r_pairs=r_pairs,
+        self_terms=(_grid_log_weights(node_grid), log_both, coincident),
+        speeds=tuple(np.stack([gs[ia].speed for gs in grid_stack]) for ia in range(len(grids))),
+        **neumann,
+    )
 
 
-def _build_neumann(crack, k, cfg):
-    grids = [_ArcGrid(arc, cfg.nodes_per_arc, midpoint=False) for arc in crack.components]
+def _slp_system(k, disc: Discretization):
+    """`_slp_block` over all nodes of all components, targets = the nodes
+    themselves, as one square matrix per crack: shape (B, N, N).
+
+    H0(k r) is one kernel call over the node pairs of the whole stack,
+    mirrored into both triangles."""
+    iu, ju = disc.pairs
+    pair_vals = _hankel0(k * disc.r_pairs)
+    size = disc.jacobian.shape[1]
+    hankel = np.zeros((len(disc.grid_stack), size, size), dtype=np.complex128)
+    hankel[:, iu, ju] = pair_vals
+    hankel[:, ju, iu] = pair_vals
+    node_grid = disc.grid_stack[0][0]
+    edges = disc.edges
+    q_mat = np.empty_like(hankel)
+    for ia in range(len(edges) - 1):
+        rows = slice(edges[ia], edges[ia + 1])
+        for ib in range(len(edges) - 1):
+            cols = slice(edges[ib], edges[ib + 1])
+            if ia == ib:
+                q_mat[:, rows, cols] = _slp_block(
+                    k, hankel[:, rows, cols], node_grid, disc.self_terms, disc.speeds[ia]
+                )
+            else:
+                q_mat[:, rows, cols] = _slp_block(k, hankel[:, rows, cols], node_grid)
+    return q_mat
+
+
+def _build_dirichlet(disc: Discretization, k):
+    """Single-layer matrices (B, N, N) of the stack at wavenumber k."""
+    return _slp_system(k, disc)
+
+
+def _build_neumann(disc: Discretization, k):
+    """The regularized hypersingular matrix of the crack at wavenumber k,
+    in the sine basis of each component."""
+    (grids,) = disc.grid_stack
     n_unknown = sum(g.n - 1 for g in grids)
     t_mat = np.empty((n_unknown, n_unknown), dtype=np.complex128)
-    sin_bases = []
-    for gb in grids:
-        orders = np.arange(1, gb.n)
-        sin_bases.append(
-            (np.sin(np.outer(gb.tau, orders)), np.cos(np.outer(gb.tau, orders)) * orders)
-        )
-    interp_rows = [_interp_derivative_rows(g) for g in grids]
-    q_mat = _slp_system(k, [grids])[0]
-    q_edges = np.cumsum([0] + [g.size() for g in grids])
+    q_mat = _slp_system(k, disc)[0]
+    q_edges = disc.edges
     row = 0
     for ia, ga in enumerate(grids):
         col = 0
         for ib, gb in enumerate(grids):
             q_ab = q_mat[q_edges[ia] : q_edges[ia + 1], q_edges[ib] : q_edges[ib + 1]]
-            nu_dot = ga.normals @ gb.normals.T
-            sin_b, dcos_b = sin_bases[ib]
+            nu_dot = disc.normal_dots[ia][ib]
+            sin_b, dcos_b = disc.sin_bases[ib]
             part1 = (k * k) * ((q_ab * nu_dot)[1:-1, :] * gb.jacobian[None, :]) @ sin_b
-            part2 = interp_rows[ia] @ (q_ab @ dcos_b)
+            part2 = disc.interp_rows[ia] @ (q_ab @ dcos_b)
             t_mat[row : row + ga.n - 1, col : col + gb.n - 1] = part1 + part2
             col += gb.n - 1
         row += ga.n - 1
-    return grids, t_mat, sin_bases
+    return t_mat
 
 
 def _solve_linear(a_mat, rhs, what):
@@ -382,10 +467,10 @@ class DensitySolution:
 _STACKED = ("points", "normals", "quad_weights", "_grids")
 
 
-def _solve_many(cracks, k: float, thetas: np.ndarray, bc, cfg: NystromConfig):
-    """Shared-factorization solve of a stack of B cracks with one component
-    count, for a batch of incident directions: one system build, one
-    batched LU solve.  Neumann takes a stack of one.
+def _solve_many(disc: Discretization, k: float, thetas: np.ndarray):
+    """Shared-factorization solve of the discretized stack of B cracks at
+    wavenumber k, for a batch of incident directions: one system build,
+    one batched LU solve.
 
     Returns (template, thetas, values, flat); values and flat are
     (B, unknowns, directions) and the `_STACKED` template entries carry the
@@ -393,27 +478,21 @@ def _solve_many(cracks, k: float, thetas: np.ndarray, bc, cfg: NystromConfig):
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"wavenumber must be positive and finite, got {k}")
-    bc = BoundaryCondition.parse(bc)
-    if bc is BoundaryCondition.DIRICHLET:
-        grid_stack, a_mat = _build_dirichlet(cracks, k, cfg)
-        points = _stack_nodes(grid_stack, "points")
-        rhs = -np.exp(1j * k * (points @ thetas.T))
+    template = dict(disc.template, k=k)
+    if disc.bc is BoundaryCondition.DIRICHLET:
+        a_mat = _build_dirichlet(disc, k)
+        rhs = -np.exp(1j * k * (template["points"] @ thetas.T))
         w = _solve_linear(a_mat, rhs, "Dirichlet")
-        values = w / _stack_nodes(grid_stack, "jacobian")[..., None]
+        values = w / disc.jacobian[..., None]
         flat = w
     else:
-        (crack,) = cracks
-        grids, t_mat, sin_bases = _build_neumann(crack, k, cfg)
-        grid_stack = [grids]
-        points = _stack_nodes(grid_stack, "points")
-        pts_int = np.concatenate([g.points[1:-1] for g in grids])
-        nu_int = np.concatenate([g.normals[1:-1] for g in grids])
-        u_inc = np.exp(1j * k * (pts_int @ thetas.T))
-        rhs = -1j * k * (nu_int @ thetas.T) * u_inc
+        t_mat = _build_neumann(disc, k)
+        u_inc = np.exp(1j * k * (disc.interior_points @ thetas.T))
+        rhs = -1j * k * (disc.interior_normals @ thetas.T) * u_inc
         coeffs = _solve_linear(t_mat, rhs, "Neumann")
         blocks = []
         row = 0
-        for g, (sin_b, _) in zip(grids, sin_bases):
+        for g, (sin_b, _) in zip(disc.grid_stack[0], disc.sin_bases):
             blocks.append(sin_b @ coeffs[row : row + g.n - 1])
             row += g.n - 1
         # the solver unknown is the double-layer density mu; the stored psi
@@ -421,28 +500,13 @@ def _solve_many(cracks, k: float, thetas: np.ndarray, bc, cfg: NystromConfig):
         # sign that makes the Neumann far-field formula below exact
         values = -np.concatenate(blocks)[None]
         flat = values
-    slices = []
-    start = 0
-    for g in grid_stack[0]:
-        slices.append(slice(start, start + g.size()))
-        start += g.size()
-    template = dict(
-        bc=bc,
-        k=k,
-        nodes_t=np.concatenate([g.t for g in grid_stack[0]]),
-        points=points,
-        normals=_stack_nodes(grid_stack, "normals"),
-        quad_weights=_stack_nodes(grid_stack, "quad_w"),
-        component_slices=tuple(slices),
-        _grids=tuple(tuple(grids) for grids in grid_stack),
-    )
     return template, thetas, values, flat
 
 
 def solve_density(crack: Crack, wave: PlaneWave, bc, cfg: NystromConfig = NystromConfig()):
     """Solve the boundary integral equation for one incident plane wave."""
     template, thetas, values, flat = _solve_many(
-        [crack], wave.k, wave.direction[None, :], bc, cfg
+        discretize(crack, bc, cfg), wave.k, wave.direction[None, :]
     )
     one = {key: value[0] if key in _STACKED else value for key, value in template.items()}
     return DensitySolution(theta=thetas[0], values=values[0, :, 0], _flat=flat[0, :, 0], **one)
@@ -454,9 +518,8 @@ def dirichlet_far_fields(cracks, wave: PlaneWave, obs_dirs, cfg: NystromConfig =
 
     One system build, one batched solve and one batched far-field product;
     each row equals, bit for bit, the crack solved on its own."""
-    template, _, values, _ = _solve_many(
-        cracks, wave.k, wave.direction[None, :], BoundaryCondition.DIRICHLET, cfg
-    )
+    disc = _discretize(cracks, BoundaryCondition.DIRICHLET, cfg)
+    template, _, values, _ = _solve_many(disc, wave.k, wave.direction[None, :])
     return far_field_matrix(values, template, obs_dirs)[..., 0]
 
 

@@ -348,7 +348,7 @@ def _has_close_pair(pts, limit):
 
 
 def validate_crack(crack: Crack, samples: int = 512):
-    """Sample-based injectivity / no-cusp / disjointness checks.
+    """Sample-based finiteness / injectivity / no-cusp / disjointness checks.
 
     Two components are disjoint unless a sample point of one coincides
     exactly with a sample point of the other."""
@@ -357,6 +357,9 @@ def validate_crack(crack: Crack, samples: int = 512):
     for arc in crack.components:
         pts = np.atleast_2d(arc.points(ts))
         tans = np.atleast_2d(arc.tangents(ts))
+        # NaN passes every comparison below unnoticed
+        if not (np.isfinite(pts).all() and np.isfinite(tans).all()):
+            raise DomainError(f"arc {arc.name!r} has non-finite sample points or tangents")
         speeds = np.hypot(tans[:, 0], tans[:, 1])
         if np.any(speeds <= 0.0):
             raise DomainError(f"arc {arc.name!r} has a vanishing tangent (cusp)")

@@ -8,7 +8,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, MapParseError
-from .forward import BoundaryCondition, NystromConfig, _solve_many, far_field_matrix
+from .forward import (
+    BoundaryCondition,
+    Discretization,
+    NystromConfig,
+    _solve_many,
+    discretize,
+    far_field_matrix,
+)
 from .geometry import Crack
 
 __all__ = [
@@ -126,11 +133,24 @@ def assemble(
     dirs: DirectionSet,
     bc,
     cfg: NystromConfig = NystromConfig(),
+    discretization: Optional[Discretization] = None,
 ) -> MsrMatrix:
-    """Solve N incident problems and evaluate at the N reversed directions."""
+    """Solve N incident problems and evaluate at the N reversed directions.
+
+    ``discretization`` is `forward.discretize(crack, bc, cfg)`, built once
+    and passed to every call of a frequency sweep; without it the call
+    builds its own."""
     bc = BoundaryCondition.parse(bc)
+    if discretization is None:
+        discretization = discretize(crack, bc, cfg)
+    elif (
+        discretization.cracks != (crack,)
+        or discretization.bc is not bc
+        or discretization.nodes_per_arc != cfg.nodes_per_arc
+    ):
+        raise DomainError("discretization was built for another crack, polarization or node count")
     thetas = dirs.directions()
-    template, _, values, _ = _solve_many([crack], k, thetas, bc, cfg)
+    template, _, values, _ = _solve_many(discretization, k, thetas)
     entries = far_field_matrix(values, template, -thetas)[0]
     return MsrMatrix(k=k, entries=entries, dirs=dirs, bc=bc)
 

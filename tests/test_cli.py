@@ -302,3 +302,29 @@ def test_cli_refine(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "iter,a0,a1,a2,a3,a4,a5,R"
     assert len(lines) >= 3
+
+
+def test_endpoint_top_fractions_match_per_endpoint_rule():
+    # the rule written out per endpoint, grid points and percentile retaken
+    # each time; G4's four endpoints, one of them moved off the grid
+    from arcmig import geometry
+
+    g4 = geometry.catalog("G4")
+    far = geometry.line_segment([0.3, 0.1], [5.0, 5.0])
+    crack = geometry.Crack(list(g4.components) + list(far.components))
+    grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)
+    rng = np.random.default_rng(5)
+    for values in (rng.random(grid.nx * grid.ny), np.zeros(grid.nx * grid.ny)):
+        image = imaging.ImageMap(grid, values)
+        expected = {}
+        for c_idx, arc in enumerate(crack.components):
+            for label, t_end in (("lo", -1.0), ("hi", 1.0)):
+                end = np.atleast_2d(arc.points(np.array([t_end])))[0]
+                pts = grid.points()
+                near = np.hypot(pts[:, 0] - end[0], pts[:, 1] - end[1]) <= 2.0 * grid.h + 1e-12
+                expected[f"endpoint_{c_idx}_{label}_top5"] = bool(
+                    near.any() and np.max(values[near]) >= np.quantile(values, 0.95)
+                )
+        assert cli._endpoint_top_fractions(image, crack) == expected
+        assert expected["endpoint_2_hi_top5"] is False
+    assert list(expected.values()) == [True] * 5 + [False]

@@ -174,10 +174,11 @@ def test_stacked_two_component_build_equals_single_builds():
     )
     cracks = [geometry.catalog("G4"), segments]
     thetas = np.array([[0.6, -0.8], [-1.0, 0.0]])
-    _, _, values, flat = forward._solve_many(cracks, K_HALF, thetas, BC.DIRICHLET, CFG64)
+    disc = forward._discretize(cracks, BC.DIRICHLET, CFG64)
+    _, _, values, flat = forward._solve_many(disc, K_HALF, thetas)
     for b, crack in enumerate(cracks):
         _, _, one_values, one_flat = forward._solve_many(
-            [crack], K_HALF, thetas, BC.DIRICHLET, CFG64
+            forward.discretize(crack, BC.DIRICHLET, CFG64), K_HALF, thetas
         )
         assert np.array_equal(values[b], one_values[0])
         assert np.array_equal(flat[b], one_flat[0])
@@ -229,7 +230,7 @@ def test_lattice_log_weights_match_direct(n, midpoint):
     assert np.max(np.abs(forward._grid_log_weights(grid) - direct)) < 1e-13 * scale
 
 
-def _general_slp_system(k, grid_stack):
+def _general_slp_system(k, disc):
     # the off-node path at a copy of each grid's own tau: direct weights,
     # one Hankel evaluation per block entry
     return np.stack(
@@ -245,7 +246,7 @@ def _general_slp_system(k, grid_stack):
                     for ga in grids
                 ]
             )
-            for grids in grid_stack
+            for grids in disc.grid_stack
         ]
     )
 
@@ -256,14 +257,42 @@ def test_on_grid_build_matches_general_path(name, bc, monkeypatch):
     cfg = NystromConfig(nodes_per_arc=32)
     k = 2.0 * np.pi / 0.4
 
+    disc = forward.discretize(crack, bc, cfg)
+    assert len(disc.grid_stack[0]) == len(crack.components)
+
     def build():
         if bc is BC.NEUMANN:
-            return forward._build_neumann(crack, k, cfg)[:2]
-        grid_stack, matrices = forward._build_dirichlet([crack], k, cfg)
-        return grid_stack[0], matrices[0]
+            return forward._build_neumann(disc, k)
+        return forward._build_dirichlet(disc, k)[0]
 
-    grids, fast = build()
-    assert len(grids) == len(crack.components)
+    fast = build()
     monkeypatch.setattr(forward, "_slp_system", _general_slp_system)
-    reference = build()[1]
+    reference = build()
     assert np.max(np.abs(fast - reference)) < 1e-13 * np.max(np.abs(reference))
+
+
+def test_two_component_neumann_operator_matches_reference():
+    # the cross-component blocks use the normal products nu_a(i) . nu_b(j),
+    # the sine basis of the source component and the interpolation rows of
+    # the target component; here each is formed afresh from the arcs
+    crack = geometry.catalog("G4")
+    k = 2.0 * np.pi / 0.4
+    disc = forward.discretize(crack, BC.NEUMANN, NystromConfig(nodes_per_arc=32))
+    q_mat = forward._slp_system(k, disc)[0]
+    grids = disc.grid_stack[0]
+    slices = disc.template["component_slices"]
+    blocks = []
+    for ga, rows in zip(grids, slices):
+        line = []
+        for gb, cols in zip(grids, slices):
+            q_ab = q_mat[rows, cols]
+            nu_dot = np.einsum("id,jd->ij", ga.arc.normals(ga.t), gb.arc.normals(gb.t))
+            orders = np.arange(1, gb.n)
+            sin_b = np.sin(np.outer(gb.tau, orders))
+            dcos_b = np.cos(np.outer(gb.tau, orders)) * orders
+            part1 = (k * k) * ((q_ab * nu_dot)[1:-1] * gb.jacobian) @ sin_b
+            line.append(part1 + forward._interp_derivative_rows(ga) @ (q_ab @ dcos_b))
+        blocks.append(line)
+    reference = np.block(blocks)
+    fast = forward._build_neumann(disc, k)
+    assert np.max(np.abs(fast - reference)) < 1e-12 * np.max(np.abs(reference))

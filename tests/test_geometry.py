@@ -88,6 +88,16 @@ def test_catalog_passes_validation_checks():
         assert geometry.validate_crack(geometry.catalog(name))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_crack_is_rejected(bad):
+    # NaN compares false everywhere, so without a finiteness test such an
+    # arc passed the cusp and injectivity checks
+    crack = geometry.chebyshev_graph_arc([0.2, bad, 0.1])
+    with pytest.raises(DomainError, match="non-finite"):
+        geometry.validate_crack(crack)
+    assert geometry.validate_crack(geometry.chebyshev_graph_arc([0.2, 0.3, 0.1]))
+
+
 def injectivity_reference(arc, samples=512):
     """The injectivity sample rule written out with the full |i - j| index
     matrix: no two samples with |i - j| > 4 closer than 0.25 min|z'| dt."""

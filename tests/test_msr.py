@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from arcmig import geometry, msr
-from arcmig.errors import ConfigError, DomainError
+from arcmig import forward, geometry, msr
+from arcmig.errors import ConfigError, DomainError, SolverError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig
 
@@ -234,3 +234,38 @@ def test_direction_set_validation():
     # the east-facing auxiliary aperture has alpha < 0; accepted
     east = msr.DirectionSet(-np.pi / 6.0, np.pi / 6.0, 8)
     assert east.angles()[0] == pytest.approx(-np.pi / 6.0)
+
+
+@pytest.mark.parametrize("name, bc", [("G2", BC.DIRICHLET), ("G4", BC.DIRICHLET), ("G4", BC.NEUMANN)])
+def test_sweep_on_one_discretization_equals_one_build_per_frequency(name, bc):
+    # the shared tables carry no state from one wavenumber to the next
+    crack = geometry.catalog(name)
+    dirs = msr.DirectionSet.full_view(12)
+    disc = forward.discretize(crack, bc, CFG)
+    for k in (2.0 * np.pi / 0.6, K_HALF, 2.0 * np.pi / 0.3, K_HALF):
+        swept = msr.assemble(crack, k, dirs, bc, CFG, disc)
+        alone = msr.assemble(crack, k, dirs, bc, CFG)
+        assert np.array_equal(swept.entries, alone.entries)
+
+
+def test_assemble_refuses_a_discretization_of_another_problem():
+    crack = geometry.catalog("G1")
+    dirs = msr.DirectionSet.full_view(8)
+    disc = forward.discretize(crack, BC.DIRICHLET, CFG)
+    for other_crack, bc, cfg in (
+        (geometry.catalog("G1"), BC.DIRICHLET, CFG),
+        (crack, BC.NEUMANN, CFG),
+        (crack, BC.DIRICHLET, NystromConfig(nodes_per_arc=32)),
+    ):
+        with pytest.raises(DomainError, match="discretization"):
+            msr.assemble(other_crack, K_HALF, dirs, bc, cfg, disc)
+
+
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.NEUMANN])
+def test_repeated_component_is_a_solver_error(bc):
+    # the second arc repeats the first, so every node of one component
+    # coincides with a node of the other
+    (arc,) = geometry.catalog("G1").components
+    crack = geometry.Crack([arc, arc])
+    with pytest.raises(SolverError, match="coincident points between distinct components"):
+        msr.assemble(crack, K_HALF, msr.DirectionSet.full_view(8), bc, CFG)

@@ -120,7 +120,8 @@ def test_stacked_solve_equals_stacks_of_one(scenario):
     cfg = NystromConfig(nodes_per_arc=64)
     cracks = [chebyshev_graph_arc(c) for c in fd_rows(initial.coefficients, 1e-6)]
     wave = PlaneWave(data.theta, data.k)
-    _, _, values, flat = forward._solve_many(cracks, data.k, data.theta, BC.DIRICHLET, cfg)
+    disc = forward._discretize(cracks, BC.DIRICHLET, cfg)
+    _, _, values, flat = forward._solve_many(disc, data.k, data.theta)
     fields = forward.dirichlet_far_fields(cracks, wave, data.observation_dirs, cfg)
     assert values.shape == (12, 64, 1) and fields.shape == (12, 8)
     for b, crack in enumerate(cracks):
