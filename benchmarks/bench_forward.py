@@ -17,9 +17,11 @@ It reports, as medians over repeats:
 
 The split comes from timing wrappers placed around `forward._hankel0`,
 the wavenumber-independent build (`forward._discretize`), the system
-builders, `forward._solve_linear` and `far_field_matrix` for the duration
-of the measurement; what is left of the total is "other" (right-hand
-sides, density scaling).  The last line is one JSON record with the git
+builders (`forward._slp_system`, and `forward._build_neumann` around it),
+`forward._solve_linear` and `forward.far_field_matrix` for the duration
+of the measurement; a call nested in another of its stage is not counted
+twice.  What is left of the total is "other" (right-hand sides, density
+scaling).  The last line is one JSON record with the git
 SHA, ``os.cpu_count()`` and the NumPy version.
 
 Run:  python benchmarks/bench_forward.py [--repeats 20]
@@ -43,25 +45,31 @@ from arcmig.forward import NystromConfig, PlaneWave
 STAGES = {
     "kernel": [(forward, "_hankel0")],
     "discretize": [(forward, "_discretize")],
-    "build": [(forward, "_build_dirichlet"), (forward, "_build_neumann")],
+    "build": [(forward, "_slp_system"), (forward, "_build_neumann")],
     "solve": [(forward, "_solve_linear")],
-    "far_field": [(forward, "far_field_matrix"), (msr, "far_field_matrix")],
+    "far_field": [(forward, "far_field_matrix")],
 }
 
 
 @contextmanager
 def stage_timers():
-    """Accumulate seconds per stage while the block runs."""
+    """Accumulate seconds per stage while the block runs; only the
+    outermost of nested calls in one stage is timed."""
     seconds = dict.fromkeys(STAGES, 0.0)
+    depth = dict.fromkeys(STAGES, 0)
     saved = []
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
+            if depth[stage]:
+                return fn(*args, **kwargs)
+            depth[stage] += 1
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 seconds[stage] += time.perf_counter() - t0
+                depth[stage] -= 1
 
         return wrapper
 

@@ -281,14 +281,7 @@ def jnv(n, x):
         return j0v(x)
     if n == 1:
         return j1v(x)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(x)
-    lo = x < SERIES_CUT
-    if lo.any():
-        out[lo] = _series_j(n, x[lo])
-    if (~lo).any():
-        out[~lo] = _miller_table(n, x[~lo])[n]
-    return out
+    return jn_table(n, x)[n]
 
 
 def jn_table(nmax, x):

@@ -453,20 +453,34 @@ def _nearest_distances(grid_points, pts):
     return dist
 
 
-def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, m_samples=None):
+def _on_off_means(image: ImageMap, grid_points, pts, off_distance):
+    """Mean of the map at the grid points nearest the crack samples
+    ``pts``, its mean over the grid points at least ``off_distance`` from
+    every sample, and their ratio."""
+    grid = image.grid
+    dist = _nearest_distances(grid_points, pts)
+    on_idx = np.unique([grid.index_nearest(p) for p in pts])
+    on_mean = float(np.mean(image.values[on_idx]))
+    off_mask = dist >= off_distance
+    if not off_mask.any():
+        raise ConfigError("no grid point is far enough from the crack")
+    off_mean = float(np.mean(image.values[off_mask]))
+    return {
+        "on_crack_mean": on_mean,
+        "off_crack_mean": off_mean,
+        "contrast": on_mean / off_mean if off_mean > 0 else float("inf"),
+    }
+
+
+def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, m_samples=32):
     """Compare a computed map against a kernel prediction and report
     localization metrics.
 
     Returns a dict with sup_deviation, on_crack_mean, off_crack_mean and
-    contrast.  The prediction's sample points y_m come from
+    contrast.  The prediction's ``m_samples`` sample points y_m come from
     `geometry.sample_points`; ``params`` feeds `kernel_predict_grid`.
     """
     grid = image.grid
-    params = dict(params)
-    if m_samples is None:
-        m_samples = params.pop("m_samples", 32)
-    else:
-        params.pop("m_samples", None)
     samples = sample_points(crack, m_samples)
     pts = np.array([s.point for s in samples])
     normals = np.array([s.normal for s in samples])
@@ -485,32 +499,15 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, 
     prediction = np.empty(grid_points.shape[0])
     for rows in _row_blocks(grid_points.shape[0], pts.shape[0]):
         prediction[rows] = kernel_predict_grid(kind, grid_points[rows], pts, **kwargs)
-    dist = _nearest_distances(grid_points, pts)
     sup_dev = float(np.max(np.abs(image.values - prediction)))
-    on_idx = np.unique([grid.index_nearest(p) for p in pts])
-    on_mean = float(np.mean(image.values[on_idx]))
-    off_mask = dist >= off_distance
-    if not off_mask.any():
-        raise ConfigError("no grid point is far enough from the crack")
-    off_mean = float(np.mean(image.values[off_mask]))
-    return {
-        "sup_deviation": sup_dev,
-        "on_crack_mean": on_mean,
-        "off_crack_mean": off_mean,
-        "contrast": on_mean / off_mean if off_mean > 0 else float("inf"),
-    }
+    return {"sup_deviation": sup_dev, **_on_off_means(image, grid_points, pts, off_distance)}
 
 
 def localization_metrics(image: ImageMap, crack: Crack, off_distance=0.5, m_samples=64):
     """Contrast-style metrics without a kernel prediction."""
-    grid = image.grid
     samples = sample_points(crack, m_samples)
     pts = np.array([s.point for s in samples])
-    dist = _nearest_distances(grid.points(), pts)
-    on_idx = np.unique([grid.index_nearest(p) for p in pts])
-    on_mean = float(np.mean(image.values[on_idx]))
-    off_mask = dist >= off_distance
-    off_mean = float(np.mean(image.values[off_mask]))
+    means = _on_off_means(image, image.grid.points(), pts, off_distance)
     argmax = image.argmax_point()
     return {
         "argmax_x": float(argmax[0]),
@@ -519,7 +516,5 @@ def localization_metrics(image: ImageMap, crack: Crack, off_distance=0.5, m_samp
         "argmax_distance": float(
             np.min(np.hypot(pts[:, 0] - argmax[0], pts[:, 1] - argmax[1]))
         ),
-        "on_crack_mean": on_mean,
-        "off_crack_mean": off_mean,
-        "contrast": on_mean / off_mean if off_mean > 0 else float("inf"),
+        **means,
     }

@@ -42,6 +42,7 @@ __all__ = [
     "DensitySolution",
     "solve_density",
     "dirichlet_far_fields",
+    "far_fields",
     "far_field",
     "far_field_matrix",
     "scattered_field",
@@ -100,11 +101,11 @@ class NystromConfig:
             )
 
 
-class _ArcGrid:
-    """Discretization of one component under t = cos(tau)."""
+class _NodeGrid:
+    """The parameter nodes of every component under t = cos(tau): the
+    midpoint grid (Dirichlet) or the endpoint grid (Neumann) of order n."""
 
-    def __init__(self, arc, n, midpoint):
-        self.arc = arc
+    def __init__(self, n, midpoint):
         self.n = n
         self.midpoint = midpoint
         if midpoint:
@@ -116,14 +117,6 @@ class _ArcGrid:
             self.fold[0] = self.fold[-1] = 0.5
         self.t = np.cos(self.tau)
         self.sin_tau = np.sin(self.tau)
-        self.points = np.atleast_2d(arc.points(self.t))
-        dz = np.atleast_2d(arc.tangents(self.t))
-        self.speed = np.hypot(dz[:, 0], dz[:, 1])
-        unit = dz / self.speed[:, None]
-        self.normals = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-        # |dz/dtau| = |z'(t)| sin(tau): the 1-form Jacobian of the substitution
-        self.jacobian = self.speed * self.sin_tau
-        self.quad_w = (np.pi / n) * self.fold * self.jacobian
 
     def size(self):
         return self.tau.size
@@ -156,7 +149,7 @@ def _lattice_log_weights(n):
     return out
 
 
-def _grid_log_weights(grid: _ArcGrid):
+def _grid_log_weights(grid: _NodeGrid):
     """0.5 (R(tau_i - sigma_j) + R(tau_i + sigma_j)) with targets = the
     grid's own nodes: tau_i - sigma_j = (i - j) pi / n, and tau_i + sigma_j
     = (i + j + 1) pi / n on the midpoint grid, (i + j) pi / n on the
@@ -184,11 +177,11 @@ def _distances(tgt_points, src_points):
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-def _slp_block(k, hankel, src: _ArcGrid, self_terms=None, tgt_speed=None):
+def _slp_block(k, hankel, grid: _NodeGrid, self_terms=None, tgt_speed=None):
     """Matrix Q with S[g](x_i) = sum_j Q_ij g(sigma_j), where g is the even
-    2pi-periodic 1-form density sampled on ``src`` nodes, from ``hankel`` =
-    H0(k r) at the target-node distances r.  Leading axes of ``hankel`` and
-    ``tgt_speed`` index a stack of cracks.
+    2pi-periodic 1-form density sampled on the ``grid`` nodes of one source
+    component, from ``hankel`` = H0(k r) at the target-node distances r.
+    Leading axes of ``hankel`` and ``tgt_speed`` index a stack of cracks.
 
     ``self_terms`` = (rw, log_both, coincident) engages the split of both
     logarithmic singular lines for targets on the source arc: the log
@@ -196,9 +189,9 @@ def _slp_block(k, hankel, src: _ArcGrid, self_terms=None, tgt_speed=None):
     coincident), and the mask of coincident target-node pairs, where
     ``hankel`` is ignored and the limit with ``tgt_speed`` = |z'| applies.
     """
-    n = src.n
+    n = grid.n
     if self_terms is None:
-        return (np.pi / n) * src.fold[None, :] * (0.25j) * hankel
+        return (np.pi / n) * grid.fold[None, :] * (0.25j) * hankel
 
     rw, log_both, coincident = self_terms
     # J0(k r) is the real part of the same Hankel value.  Two working
@@ -221,45 +214,39 @@ def _slp_block(k, hankel, src: _ArcGrid, self_terms=None, tgt_speed=None):
     m1 *= rw
     m2 *= np.pi / n
     np.add(m1, m2, out=m2)
-    return np.multiply(src.fold[None, :], m2, out=m2)
+    return np.multiply(grid.fold[None, :], m2, out=m2)
 
 
-def _slp_quad_matrix(k, tgt_tau, tgt_points, src: _ArcGrid, same_arc, tgt_speed=None):
-    """`_slp_block` for arbitrary targets; ``same_arc`` means the targets
-    are parameterized by ``tgt_tau`` on the source arc."""
-    r = _distances(tgt_points, src.points)
+def _slp_quad_matrix(k, tgt_tau, tgt_points, grid: _NodeGrid, src_points, same_arc,
+                     tgt_speed=None):
+    """`_slp_block` for arbitrary targets and a source component with nodes
+    ``src_points`` on ``grid``; ``same_arc`` means the targets are
+    parameterized by ``tgt_tau`` on the source arc."""
+    r = _distances(tgt_points, src_points)
     if not same_arc:
         if np.min(r) <= 0.0:
             raise SolverError("coincident points between distinct components")
-        return _slp_block(k, _hankel0(k * r), src)
-    n = src.n
-    u_minus = tgt_tau[:, None] - src.tau[None, :]
-    u_plus = tgt_tau[:, None] + src.tau[None, :]
+        return _slp_block(k, _hankel0(k * r), grid)
+    n = grid.n
+    u_minus = tgt_tau[:, None] - grid.tau[None, :]
+    u_plus = tgt_tau[:, None] + grid.tau[None, :]
     rw = 0.5 * (_km_log_weights(n, u_minus) + _km_log_weights(n, u_plus))
     coincident = r <= 1e-14
     log_both = np.log(
-        np.where(coincident, 1.0, 4.0 * (np.cos(tgt_tau)[:, None] - src.t[None, :]) ** 2)
+        np.where(coincident, 1.0, 4.0 * (np.cos(tgt_tau)[:, None] - grid.t[None, :]) ** 2)
     )
     hankel = _hankel0(k * np.where(coincident, 1.0, r))
-    return _slp_block(k, hankel, src, (rw, log_both, coincident), tgt_speed)
+    return _slp_block(k, hankel, grid, (rw, log_both, coincident), tgt_speed)
 
 
-def _stack_nodes(grid_stack, attr):
-    """A per-node grid attribute over all components, one row per crack."""
-    return np.stack([np.concatenate([getattr(g, attr) for g in grids]) for grids in grid_stack])
-
-
-def _interp_derivative_rows(grid: _ArcGrid):
+def _interp_derivative_rows(grid: _NodeGrid):
     """Rows mapping samples of an even periodic function at the endpoint
-    grid to its tau-derivative divided by |z'| sin(tau) at interior nodes."""
-    n = grid.n
-    orders = np.arange(n + 1)
+    grid to its tau-derivative at interior nodes; divided by |z'| sin(tau),
+    they give the arc-length derivative on one component."""
+    orders = np.arange(grid.n + 1)
     c_mat = np.cos(np.outer(grid.tau, orders))            # samples = C @ coeffs
-    tau_int = grid.tau[1:-1]
-    d_mat = -np.sin(np.outer(tau_int, orders)) * orders[None, :]
-    rows = d_mat @ np.linalg.inv(c_mat)
-    scale = 1.0 / (grid.speed[1:-1] * grid.sin_tau[1:-1])
-    return scale[:, None] * rows
+    d_mat = -np.sin(np.outer(grid.tau[1:-1], orders)) * orders[None, :]
+    return d_mat @ np.linalg.inv(c_mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,28 +257,32 @@ class Discretization:
     wavenumber of a sweep, and a build at k only adds H0 over the node
     pairs, the block fill, the solve and the far field.
 
-    ``template`` holds the `DensitySolution` entries other than k (the
-    `_STACKED` ones carry the stack axis).  ``pairs`` and ``r_pairs`` are
-    the upper-triangle node pairs of the whole system and their distances
-    (B, P); ``self_terms`` = (rw, log_both, coincident) are the self-block
-    tables of `_slp_block`, shared by every component; ``speeds`` holds
-    |z'| per component, (B, n).  The Neumann entries are empty for
-    Dirichlet: the sine bases and derivative-interpolation rows per
-    component, the normal dot products per component pair, and the
-    interior nodes and normals of the right-hand side."""
+    Every component shares the parameter nodes of ``grid``.  ``points``
+    and ``normals`` are (B, N, 2), ``speed`` = |z'|, ``jacobian`` = |z'|
+    sin(tau) and ``quad_weights`` (B, N), over the N nodes of all
+    components; ``component_slices`` cut one component out of N.
+    ``pairs`` and ``r_pairs`` are the upper-triangle node pairs of the
+    whole system and their distances (B, P); ``self_terms`` = (rw,
+    log_both, coincident) are the self-block tables of `_slp_block`, shared
+    by every component.  The Neumann entries are empty for Dirichlet: the
+    sine basis, the derivative-interpolation rows per component, the normal
+    dot products per component pair, and the interior nodes and normals of
+    the right-hand side."""
 
     cracks: tuple
     bc: BoundaryCondition
     nodes_per_arc: int
-    grid_stack: tuple
-    template: dict
+    grid: _NodeGrid
+    points: np.ndarray
+    normals: np.ndarray
+    speed: np.ndarray
     jacobian: np.ndarray
-    edges: np.ndarray
+    quad_weights: np.ndarray
+    component_slices: tuple
     pairs: tuple
     r_pairs: np.ndarray
     self_terms: tuple
-    speeds: tuple
-    sin_bases: tuple = ()
+    sin_basis: tuple = ()
     interp_rows: tuple = ()
     normal_dots: tuple = ()
     interior_points: np.ndarray = None
@@ -310,62 +301,60 @@ def _discretize(cracks, bc, cfg: NystromConfig) -> Discretization:
     if len({len(crack) for crack in cracks}) != 1:
         raise DomainError("a crack stack needs one shared, nonzero component count")
     dirichlet = bc is BoundaryCondition.DIRICHLET
-    grid_stack = tuple(
-        tuple(_ArcGrid(arc, cfg.nodes_per_arc, midpoint=dirichlet) for arc in crack.components)
-        for crack in cracks
-    )
-    grids = grid_stack[0]
-    node_grid = grids[0]
-    points = _stack_nodes(grid_stack, "points")
-    size = points.shape[1]
+    if not dirichlet and len(cracks) != 1:
+        raise DomainError(f"the Neumann system takes one crack, got a stack of {len(cracks)}")
+    grid = _NodeGrid(cfg.nodes_per_arc, midpoint=dirichlet)
+    n_comp, size = len(cracks[0]), grid.size()
+    stack = [crack.components for crack in cracks]
+    points = np.stack([np.concatenate([arc.points(grid.t) for arc in arcs]) for arcs in stack])
+    dz = np.stack([np.concatenate([arc.tangents(grid.t) for arc in arcs]) for arcs in stack])
+    speed = np.hypot(dz[..., 0], dz[..., 1])
+    unit = dz / speed[..., None]
+    normals = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
+    # |dz/dtau| = |z'(t)| sin(tau): the 1-form Jacobian of the substitution
+    jacobian = speed * np.tile(grid.sin_tau, n_comp)
+    slices = tuple(slice(ia * size, (ia + 1) * size) for ia in range(n_comp))
     # distances are symmetric: one entry per unordered node pair
-    iu, ju = np.triu_indices(size, 1)
+    iu, ju = np.triu_indices(n_comp * size, 1)
     diff = points[:, iu] - points[:, ju]
     r_pairs = np.hypot(diff[..., 0], diff[..., 1])
-    component = np.repeat(np.arange(len(grids)), node_grid.size())
-    if np.any(r_pairs[:, component[iu] != component[ju]] <= 0.0):
+    if np.any(r_pairs[:, iu // size != ju // size] <= 0.0):
         raise SolverError("coincident points between distinct components")
-    coincident = np.eye(node_grid.size(), dtype=bool)
-    t = node_grid.t
+    coincident = np.eye(size, dtype=bool)
+    t = grid.t
     log_both = np.log(np.where(coincident, 1.0, 4.0 * (t[:, None] - t[None, :]) ** 2))
-    edges = np.cumsum([0] + [g.size() for g in grids])
-    template = dict(
-        bc=bc,
-        nodes_t=np.concatenate([g.t for g in grids]),
-        points=points,
-        normals=_stack_nodes(grid_stack, "normals"),
-        quad_weights=_stack_nodes(grid_stack, "quad_w"),
-        component_slices=tuple(slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])),
-        _grids=grid_stack,
-    )
     neumann = {}
     if not dirichlet:
-        (grids,) = grid_stack
-        sin_bases = []
-        for gb in grids:
-            orders = np.arange(1, gb.n)
-            sin_bases.append(
-                (np.sin(np.outer(gb.tau, orders)), np.cos(np.outer(gb.tau, orders)) * orders)
-            )
+        orders = np.arange(1, grid.n)
+        rows = _interp_derivative_rows(grid)
         neumann = dict(
-            sin_bases=tuple(sin_bases),
-            interp_rows=tuple(_interp_derivative_rows(g) for g in grids),
-            normal_dots=tuple(tuple(ga.normals @ gb.normals.T for gb in grids) for ga in grids),
-            interior_points=np.concatenate([g.points[1:-1] for g in grids]),
-            interior_normals=np.concatenate([g.normals[1:-1] for g in grids]),
+            sin_basis=(
+                np.sin(np.outer(grid.tau, orders)),
+                np.cos(np.outer(grid.tau, orders)) * orders,
+            ),
+            interp_rows=tuple(
+                (1.0 / (speed[0, s][1:-1] * grid.sin_tau[1:-1]))[:, None] * rows for s in slices
+            ),
+            normal_dots=tuple(
+                tuple(normals[0, sa] @ normals[0, sb].T for sb in slices) for sa in slices
+            ),
+            interior_points=np.concatenate([points[0, s][1:-1] for s in slices]),
+            interior_normals=np.concatenate([normals[0, s][1:-1] for s in slices]),
         )
     return Discretization(
         cracks=tuple(cracks),
         bc=bc,
         nodes_per_arc=cfg.nodes_per_arc,
-        grid_stack=grid_stack,
-        template=template,
-        jacobian=_stack_nodes(grid_stack, "jacobian"),
-        edges=edges,
+        grid=grid,
+        points=points,
+        normals=normals,
+        speed=speed,
+        jacobian=jacobian,
+        quad_weights=(np.pi / grid.n) * np.tile(grid.fold, n_comp) * jacobian,
+        component_slices=slices,
         pairs=(iu, ju),
         r_pairs=r_pairs,
-        self_terms=(_grid_log_weights(node_grid), log_both, coincident),
-        speeds=tuple(np.stack([gs[ia].speed for gs in grid_stack]) for ia in range(len(grids))),
+        self_terms=(_grid_log_weights(grid), log_both, coincident),
         **neumann,
     )
 
@@ -378,51 +367,37 @@ def _slp_system(k, disc: Discretization):
     mirrored into both triangles."""
     iu, ju = disc.pairs
     pair_vals = _hankel0(k * disc.r_pairs)
-    size = disc.jacobian.shape[1]
-    hankel = np.zeros((len(disc.grid_stack), size, size), dtype=np.complex128)
+    stack, size = disc.jacobian.shape
+    hankel = np.zeros((stack, size, size), dtype=np.complex128)
     hankel[:, iu, ju] = pair_vals
     hankel[:, ju, iu] = pair_vals
-    node_grid = disc.grid_stack[0][0]
-    edges = disc.edges
     q_mat = np.empty_like(hankel)
-    for ia in range(len(edges) - 1):
-        rows = slice(edges[ia], edges[ia + 1])
-        for ib in range(len(edges) - 1):
-            cols = slice(edges[ib], edges[ib + 1])
-            if ia == ib:
+    for rows in disc.component_slices:
+        for cols in disc.component_slices:
+            if rows == cols:
                 q_mat[:, rows, cols] = _slp_block(
-                    k, hankel[:, rows, cols], node_grid, disc.self_terms, disc.speeds[ia]
+                    k, hankel[:, rows, cols], disc.grid, disc.self_terms, disc.speed[:, rows]
                 )
             else:
-                q_mat[:, rows, cols] = _slp_block(k, hankel[:, rows, cols], node_grid)
+                q_mat[:, rows, cols] = _slp_block(k, hankel[:, rows, cols], disc.grid)
     return q_mat
-
-
-def _build_dirichlet(disc: Discretization, k):
-    """Single-layer matrices (B, N, N) of the stack at wavenumber k."""
-    return _slp_system(k, disc)
 
 
 def _build_neumann(disc: Discretization, k):
     """The regularized hypersingular matrix of the crack at wavenumber k,
     in the sine basis of each component."""
-    (grids,) = disc.grid_stack
-    n_unknown = sum(g.n - 1 for g in grids)
-    t_mat = np.empty((n_unknown, n_unknown), dtype=np.complex128)
+    m = disc.grid.n - 1
+    slices = disc.component_slices
+    t_mat = np.empty((len(slices) * m, len(slices) * m), dtype=np.complex128)
     q_mat = _slp_system(k, disc)[0]
-    q_edges = disc.edges
-    row = 0
-    for ia, ga in enumerate(grids):
-        col = 0
-        for ib, gb in enumerate(grids):
-            q_ab = q_mat[q_edges[ia] : q_edges[ia + 1], q_edges[ib] : q_edges[ib + 1]]
-            nu_dot = disc.normal_dots[ia][ib]
-            sin_b, dcos_b = disc.sin_bases[ib]
-            part1 = (k * k) * ((q_ab * nu_dot)[1:-1, :] * gb.jacobian[None, :]) @ sin_b
+    sin_b, dcos_b = disc.sin_basis
+    for ia, rows in enumerate(slices):
+        for ib, cols in enumerate(slices):
+            q_ab = q_mat[rows, cols]
+            weighted = (q_ab * disc.normal_dots[ia][ib])[1:-1, :] * disc.jacobian[0, None, cols]
+            part1 = (k * k) * weighted @ sin_b
             part2 = disc.interp_rows[ia] @ (q_ab @ dcos_b)
-            t_mat[row : row + ga.n - 1, col : col + gb.n - 1] = part1 + part2
-            col += gb.n - 1
-        row += ga.n - 1
+            t_mat[ia * m : (ia + 1) * m, ib * m : (ib + 1) * m] = part1 + part2
     return t_mat
 
 
@@ -447,24 +422,20 @@ class DensitySolution:
     ``values`` holds the physical density (phi for Dirichlet, psi for
     Neumann) at the quadrature nodes of all components, ``quad_weights``
     the matching arc-length quadrature weights, so that integrals over the
-    crack are plain weighted sums.
+    crack are plain weighted sums.  The node fields are views of the
+    crack's `Discretization`.
     """
 
     bc: BoundaryCondition
     k: float
     theta: np.ndarray
-    nodes_t: np.ndarray
     points: np.ndarray
     normals: np.ndarray
     quad_weights: np.ndarray
     values: np.ndarray
     component_slices: tuple
-    _grids: tuple
+    _disc: Discretization
     _flat: np.ndarray  # transformed even/odd density samples (solver unknowns)
-
-
-# template entries with a leading stack axis; the others are shared
-_STACKED = ("points", "normals", "quad_weights", "_grids")
 
 
 def _solve_many(disc: Discretization, k: float, thetas: np.ndarray):
@@ -472,44 +443,53 @@ def _solve_many(disc: Discretization, k: float, thetas: np.ndarray):
     wavenumber k, for a batch of incident directions: one system build,
     one batched LU solve.
 
-    Returns (template, thetas, values, flat); values and flat are
-    (B, unknowns, directions) and the `_STACKED` template entries carry the
-    same leading axis."""
+    Returns (values, flat), each (B, unknowns, directions)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"wavenumber must be positive and finite, got {k}")
-    template = dict(disc.template, k=k)
     if disc.bc is BoundaryCondition.DIRICHLET:
-        a_mat = _build_dirichlet(disc, k)
-        rhs = -np.exp(1j * k * (template["points"] @ thetas.T))
+        a_mat = _slp_system(k, disc)
+        rhs = -np.exp(1j * k * (disc.points @ thetas.T))
         w = _solve_linear(a_mat, rhs, "Dirichlet")
-        values = w / disc.jacobian[..., None]
-        flat = w
-    else:
-        t_mat = _build_neumann(disc, k)
-        u_inc = np.exp(1j * k * (disc.interior_points @ thetas.T))
-        rhs = -1j * k * (disc.interior_normals @ thetas.T) * u_inc
-        coeffs = _solve_linear(t_mat, rhs, "Neumann")
-        blocks = []
-        row = 0
-        for g, (sin_b, _) in zip(disc.grid_stack[0], disc.sin_bases):
-            blocks.append(sin_b @ coeffs[row : row + g.n - 1])
-            row += g.n - 1
-        # the solver unknown is the double-layer density mu; the stored psi
-        # follows the jump convention -psi = u_+ - u_- = mu, which is the
-        # sign that makes the Neumann far-field formula below exact
-        values = -np.concatenate(blocks)[None]
-        flat = values
-    return template, thetas, values, flat
+        return w / disc.jacobian[..., None], w
+    t_mat = _build_neumann(disc, k)
+    u_inc = np.exp(1j * k * (disc.interior_points @ thetas.T))
+    rhs = -1j * k * (disc.interior_normals @ thetas.T) * u_inc
+    coeffs = _solve_linear(t_mat, rhs, "Neumann")
+    m = disc.grid.n - 1
+    sin_b = disc.sin_basis[0]
+    # the solver unknown is the double-layer density mu; the stored psi
+    # follows the jump convention -psi = u_+ - u_- = mu, which is the
+    # sign that makes the Neumann far-field formula below exact
+    values = -np.concatenate(
+        [sin_b @ coeffs[ia * m : (ia + 1) * m] for ia in range(len(disc.component_slices))]
+    )[None]
+    return values, values
 
 
 def solve_density(crack: Crack, wave: PlaneWave, bc, cfg: NystromConfig = NystromConfig()):
     """Solve the boundary integral equation for one incident plane wave."""
-    template, thetas, values, flat = _solve_many(
-        discretize(crack, bc, cfg), wave.k, wave.direction[None, :]
+    disc = discretize(crack, bc, cfg)
+    values, flat = _solve_many(disc, wave.k, wave.direction[None, :])
+    return DensitySolution(
+        bc=disc.bc,
+        k=wave.k,
+        theta=wave.direction,
+        points=disc.points[0],
+        normals=disc.normals[0],
+        quad_weights=disc.quad_weights[0],
+        values=values[0, :, 0],
+        component_slices=disc.component_slices,
+        _disc=disc,
+        _flat=flat[0, :, 0],
     )
-    one = {key: value[0] if key in _STACKED else value for key, value in template.items()}
-    return DensitySolution(theta=thetas[0], values=values[0, :, 0], _flat=flat[0, :, 0], **one)
+
+
+def far_fields(disc: Discretization, k, thetas, obs_dirs):
+    """Far fields of the discretized stack at wavenumber k for a batch of
+    incident directions: (B, observation directions, incidences)."""
+    values, _ = _solve_many(disc, k, thetas)
+    return far_field_matrix(values, disc, k, obs_dirs)
 
 
 def dirichlet_far_fields(cracks, wave: PlaneWave, obs_dirs, cfg: NystromConfig = NystromConfig()):
@@ -519,8 +499,7 @@ def dirichlet_far_fields(cracks, wave: PlaneWave, obs_dirs, cfg: NystromConfig =
     One system build, one batched solve and one batched far-field product;
     each row equals, bit for bit, the crack solved on its own."""
     disc = _discretize(cracks, BoundaryCondition.DIRICHLET, cfg)
-    template, _, values, _ = _solve_many(disc, wave.k, wave.direction[None, :])
-    return far_field_matrix(values, template, obs_dirs)[..., 0]
+    return far_fields(disc, wave.k, wave.direction[None, :], obs_dirs)[..., 0]
 
 
 def _check_unit(obs):
@@ -533,25 +512,24 @@ def _check_unit(obs):
 def far_field(density: DensitySolution, obs) -> complex:
     """Far-field pattern u_inf at one unit observation direction."""
     obs = _check_unit(obs)
-    return complex(far_field_matrix(density.values[:, None], vars(density), obs[None, :])[0, 0])
+    values = density.values[:, None]
+    return complex(far_field_matrix(values, density, density.k, obs[None, :])[0, 0])
 
 
-def far_field_matrix(batch_values, template, obs_dirs):
+def far_field_matrix(batch_values, nodes, k, obs_dirs):
     """Far field for a batch solve: rows = observation dirs, cols = incidences.
 
-    ``template`` maps bc, k, points, normals and quad_weights, as the batch
-    solver's template or ``vars()`` of a DensitySolution do; one density is
-    the batch ``values[:, None]``.  A leading stack axis on the values and
-    on points, normals and quad_weights gives one such matrix per crack."""
+    ``nodes`` carries bc, points, normals and quad_weights: a
+    `Discretization`, whose stack axis gives one such matrix per crack, or a
+    `DensitySolution`, whose one density is the batch ``values[:, None]``."""
     obs_dirs = np.atleast_2d(np.asarray(obs_dirs, dtype=np.float64))
-    k = template["k"]
-    phases = np.exp(-1j * k * (obs_dirs @ np.swapaxes(template["points"], -1, -2)))
-    wq = template["quad_weights"]
-    if template["bc"] is BoundaryCondition.DIRICHLET:
+    phases = np.exp(-1j * k * (obs_dirs @ np.swapaxes(nodes.points, -1, -2)))
+    wq = nodes.quad_weights
+    if nodes.bc is BoundaryCondition.DIRICHLET:
         pref = np.exp(1j * np.pi / 4.0) / math.sqrt(8.0 * np.pi * k)
         return pref * phases @ (wq[..., None] * batch_values)
     pref = -math.sqrt(k / (8.0 * np.pi)) * np.exp(-1j * np.pi / 4.0)
-    proj = obs_dirs @ np.swapaxes(template["normals"], -1, -2)
+    proj = obs_dirs @ np.swapaxes(nodes.normals, -1, -2)
     return pref * (proj * phases) @ (wq[..., None] * batch_values)
 
 
@@ -579,14 +557,18 @@ def boundary_residual(density: DensitySolution, n_check: int = 64) -> float:
     if density.bc is not BoundaryCondition.DIRICHLET:
         raise DomainError("boundary residual check is defined for the Dirichlet case")
     k = density.k
+    disc = density._disc
+    tau_star = (np.arange(n_check) + 0.37) * np.pi / n_check
+    t_star = np.cos(tau_star)
     worst = 0.0
-    for arc_slice, grid in zip(density.component_slices, density._grids):
-        tau_star = (np.arange(n_check) + 0.37) * np.pi / n_check
-        t_star = np.cos(tau_star)
-        pts = np.atleast_2d(grid.arc.points(t_star))
+    for arc, arc_slice in zip(disc.cracks[0].components, disc.component_slices):
+        pts = np.atleast_2d(arc.points(t_star))
         total = np.zeros(n_check, dtype=np.complex128)
-        for other_slice, other in zip(density.component_slices, density._grids):
-            q = _slp_quad_matrix(k, tau_star, pts, other, same_arc=other is grid)
+        for other_slice in disc.component_slices:
+            q = _slp_quad_matrix(
+                k, tau_star, pts, disc.grid, density.points[other_slice],
+                same_arc=other_slice == arc_slice,
+            )
             total += q @ density._flat[other_slice]
         u_inc = np.exp(1j * k * (pts @ density.theta))
         worst = max(worst, float(np.max(np.abs(total + u_inc))))

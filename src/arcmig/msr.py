@@ -8,14 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, MapParseError
-from .forward import (
-    BoundaryCondition,
-    Discretization,
-    NystromConfig,
-    _solve_many,
-    discretize,
-    far_field_matrix,
-)
+from .forward import BoundaryCondition, Discretization, NystromConfig, discretize, far_fields
 from .geometry import Crack
 
 __all__ = [
@@ -150,8 +143,7 @@ def assemble(
     ):
         raise DomainError("discretization was built for another crack, polarization or node count")
     thetas = dirs.directions()
-    template, _, values, _ = _solve_many(discretization, k, thetas)
-    entries = far_field_matrix(values, template, -thetas)[0]
+    entries = far_fields(discretization, k, thetas, -thetas)[0]
     return MsrMatrix(k=k, entries=entries, dirs=dirs, bc=bc)
 
 

@@ -1,6 +1,8 @@
 """Kernel-prediction and ring-integral tests against independent quadrature
 oracles (scipy.integrate.quad) and the limiting identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -296,14 +298,26 @@ def test_validate_map_identities():
         "TM_SINGLE", grid.points(), np.array([[0.0, 0.0]]), k=K1
     )
     image = imaging.ImageMap(grid=grid, values=pred)
-    metrics = analysis.validate_map(
-        image, crack, "TM_SINGLE", {"k": K1, "m_samples": 1}
-    )
+    metrics = analysis.validate_map(image, crack, "TM_SINGLE", {"k": K1}, m_samples=1)
     assert metrics["sup_deviation"] == 0.0
     assert metrics["contrast"] > 1.0
     outside = geometry.line_segment([5.0, 5.0], [5.2, 5.0])
     with pytest.raises(ConfigError):
         analysis.validate_map(image, outside, "TM_SINGLE", {"k": K1})
+
+
+def test_no_off_crack_point_is_a_config_error():
+    # G1 spans this grid: no grid point lies 0.5 from the crack, so both
+    # metric functions refuse, without a NaN mean or an infinite contrast
+    grid = imaging.SearchGrid(-0.6, 0.6, 0.0, 0.6, 0.05)
+    crack = geometry.catalog("G1")
+    image = imaging.ImageMap(grid=grid, values=np.ones(grid.points().shape[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="far enough"):
+            analysis.localization_metrics(image, crack)
+        with pytest.raises(ConfigError, match="far enough"):
+            analysis.validate_map(image, crack, "TM_SINGLE", {"k": K1})
 
 
 def test_first_sidelobe_ratio_ordering():

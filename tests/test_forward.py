@@ -99,7 +99,7 @@ def test_energy_sanity_bounded_far_field():
     sol = forward.solve_density(crack, wave, BC.DIRICHLET, CFG64)
     angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     obs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    vals = forward.far_field_matrix(sol.values[:, None], vars(sol), obs)[:, 0]
+    vals = forward.far_field_matrix(sol.values[:, None], sol, sol.k, obs)[:, 0]
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 50.0
 
@@ -131,7 +131,7 @@ def test_single_density_far_field_matches_direct_sums(bc):
     obs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     ref = far_field_direct_sums(sol, obs)
     tol = 1e-13 * np.max(np.abs(ref))
-    batch = forward.far_field_matrix(sol.values[:, None], vars(sol), obs)[:, 0]
+    batch = forward.far_field_matrix(sol.values[:, None], sol, sol.k, obs)[:, 0]
     assert np.max(np.abs(batch - ref)) <= tol
     single = np.array([forward.far_field(sol, xhat) for xhat in obs])
     assert np.max(np.abs(single - ref)) <= tol
@@ -175,13 +175,19 @@ def test_stacked_two_component_build_equals_single_builds():
     cracks = [geometry.catalog("G4"), segments]
     thetas = np.array([[0.6, -0.8], [-1.0, 0.0]])
     disc = forward._discretize(cracks, BC.DIRICHLET, CFG64)
-    _, _, values, flat = forward._solve_many(disc, K_HALF, thetas)
+    values, flat = forward._solve_many(disc, K_HALF, thetas)
     for b, crack in enumerate(cracks):
-        _, _, one_values, one_flat = forward._solve_many(
+        one_values, one_flat = forward._solve_many(
             forward.discretize(crack, BC.DIRICHLET, CFG64), K_HALF, thetas
         )
         assert np.array_equal(values[b], one_values[0])
         assert np.array_equal(flat[b], one_flat[0])
+
+
+def test_neumann_system_takes_one_crack():
+    cracks = [geometry.catalog("G1"), geometry.line_segment([-0.3, -0.6], [0.6, -0.2])]
+    with pytest.raises(DomainError):
+        forward._discretize(cracks, BC.NEUMANN, CFG64)
 
 
 def test_grazing_neumann_segment_is_silent():
@@ -221,7 +227,7 @@ def test_lattice_log_weights_match_direct(n, midpoint):
     scale = np.max(np.abs(lattice))
     p = np.arange(2 * n)
     assert np.max(np.abs(lattice - forward._km_log_weights(n, p * np.pi / n))) < 1e-13 * scale
-    grid = forward._ArcGrid(geometry.catalog("G1").components[0], n, midpoint)
+    grid = forward._NodeGrid(n, midpoint)
     tau = grid.tau
     direct = 0.5 * (
         forward._km_log_weights(n, tau[:, None] - tau[None, :])
@@ -231,22 +237,24 @@ def test_lattice_log_weights_match_direct(n, midpoint):
 
 
 def _general_slp_system(k, disc):
-    # the off-node path at a copy of each grid's own tau: direct weights,
+    # the off-node path at a copy of the grid's own tau: direct weights,
     # one Hankel evaluation per block entry
+    grid, slices = disc.grid, disc.component_slices
     return np.stack(
         [
             np.block(
                 [
                     [
                         forward._slp_quad_matrix(
-                            k, ga.tau.copy(), ga.points, gb, same_arc=ga is gb, tgt_speed=ga.speed
+                            k, grid.tau.copy(), points[ra], grid, points[rb],
+                            same_arc=ra == rb, tgt_speed=speed[ra],
                         )
-                        for gb in grids
+                        for rb in slices
                     ]
-                    for ga in grids
+                    for ra in slices
                 ]
             )
-            for grids in disc.grid_stack
+            for points, speed in zip(disc.points, disc.speed)
         ]
     )
 
@@ -258,12 +266,12 @@ def test_on_grid_build_matches_general_path(name, bc, monkeypatch):
     k = 2.0 * np.pi / 0.4
 
     disc = forward.discretize(crack, bc, cfg)
-    assert len(disc.grid_stack[0]) == len(crack.components)
+    assert len(disc.component_slices) == len(crack.components)
 
     def build():
         if bc is BC.NEUMANN:
             return forward._build_neumann(disc, k)
-        return forward._build_dirichlet(disc, k)[0]
+        return forward._slp_system(k, disc)[0]
 
     fast = build()
     monkeypatch.setattr(forward, "_slp_system", _general_slp_system)
@@ -279,19 +287,21 @@ def test_two_component_neumann_operator_matches_reference():
     k = 2.0 * np.pi / 0.4
     disc = forward.discretize(crack, BC.NEUMANN, NystromConfig(nodes_per_arc=32))
     q_mat = forward._slp_system(k, disc)[0]
-    grids = disc.grid_stack[0]
-    slices = disc.template["component_slices"]
+    grid = disc.grid
     blocks = []
-    for ga, rows in zip(grids, slices):
+    for arc_a, rows in zip(crack.components, disc.component_slices):
+        speed_a = np.linalg.norm(arc_a.tangents(grid.t), axis=1)
+        interp_a = forward._interp_derivative_rows(grid) / (speed_a * grid.sin_tau)[1:-1, None]
         line = []
-        for gb, cols in zip(grids, slices):
+        for arc_b, cols in zip(crack.components, disc.component_slices):
             q_ab = q_mat[rows, cols]
-            nu_dot = np.einsum("id,jd->ij", ga.arc.normals(ga.t), gb.arc.normals(gb.t))
-            orders = np.arange(1, gb.n)
-            sin_b = np.sin(np.outer(gb.tau, orders))
-            dcos_b = np.cos(np.outer(gb.tau, orders)) * orders
-            part1 = (k * k) * ((q_ab * nu_dot)[1:-1] * gb.jacobian) @ sin_b
-            line.append(part1 + forward._interp_derivative_rows(ga) @ (q_ab @ dcos_b))
+            nu_dot = np.einsum("id,jd->ij", arc_a.normals(grid.t), arc_b.normals(grid.t))
+            orders = np.arange(1, grid.n)
+            sin_b = np.sin(np.outer(grid.tau, orders))
+            dcos_b = np.cos(np.outer(grid.tau, orders)) * orders
+            jacobian_b = np.linalg.norm(arc_b.tangents(grid.t), axis=1) * grid.sin_tau
+            part1 = (k * k) * ((q_ab * nu_dot)[1:-1] * jacobian_b) @ sin_b
+            line.append(part1 + interp_a @ (q_ab @ dcos_b))
         blocks.append(line)
     reference = np.block(blocks)
     fast = forward._build_neumann(disc, k)

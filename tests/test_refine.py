@@ -121,7 +121,7 @@ def test_stacked_solve_equals_stacks_of_one(scenario):
     cracks = [chebyshev_graph_arc(c) for c in fd_rows(initial.coefficients, 1e-6)]
     wave = PlaneWave(data.theta, data.k)
     disc = forward._discretize(cracks, BC.DIRICHLET, cfg)
-    _, _, values, flat = forward._solve_many(disc, data.k, data.theta)
+    values, flat = forward._solve_many(disc, data.k, data.theta)
     fields = forward.dirichlet_far_fields(cracks, wave, data.observation_dirs, cfg)
     assert values.shape == (12, 64, 1) and fields.shape == (12, 8)
     for b, crack in enumerate(cracks):
@@ -131,7 +131,7 @@ def test_stacked_solve_equals_stacks_of_one(scenario):
         one = forward.dirichlet_far_fields([crack], wave, data.observation_dirs, cfg)[0]
         assert np.array_equal(fields[b], one)
         by_density = forward.far_field_matrix(
-            single.values[:, None], vars(single), data.observation_dirs
+            single.values[:, None], single, single.k, data.observation_dirs
         )[:, 0]
         assert np.array_equal(fields[b], by_density)
 
