@@ -21,22 +21,19 @@ builders (`forward._slp_system`, and `forward._build_neumann` around it),
 `forward._solve_linear` and `forward.far_field_matrix` for the duration
 of the measurement; a call nested in another of its stage is not counted
 twice.  What is left of the total is "other" (right-hand sides, density
-scaling).  The last line is one JSON record with the git
-SHA, ``os.cpu_count()`` and the NumPy version.
+scaling).  The results and their provenance go to ``BENCH_forward.json``
+(see ``_record.py``) and, as one JSON line, to the end of the output.
 
 Run:  python benchmarks/bench_forward.py [--repeats 20]
 """
 
 import argparse
-import json
-import os
 import statistics
-import subprocess
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
+from _record import record
 
 from arcmig import cli, forward, geometry, msr, refine
 from arcmig.forward import NystromConfig, PlaneWave
@@ -170,15 +167,6 @@ def validate_ms(repeats):
     return out
 
 
-def git_sha():
-    root = Path(__file__).resolve().parent.parent
-    try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-                              text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=20)
@@ -198,11 +186,8 @@ def main():
         print(f"  discretize, once per sweep: {row['discretize']} ms")
     validate = validate_ms(args.repeats)
     print("validate_crack, ms per call: " + ", ".join(f"{k} {v}" for k, v in validate.items()))
-    print(json.dumps({
-        "bench": "forward", "git_sha": git_sha(), "cpu_count": os.cpu_count(),
-        "numpy": np.__version__, "repeats": args.repeats, "fd_residuals": jac,
-        "assemble": assemble, "validate_crack": validate,
-    }))
+    record("forward", {"repeats": args.repeats, "fd_residuals": jac, "assemble": assemble,
+                       "validate_crack": validate})
 
 
 if __name__ == "__main__":

@@ -13,28 +13,32 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
   for comparison, the GEMM (real for the quadratic form, complex for the
   TE search), and the reduction (two row dots for the TM quadratic form,
   the normal search for TE);
+* the scratch bytes of one block walker: its (product, reduce) buffers,
+  measured with `tracemalloc`, and its two steering buffers;
 * for one whole ``image_subspace`` call on G2,TE: wall seconds, minor page
   faults (``ru_minflt``) and system seconds (``ru_stime``), both in the
-  first call of the process and again after a call on a coarser grid.
+  first call of the process and again after a call on a coarser grid;
+* for G2,TE and G3,TE, ``image_subspace`` wall and CPU
+  (``time.process_time``, every thread of the process) seconds, median
+  over ``--calls`` calls, with one block walker and with the walker count
+  the engine picks for the TE search.
 
-The last line is one JSON record of the results with the git SHA,
-``os.cpu_count()`` and the NumPy version.
+The results and their provenance go to ``BENCH_imaging.json`` (see
+``_record.py``) and, as one JSON line, to the end of the output.
 
-Run:  python benchmarks/bench_imaging.py [--block 256] [--repeats 20]
+Run:  python benchmarks/bench_imaging.py [--block 256] [--repeats 20] [--calls 3]
 """
 
 import argparse
-import json
 import math
-import os
 import resource
 import statistics
-import subprocess
 import time
+import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
+from _record import record
 
 from arcmig import cli, imaging, msr
 from arcmig.forward import BoundaryCondition, NystromConfig
@@ -61,11 +65,15 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     grid = cfg.grid()
     kept, expand = imaging._steering_basis(dirs, pair=cfg.mode != "te-search")
     if cfg.mode == "te-search":
-        product, reduce = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates, dirs)
+        pair = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates, dirs)
     else:
-        product, reduce = imaging._quadratic_form(
+        pair = imaging._quadratic_form(
             [sub.retained_left() @ sub.retained_right().conj().T for sub in subspaces], expand
         )
+    tracemalloc.start()
+    product, reduce = pair()
+    pair_bytes = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
     rows = min(imaging._BLOCK, grid.nx * grid.ny)
     iy, ix = np.divmod(np.arange(rows), grid.nx)
     points = grid.points()[:rows]
@@ -90,7 +98,8 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     out = {key: round(statistics.median(vals), 4) for key, vals in samples.items()}
     out.update(basis="paired" if kept < dirs.count else "unpaired", real_columns=len(expand),
                block=rows, directions=dirs.count, frequencies=len(subspaces),
-               max_cut=max(sub.cut_index for sub in subspaces))
+               max_cut=max(sub.cut_index for sub in subspaces),
+               walker_scratch_bytes=pair_bytes + 2 * s.nbytes)
     return out
 
 
@@ -105,13 +114,28 @@ def image_call(cfg, dirs, subspaces, grid):
             "ru_stime": round(after.ru_stime - before.ru_stime, 3)}
 
 
-def git_sha():
-    root = Path(__file__).resolve().parent.parent
+def walker_calls(cfg, dirs, subspaces, calls):
+    """Median wall and CPU seconds of image_subspace with one block walker
+    and with the engine's own walker count."""
+    grid = cfg.grid()
+    chosen = imaging._search_walkers(math.ceil(grid.nx * grid.ny / imaging._BLOCK))
+    out = {"walkers": chosen}
+    engine_choice = imaging._search_walkers
     try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-                              text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        for label, count in (("one_walker", 1), ("chosen", chosen)):
+            imaging._search_walkers = lambda blocks, count=count: count
+            wall, cpu = [], []
+            for _ in range(calls):
+                t0, c0 = time.perf_counter(), time.process_time()
+                imaging.image_subspace(subspaces, grid, cfg.steering_mode(), cfg.weight_scheme(),
+                                       dirs)
+                wall.append(time.perf_counter() - t0)
+                cpu.append(time.process_time() - c0)
+            out[label] = {"wall_s": round(statistics.median(wall), 3),
+                          "cpu_s": round(statistics.median(cpu), 3)}
+    finally:
+        imaging._search_walkers = engine_choice
+    return out
 
 
 def main():
@@ -119,6 +143,8 @@ def main():
     parser.add_argument("--block", type=int, default=imaging._BLOCK,
                         help="grid points per engine block (default: the module's)")
     parser.add_argument("--repeats", type=int, default=20)
+    parser.add_argument("--calls", type=int, default=3,
+                        help="image_subspace calls per walker count (default: 3)")
     args = parser.parse_args()
     imaging._BLOCK = args.block
 
@@ -137,11 +163,13 @@ def main():
         print(f"  {preset}: " + ", ".join(f"{k} {v}" for k, v in layers[preset].items()))
     for label, call in calls.items():
         print(f"image_subspace G2,TE ({label}): " + ", ".join(f"{k} {v}" for k, v in call.items()))
-    print(json.dumps({
-        "bench": "imaging", "git_sha": git_sha(), "cpu_count": os.cpu_count(),
-        "numpy": np.__version__, "block": args.block, "layers": layers,
-        "image_subspace_G2_TE": calls,
-    }))
+    walkers = {}
+    for preset in ("G2,TE", "G3,TE"):
+        walkers[preset] = walker_calls(*inputs[preset], args.calls)
+        print(f"image_subspace {preset}, median of {args.calls}: "
+              + ", ".join(f"{k} {v}" for k, v in walkers[preset].items()))
+    record("imaging", {"block": args.block, "layers": layers, "image_subspace_G2_TE": calls,
+                       "walkers": walkers})
 
 
 if __name__ == "__main__":

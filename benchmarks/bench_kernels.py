@@ -6,6 +6,8 @@ For each range of the evaluation scheme (series below 9, recurrence band
 (``j0v`` + ``j1v``, ``j0v`` + ``y0v``) against one fused ``jy01v`` call, in
 nanoseconds per argument (best of five), and reports the largest deviation
 from `scipy.special` scaled by max(1, |reference|) when scipy is present.
+The results and their provenance go to ``BENCH_kernels.json`` (see
+``_record.py``) and, as one JSON line, to the end of the output.
 
 Run:  python benchmarks/bench_kernels.py [--size 200000]
 """
@@ -14,6 +16,7 @@ import argparse
 import time
 
 import numpy as np
+from _record import record
 
 from arcmig.backend import kernels
 
@@ -60,11 +63,15 @@ def main():
     rng = np.random.default_rng(0)
     print("ns per argument, best of 5; deviation = max |ours - scipy| / max(1, |scipy|)\n")
     print(f"{'range':22s}" + "".join(f"{name:>10s}" for name, _ in CASES) + f"{'deviation':>11s}")
+    ranges = {}
     for label, (lo, hi) in RANGES.items():
         x = rng.uniform(lo, hi, args.size)
-        times = "".join(f"{_ns_per_arg(fn, x):10.0f}" for _, fn in CASES)
+        row = {name: round(_ns_per_arg(fn, x)) for name, fn in CASES}
         dev = _scipy_deviation(x)
-        print(f"{label:22s}{times}{'-' if dev is None else f'{dev:.1e}':>11s}")
+        print(f"{label:22s}" + "".join(f"{ns:10d}" for ns in row.values())
+              + f"{'-' if dev is None else f'{dev:.1e}':>11s}")
+        ranges[label] = {"ns_per_arg": row, "deviation": dev}
+    record("kernels", {"size": args.size, "ranges": ranges})
 
 
 if __name__ == "__main__":

@@ -281,18 +281,24 @@ def jnv(n, x):
         return j0v(x)
     if n == 1:
         return j1v(x)
-    return jn_table(n, x)[n]
+    return _jn_rows((n,), x)[0]
 
 
 def jn_table(nmax, x):
     """Array of shape (nmax+1, len(x)) with rows J_0(x) .. J_nmax(x)."""
+    return _jn_rows(range(nmax + 1), x)
+
+
+def _jn_rows(orders, x):
+    """Rows J_n(x), one per order asked for: the series below SERIES_CUT for
+    those orders only, and above it one downward recurrence to the largest."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    table = np.zeros((nmax + 1,) + x.shape)
+    table = np.zeros((len(orders),) + x.shape)
     lo = x < SERIES_CUT
     if lo.any():
         xs = x[lo]
-        for n in range(nmax + 1):
-            table[n, lo] = _series_j(n, xs)
+        for row, n in zip(table, orders):
+            row[lo] = _series_j(n, xs)
     if (~lo).any():
-        table[:, ~lo] = _miller_table(nmax, x[~lo])
+        table[:, ~lo] = _miller_table(max(orders), x[~lo])[np.asarray(orders)]
     return table

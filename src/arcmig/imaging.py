@@ -10,17 +10,23 @@ holds the opposite of each direction, the phase block keeps only half of
 them. One engine walks the row-major grid in fixed row blocks; a block's
 phases are gathered from per-frequency x and y phase tables, and its
 working set lives in buffers allocated once per map, which bounds memory.
-The reduction order over frequencies and factor rows is fixed and
-independent of the block, so maps are bitwise reproducible.
+The TE search deals its blocks to one walker per CPU, with BLAS held to
+one thread. The reduction order over frequencies and factor rows is fixed
+and independent of the block and the walker, so maps are bitwise
+reproducible.
 """
 
+import contextlib
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _blas
 from .errors import ConfigError, DegenerateSteeringError, DomainError, MapParseError
 from .msr import DirectionSet, MsrMatrix, SignalSubspace
 
@@ -300,38 +306,77 @@ def _steering_block(tx, ty, ix, iy, out, scratch):
     return out
 
 
-def _blocked_sum(grid, ks, dirs, kept, product, reduce):
+def _search_walkers(blocks):
+    """Block walkers of the TE search: one per CPU the process may run on,
+    at most one per block. Two walkers under a multithreaded BLAS
+    oversubscribe the cores, so without a way to hold BLAS to one thread
+    the walk stays serial."""
+    if _blas.functions() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), blocks)
+    return min(os.cpu_count() or 1, blocks)
+
+
+def _blocked_sum(grid, ks, dirs, kept, pair, parallel=False):
     """Per-point sum over f of reduce(f, S, product(f, S)), with S the real
     (P, 2N') view of the (P, N') conjugate TM steering block
     conj(exp(i k_f theta_n . x)) / sqrt(N) of the points over the first
     N' = kept directions, gathered from the frequency's phase tables.
 
-    The row-major grid is walked in fixed blocks of _BLOCK points. The
-    steering block is written into buffers allocated once per call, and
-    product and reduce return views of buffers of their own, so the block
-    loop allocates nothing large. No per-point result depends on where its
-    block starts."""
+    The row-major grid is walked in fixed blocks of _BLOCK points by W
+    walkers, walker w taking blocks w, w + W, ...: walker 0 on the calling
+    thread, the others on threads of their own. Each walker has its own
+    (product, reduce) from pair() and its own steering buffers, allocated
+    here before any thread starts; product and reduce return views of
+    buffers of their own, so the block loop allocates nothing large.
+
+    W is 1 unless parallel is true, and then `_search_walkers` picks it,
+    with BLAS held to one thread while the walkers run. The GEMM-bound
+    quadratic form stays serial: there a second walker only competes with
+    BLAS's own threads. No per-point result depends on its block or its
+    walker, so the map is the same for every W. An exception in a walker
+    is raised here once every walker has stopped."""
     tables = [_phase_tables(grid, k, dirs, kept) for k in ks]
     count = grid.nx * grid.ny
-    iy, ix = np.divmod(np.arange(count), grid.nx)
+    starts = range(0, count, _BLOCK)
     rows = min(_BLOCK, count)
-    s_buf = np.empty((rows, kept), dtype=np.complex128)
-    t_buf = np.empty_like(s_buf)
     total = np.zeros(count, dtype=np.complex128)
-    for start in range(0, count, _BLOCK):
-        stop = min(start + _BLOCK, count)
-        s, t = s_buf[: stop - start], t_buf[: stop - start]
-        acc = total[start:stop]
-        for f, (tx, ty) in enumerate(tables):
-            _steering_block(tx, ty, ix[start:stop], iy[start:stop], s, t)
-            real = s.view(np.float64)
-            acc += reduce(f, real, product(f, real))
+    walkers = _search_walkers(len(starts)) if parallel else 1
+    scratch = [(*pair(), np.empty((rows, kept), dtype=np.complex128),
+                np.empty((rows, kept), dtype=np.complex128)) for _ in range(walkers)]
+    errors = []
+
+    def walk(w):
+        product, reduce, s_buf, t_buf = scratch[w]
+        try:
+            for start in starts[w::walkers]:
+                stop = min(start + _BLOCK, count)
+                iy, ix = np.divmod(np.arange(start, stop), grid.nx)
+                s, t = s_buf[: stop - start], t_buf[: stop - start]
+                acc = total[start:stop]
+                for f, (tx, ty) in enumerate(tables):
+                    real = _steering_block(tx, ty, ix, iy, s, t).view(np.float64)
+                    acc += reduce(f, real, product(f, real))
+        except BaseException as exc:
+            errors.append(exc)
+
+    with _blas.one_thread() if walkers > 1 else contextlib.nullcontext():
+        threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
+        for thread in threads:
+            thread.start()
+        walk(0)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return total
 
 
 def _quadratic_form(forms, expand):
     """Product and reduction of the per-point form s B_f s^T, for complex
-    (N x N) matrices B_f and the conjugate steering block s = S E.
+    (N x N) matrices B_f and the conjugate steering block s = S E; the
+    returned pair() gives a (product, reduce) over buffers of its own.
 
     With C_f = E B_f E^T the form is S C_f S^T: one real GEMM of S against
     [Re C_f | Im C_f] (R x 2R), then the dots of each point's two output
@@ -341,18 +386,22 @@ def _quadratic_form(forms, expand):
         c = expand @ b @ expand.T
         factors.append(np.concatenate([c.real, c.imag], axis=1))
     r = len(expand)
-    prod_buf = np.empty(_BLOCK * 2 * r)
-    row_buf = np.empty((_BLOCK, 2))
 
-    def product(f, s):
-        return np.matmul(s, factors[f], out=_prefix(prod_buf, len(s), 2 * r))
+    def pair():
+        prod_buf = np.empty(_BLOCK * 2 * r)
+        row_buf = np.empty((_BLOCK, 2))
 
-    def reduce(f, s, prod):
-        p = len(s)
-        rows = np.einsum("pkr,pr->pk", prod.reshape(p, 2, r), s, out=row_buf[:p])
-        return rows.view(np.complex128)[:, 0]
+        def product(f, s):
+            return np.matmul(s, factors[f], out=_prefix(prod_buf, len(s), 2 * r))
 
-    return product, reduce
+        def reduce(f, s, prod):
+            p = len(s)
+            rows = np.einsum("pkr,pr->pk", prod.reshape(p, 2, r), s, out=row_buf[:p])
+            return rows.view(np.complex128)[:, 0]
+
+        return product, reduce
+
+    return pair
 
 
 # (i, j) of the six coefficients Re(z_i conj(z_j)) of the TE scan, z = (alpha, beta, gamma)
@@ -361,7 +410,8 @@ _TE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 def _te_search(subspaces, weights, candidates, dirs):
     """Product and reduction of the TE normal search, over the unpaired
-    steering basis (S is the real view of the conjugate steering block s).
+    steering basis (S is the real view of the conjugate steering block s);
+    the returned pair() gives a (product, reduce) over buffers of its own.
 
     With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u]
     = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM
@@ -398,59 +448,64 @@ def _te_search(subspaces, weights, candidates, dirs):
     for sub in subspaces:
         u, v = sub.retained_left(), sub.retained_right().conj()
         factors.append(np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T)
-
     size = _BLOCK * max(sub.cut_index for sub in subspaces)
-    prod_buf = np.empty(4 * size, dtype=np.complex128)
-    z_bufs = [np.empty(size, dtype=np.complex128) for _ in range(4)]
-    coef_buf = np.empty(6 * size)
-    real_buf = np.empty(size)
-    mod_buf = np.empty(len(w) * size)
-    below_buf = np.empty((len(w) - 1) * size, dtype=np.uint8)
-    pick_buf = np.empty(size, dtype=np.min_scalar_type(len(w)))
-    row_buf = np.empty(_BLOCK, dtype=np.complex128)
 
-    def product(f, s):
-        rows, p = len(factors[f]), len(s)
-        return np.matmul(factors[f], s.view(np.complex128).T, out=_prefix(prod_buf, rows, p))
+    def pair():
+        # six (M x P) complex planes: the GEMM writes u_0, u_1, v_0 and v_1
+        # into planes 0-3, reduce forms beta, gamma and alpha in planes 0-2
+        # and the six real coefficient rows in planes 3-5
+        plane_buf = np.empty(6 * size, dtype=np.complex128)
+        real_buf = np.empty(size)
+        mod_buf = np.empty(len(w) * size)
+        below_buf = np.empty((len(w) - 1) * size, dtype=np.uint8)
+        pick_buf = np.empty(size, dtype=np.min_scalar_type(len(w)))
+        row_buf = np.empty(_BLOCK, dtype=np.complex128)
 
-    def reduce(f, s, prod):
-        m, p = len(prod) // 4, len(s)
-        pm = p * m
-        u0, u1, v0, v1 = (prod[i * m : (i + 1) * m] for i in range(4))
-        alpha, beta, gamma, tmp = (_prefix(buf, m, p) for buf in z_bufs)
-        np.multiply(u0, v0, out=beta)
-        np.multiply(u1, v1, out=tmp)
-        np.add(beta, tmp, out=alpha)
-        np.subtract(beta, tmp, out=beta)
-        np.multiply(u0, v1, out=gamma)
-        np.multiply(u1, v0, out=tmp)
-        gamma += tmp
-        z = [c.reshape(-1) for c in (alpha, beta, gamma)]
-        coef = _prefix(coef_buf, 6, pm)
-        rtmp = real_buf[:pm]
-        for row, (i, j) in zip(coef, _TE_PAIRS):
-            np.multiply(z[i].real, z[j].real, out=row)
-            row += np.multiply(z[i].imag, z[j].imag, out=rtmp)
-        moduli = np.matmul(scan, coef, out=_prefix(mod_buf, len(w), pm))
-        # first index of each column maximum, so ties keep the smallest l:
-        # the running maximum in place, then the count of entries below the
-        # final one (argmax over the short axis costs a call per column)
-        for l in range(1, len(w)):
-            np.maximum(moduli[l - 1], moduli[l], out=moduli[l])
-        below = _prefix(below_buf, len(w) - 1, pm)
-        np.less(moduli[:-1], moduli[-1], out=below.view(bool))
-        pick = np.add.reduce(below, axis=0, dtype=pick_buf.dtype, out=pick_buf[:pm])
-        for zc, table in zip(z, picked):
-            sel = np.take(table, pick, out=rtmp, mode="clip")
-            np.multiply(zc.real, sel, out=zc.real)
-            np.multiply(zc.imag, sel, out=zc.imag)
-        alpha += beta
-        alpha += gamma
-        row = np.sum(alpha, axis=0, out=row_buf[:p])
-        row *= weights[f]
-        return row
+        def product(f, s):
+            rows, p = len(factors[f]), len(s)
+            return np.matmul(factors[f], s.view(np.complex128).T, out=_prefix(plane_buf, rows, p))
 
-    return product, reduce
+        def reduce(f, s, prod):
+            m, p = len(prod) // 4, len(s)
+            pm = p * m
+            planes = _prefix(plane_buf, 6, m, p)
+            u0, u1, v0, v1 = planes[:4]
+            np.multiply(u0, v1, out=planes[4])
+            np.multiply(u1, v0, out=planes[5])
+            np.multiply(u0, v0, out=u0)
+            np.multiply(u1, v1, out=v1)
+            alpha, beta, gamma = planes[2], planes[0], planes[1]
+            np.add(u0, v1, out=alpha)
+            np.subtract(u0, v1, out=beta)
+            np.add(planes[4], planes[5], out=gamma)
+            z = [c.reshape(-1) for c in (alpha, beta, gamma)]
+            coef = planes[3:].reshape(-1).view(np.float64).reshape(6, pm)
+            rtmp = real_buf[:pm]
+            for row, (i, j) in zip(coef, _TE_PAIRS):
+                np.multiply(z[i].real, z[j].real, out=row)
+                row += np.multiply(z[i].imag, z[j].imag, out=rtmp)
+            moduli = np.matmul(scan, coef, out=_prefix(mod_buf, len(w), pm))
+            # first index of each column maximum, so ties keep the smallest l:
+            # the running maximum in place, then the count of entries below the
+            # final one (argmax over the short axis costs a call per column)
+            for l in range(1, len(w)):
+                np.maximum(moduli[l - 1], moduli[l], out=moduli[l])
+            below = _prefix(below_buf, len(w) - 1, pm)
+            np.less(moduli[:-1], moduli[-1], out=below.view(bool))
+            pick = np.add.reduce(below, axis=0, dtype=pick_buf.dtype, out=pick_buf[:pm])
+            for zc, table in zip(z, picked):
+                sel = np.take(table, pick, out=rtmp, mode="clip")
+                np.multiply(zc.real, sel, out=zc.real)
+                np.multiply(zc.imag, sel, out=zc.imag)
+            alpha += beta
+            alpha += gamma
+            row = np.sum(alpha, axis=0, out=row_buf[:p])
+            row *= weights[f]
+            return row
+
+        return product, reduce
+
+    return pair
 
 
 def _wavenumbers(items, dirs, what):
@@ -495,14 +550,14 @@ def image_subspace(
     kept, expand = _steering_basis(dirs, pair=mode.kind != "te-search")
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
-        product, reduce = _te_search(subspaces, weights, mode.candidates, dirs)
+        pair = _te_search(subspaces, weights, mode.candidates, dirs)
     else:
-        product, reduce = _quadratic_form(
+        pair = _quadratic_form(
             [w * (sub.retained_left() @ sub.retained_right().conj().T)
              for w, sub in zip(weights, subspaces)],
             expand,
         )
-    acc = _blocked_sum(grid, ks, dirs, kept, product, reduce)
+    acc = _blocked_sum(grid, ks, dirs, kept, pair, parallel=mode.kind == "te-search")
     return ImageMap(grid=grid, values=np.abs(acc) / len(subspaces), provenance=prov)
 
 
@@ -514,8 +569,8 @@ def image_kirchhoff(
     """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|."""
     ks = _wavenumbers(matrices, dirs, "MSR matrix")
     kept, expand = _steering_basis(dirs)
-    product, reduce = _quadratic_form([m.entries for m in matrices], expand)
-    acc = _blocked_sum(grid, ks, dirs, kept, product, reduce)
+    pair = _quadratic_form([m.entries for m in matrices], expand)
+    acc = _blocked_sum(grid, ks, dirs, kept, pair)
     prov = _provenance("kirchhoff", "unit", ks, dirs)
     return ImageMap(grid=grid, values=np.abs(acc) / len(matrices), provenance=prov)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcmig import analysis, geometry, imaging, msr, specfun
+from arcmig import _blas, analysis, geometry, imaging, msr, specfun
 from arcmig.errors import ConfigError, DegenerateSteeringError, MapParseError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig
@@ -378,6 +378,108 @@ def test_paired_basis_matches_unpaired_basis(monkeypatch):
     _, unpaired = _engine_maps(matrices, grid, dirs)
     for key, values in paired.items():
         assert np.max(np.abs(values - unpaired[key])) <= 1e-13 * np.max(unpaired[key]), key
+
+
+def _te_search_map(subs, grid, dirs):
+    return imaging.image_subspace(subs, grid, imaging.SteeringMode.te_search(8),
+                                  imaging.WeightScheme.unit(), dirs).values
+
+
+def _te_subspaces(seed):
+    dirs = msr.DirectionSet.full_view(16)
+    matrices = _random_msr(dirs, [9.0, 11.5], seed=seed)
+    return [msr.svd_threshold(m, 0.3) for m in matrices], dirs
+
+
+def _spy_pairs(monkeypatch, wrap=lambda walker, product, reduce: (product, reduce)):
+    """Count the (product, reduce) pairs the TE search hands out, one per
+    walker, passing each through wrap(walker index, product, reduce)."""
+    made = []
+    search = imaging._te_search
+
+    def spied(*args):
+        pair = search(*args)
+
+        def counted():
+            made.append(len(made))
+            return wrap(made[-1], *pair())
+
+        return counted
+
+    monkeypatch.setattr(imaging, "_te_search", spied)
+    return made
+
+
+@pytest.mark.parametrize("bounds", [(-0.6, 0.6, -0.4, 0.8, 0.05), (-0.3, 0.3, -0.2, 0.2, 0.1)],
+                         ids=["ragged-last-block", "under-one-block"])
+def test_te_search_walkers_give_the_serial_map(monkeypatch, bounds):
+    # 625 points are two full blocks and a ragged one, split 2 + 1 between
+    # two walkers; 35 points are one block, and the second walker gets none
+    grid = imaging.SearchGrid(*bounds)
+    subs, dirs = _te_subspaces(seed=21)
+    made = _spy_pairs(monkeypatch)
+    monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 1)
+    serial = _te_search_map(subs, grid, dirs)
+    assert len(made) == 1
+    monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 2)
+    parallel = _te_search_map(subs, grid, dirs)
+    assert len(made) == 3
+    assert parallel.tobytes() == serial.tobytes()
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """BLAS set to two threads for the test, so holding it to one shows."""
+    found = _blas.functions()
+    if found is None:
+        pytest.skip("no thread-count control of NumPy's BLAS")
+    get, set_ = found
+    saved = get()
+    set_(2)
+    yield
+    set_(saved)
+
+
+@pytest.mark.parametrize("failing", [None, 0, 1], ids=["no-error", "caller-walker", "thread-walker"])
+def test_te_search_holds_blas_to_one_thread_and_restores_it(monkeypatch, blas_at_two_threads,
+                                                            failing):
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.05)
+    subs, dirs = _te_subspaces(seed=22)
+    seen, boom = [], RuntimeError("reduce failed")
+
+    def wrap(walker, product, reduce):
+        def checked(f, s, prod):
+            seen.append(_blas.threads())
+            if walker == failing:
+                raise boom
+            return reduce(f, s, prod)
+
+        return product, checked
+
+    _spy_pairs(monkeypatch, wrap)
+    monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 2)
+    assert _blas.threads() == 2
+    if failing is None:
+        _te_search_map(subs, grid, dirs)
+    else:
+        with pytest.raises(RuntimeError) as raised:
+            _te_search_map(subs, grid, dirs)
+        assert raised.value is boom
+    assert seen and set(seen) == {1}
+    assert _blas.threads() == 2
+
+
+def test_te_search_without_blas_control_walks_serially(monkeypatch):
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.05)
+    subs, dirs = _te_subspaces(seed=23)
+    monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 1)
+    serial = _te_search_map(subs, grid, dirs)
+    monkeypatch.undo()
+    made = _spy_pairs(monkeypatch)
+    monkeypatch.setattr(_blas, "functions", lambda: None)
+    values = _te_search_map(subs, grid, dirs)
+    assert len(made) == 1
+    assert values.tobytes() == serial.tobytes()
 
 
 def test_noiseless_peak_normalization():

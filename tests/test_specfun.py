@@ -235,6 +235,14 @@ def test_order01_views_equal_fused_kernel():
     assert all(v.shape == (3, 5) for v in kernels.jy01v(np.linspace(1.0, 30.0, 15).reshape(3, 5)))
 
 
+@pytest.mark.parametrize("n", [2, 7, 20, 40])
+def test_single_order_equals_table_row(n):
+    # jnv evaluates the series for its own order only; the value is the
+    # table's row bit for bit, on both sides of the series cut
+    xs = np.concatenate([np.linspace(0.0, 400.0, 4001), np.linspace(8.5, 9.5, 101), CUT_SAMPLES])
+    assert np.array_equal(kernels.jnv(n, xs), kernels.jn_table(n, xs)[n])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=np.finfo(float).tiny, max_value=400.0))
 @example(np.finfo(float).tiny)
