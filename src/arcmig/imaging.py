@@ -404,10 +404,6 @@ def _quadratic_form(forms, expand):
     return pair
 
 
-# (i, j) of the six coefficients Re(z_i conj(z_j)) of the TE scan, z = (alpha, beta, gamma)
-_TE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
 def _te_search(subspaces, weights, candidates, dirs):
     """Product and reduction of the TE normal search, over the unpaired
     steering basis (S is the real view of the conjugate steering block s);
@@ -442,7 +438,7 @@ def _te_search(subspaces, weights, candidates, dirs):
     # scan is (L', 6) and column-major, which runs the small GEMM twice as fast
     scan = (np.stack([np.ones_like(w), cos2**2, sin2**2, 2 * cos2, 2 * sin2, 2 * cos2 * sin2])
             * w**2).T
-    picked = (0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2)
+    picked = np.stack([0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2])
     dx, dy = d[:, :1], d[:, 1:]
     factors = []
     for sub in subspaces:
@@ -452,10 +448,10 @@ def _te_search(subspaces, weights, candidates, dirs):
 
     def pair():
         # six (M x P) complex planes: the GEMM writes u_0, u_1, v_0 and v_1
-        # into planes 0-3, reduce forms beta, gamma and alpha in planes 0-2
+        # into planes 0-3, reduce forms alpha, beta and gamma in planes 0-2
         # and the six real coefficient rows in planes 3-5
         plane_buf = np.empty(6 * size, dtype=np.complex128)
-        real_buf = np.empty(size)
+        real_buf = np.empty(3 * size)
         mod_buf = np.empty(len(w) * size)
         below_buf = np.empty((len(w) - 1) * size, dtype=np.uint8)
         pick_buf = np.empty(size, dtype=np.min_scalar_type(len(w)))
@@ -469,21 +465,26 @@ def _te_search(subspaces, weights, candidates, dirs):
             m, p = len(prod) // 4, len(s)
             pm = p * m
             planes = _prefix(plane_buf, 6, m, p)
-            u0, u1, v0, v1 = planes[:4]
-            np.multiply(u0, v1, out=planes[4])
-            np.multiply(u1, v0, out=planes[5])
-            np.multiply(u0, v0, out=u0)
+            u0, u1, v0, v1, c, d = planes
+            np.multiply(u0, v1, out=c)
+            np.multiply(u1, v0, out=d)
+            np.multiply(u0, v0, out=v0)
             np.multiply(u1, v1, out=v1)
-            alpha, beta, gamma = planes[2], planes[0], planes[1]
-            np.add(u0, v1, out=alpha)
-            np.subtract(u0, v1, out=beta)
-            np.add(planes[4], planes[5], out=gamma)
-            z = [c.reshape(-1) for c in (alpha, beta, gamma)]
+            alpha = np.add(v0, v1, out=u0)
+            beta = np.subtract(v0, v1, out=u1)
+            gamma = np.add(c, d, out=v0)
+            z = planes[:3].reshape(3, pm)
+            zr, zi = z.real, z.imag
+            # the six coefficients Re(z_i conj(z_j)) of the scan, z = (alpha,
+            # beta, gamma): rows (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)
             coef = planes[3:].reshape(-1).view(np.float64).reshape(6, pm)
-            rtmp = real_buf[:pm]
-            for row, (i, j) in zip(coef, _TE_PAIRS):
-                np.multiply(z[i].real, z[j].real, out=row)
-                row += np.multiply(z[i].imag, z[j].imag, out=rtmp)
+            tmp = _prefix(real_buf, 3, pm)
+            np.multiply(zr, zr, out=coef[:3])
+            coef[:3] += np.multiply(zi, zi, out=tmp)
+            np.multiply(zr[:1], zr[1:], out=coef[3:5])
+            coef[3:5] += np.multiply(zi[:1], zi[1:], out=tmp[:2])
+            np.multiply(zr[1], zr[2], out=coef[5])
+            coef[5] += np.multiply(zi[1], zi[2], out=tmp[0])
             moduli = np.matmul(scan, coef, out=_prefix(mod_buf, len(w), pm))
             # first index of each column maximum, so ties keep the smallest l:
             # the running maximum in place, then the count of entries below the
@@ -493,10 +494,9 @@ def _te_search(subspaces, weights, candidates, dirs):
             below = _prefix(below_buf, len(w) - 1, pm)
             np.less(moduli[:-1], moduli[-1], out=below.view(bool))
             pick = np.add.reduce(below, axis=0, dtype=pick_buf.dtype, out=pick_buf[:pm])
-            for zc, table in zip(z, picked):
-                sel = np.take(table, pick, out=rtmp, mode="clip")
-                np.multiply(zc.real, sel, out=zc.real)
-                np.multiply(zc.imag, sel, out=zc.imag)
+            sel = np.take(picked, pick, axis=1, out=tmp, mode="clip")
+            np.multiply(zr, sel, out=zr)
+            np.multiply(zi, sel, out=zi)
             alpha += beta
             alpha += gamma
             row = np.sum(alpha, axis=0, out=row_buf[:p])
