@@ -14,7 +14,8 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
   TE search), and the reduction (two row dots for the TM quadratic form,
   the normal search for TE);
 * the scratch bytes of one block walker: its (product, reduce) buffers,
-  measured with `tracemalloc`, and its two steering buffers;
+  measured with `tracemalloc`, its two steering buffers and its index
+  buffer;
 * for one whole ``image_subspace`` call on G2,TE: wall seconds, minor page
   faults (``ru_minflt``) and system seconds (``ru_stime``), both in the
   first call of the process and again after a call on a coarser grid;
@@ -99,7 +100,7 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     out.update(basis="paired" if kept < dirs.count else "unpaired", real_columns=len(expand),
                block=rows, directions=dirs.count, frequencies=len(subspaces),
                max_cut=max(sub.cut_index for sub in subspaces),
-               walker_scratch_bytes=pair_bytes + 2 * s.nbytes)
+               walker_scratch_bytes=pair_bytes + 2 * s.nbytes + 3 * rows * np.intp(0).nbytes)
     return out
 
 

@@ -327,9 +327,10 @@ def _blocked_sum(grid, ks, dirs, kept, pair, parallel=False):
     The row-major grid is walked in fixed blocks of _BLOCK points by W
     walkers, walker w taking blocks w, w + W, ...: walker 0 on the calling
     thread, the others on threads of their own. Each walker has its own
-    (product, reduce) from pair() and its own steering buffers, allocated
-    here before any thread starts; product and reduce return views of
-    buffers of their own, so the block loop allocates nothing large.
+    (product, reduce) from pair() and its own steering and index buffers,
+    allocated here before any thread starts; product and reduce return
+    views of buffers of their own, so the block loop allocates no array
+    data.
 
     W is 1 unless parallel is true, and then `_search_walkers` picks it,
     with BLAS held to one thread while the walkers run. The GEMM-bound
@@ -343,18 +344,24 @@ def _blocked_sum(grid, ks, dirs, kept, pair, parallel=False):
     rows = min(_BLOCK, count)
     total = np.zeros(count, dtype=np.complex128)
     walkers = _search_walkers(len(starts)) if parallel else 1
+    offsets = np.arange(rows)
+    # the block's point, row and column indices live in buffers too: small
+    # arrays made per block scatter over the heap and raise its peak
     scratch = [(*pair(), np.empty((rows, kept), dtype=np.complex128),
-                np.empty((rows, kept), dtype=np.complex128)) for _ in range(walkers)]
+                np.empty((rows, kept), dtype=np.complex128), np.empty((3, rows), dtype=np.intp))
+               for _ in range(walkers)]
     errors = []
 
     def walk(w):
-        product, reduce, s_buf, t_buf = scratch[w]
+        product, reduce, s_buf, t_buf, index_buf = scratch[w]
         try:
             for start in starts[w::walkers]:
-                stop = min(start + _BLOCK, count)
-                iy, ix = np.divmod(np.arange(start, stop), grid.nx)
-                s, t = s_buf[: stop - start], t_buf[: stop - start]
-                acc = total[start:stop]
+                n = min(_BLOCK, count - start)
+                point, iy, ix = index_buf[:, :n]
+                np.add(offsets[:n], start, out=point)
+                np.divmod(point, grid.nx, out=(iy, ix))
+                s, t = s_buf[:n], t_buf[:n]
+                acc = total[start : start + n]
                 for f, (tx, ty) in enumerate(tables):
                     real = _steering_block(tx, ty, ix, iy, s, t).view(np.float64)
                     acc += reduce(f, real, product(f, real))

@@ -1,5 +1,8 @@
 """Imaging functionals: steering identities, map properties, persistence."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -427,6 +430,26 @@ def test_te_search_walkers_give_the_serial_map(monkeypatch, bounds):
     assert parallel.tobytes() == serial.tobytes()
 
 
+def test_te_search_walkers_outnumbering_cores_give_the_serial_map(monkeypatch):
+    # five walkers share ten blocks of one sum while the interpreter switches
+    # threads every microsecond; each walker writes only its own blocks
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.025)
+    assert grid.nx * grid.ny > 9 * imaging._BLOCK
+    subs, dirs = _te_subspaces(seed=24)
+    monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 1)
+    serial = _te_search_map(subs, grid, dirs)
+    monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 5)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = _te_search_map(subs, grid, dirs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert parallel.tobytes() == serial.tobytes()
+
+
 @pytest.fixture
 def blas_at_two_threads():
     """BLAS set to two threads for the test, so holding it to one shows."""
@@ -440,7 +463,8 @@ def blas_at_two_threads():
     set_(saved)
 
 
-@pytest.mark.parametrize("failing", [None, 0, 1], ids=["no-error", "caller-walker", "thread-walker"])
+@pytest.mark.parametrize("failing", [None, 0, 1],
+                         ids=["no-error", "caller-walker", "thread-walker"])
 def test_te_search_holds_blas_to_one_thread_and_restores_it(monkeypatch, blas_at_two_threads,
                                                             failing):
     grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.05)
