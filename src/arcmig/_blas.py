@@ -10,10 +10,13 @@ leave the thread count alone.
 """
 
 import ctypes
+import functools
 import glob
 import threading
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 # (getter, setter) symbol pairs, tried in order
 _NAMES = (
@@ -23,13 +26,11 @@ _NAMES = (
 )
 
 _lock = threading.Lock()
-_functions = None
-_resolved = False
 
 
-def _resolve():
-    import numpy as np
-
+@functools.cache
+def functions():
+    """The (get, set) thread-count functions of NumPy's OpenBLAS, or None."""
     package = Path(np.__file__).resolve().parent
     for libdir in (package.parent / "numpy.libs", package / ".libs"):
         for path in sorted(glob.glob(str(libdir / "*openblas*"))):
@@ -46,15 +47,6 @@ def _resolve():
     return None
 
 
-def functions():
-    """The (get, set) thread-count functions of NumPy's OpenBLAS, or None."""
-    global _functions, _resolved
-    if not _resolved:
-        _functions = _resolve()
-        _resolved = True
-    return _functions
-
-
 def threads():
     """The BLAS thread count, or None when it cannot be read."""
     found = functions()
@@ -63,20 +55,20 @@ def threads():
 
 @contextmanager
 def one_thread():
-    """Hold BLAS to one thread for the body; yields False, changing
-    nothing, when no thread-count functions are found.
+    """Hold BLAS to one thread for the body and restore its count on exit;
+    without the thread-count functions, change nothing.
 
-    The count is restored on exit.  The body runs under a module lock, so
-    two overlapping holders cannot restore in the wrong order."""
+    The body runs under a module lock, so two overlapping holders cannot
+    restore in the wrong order."""
     found = functions()
     if found is None:
-        yield False
+        yield
         return
     get, set_ = found
     with _lock:
         saved = get()
         set_(1)
         try:
-            yield True
+            yield
         finally:
             set_(saved)

@@ -472,14 +472,14 @@ def _te_search(subspaces, weights, candidates, dirs):
             m, p = len(prod) // 4, len(s)
             pm = p * m
             planes = _prefix(plane_buf, 6, m, p)
-            u0, u1, v0, v1, c, d = planes
-            np.multiply(u0, v1, out=c)
-            np.multiply(u1, v0, out=d)
+            u0, u1, v0, v1, cross0, cross1 = planes
+            np.multiply(u0, v1, out=cross0)
+            np.multiply(u1, v0, out=cross1)
             np.multiply(u0, v0, out=v0)
             np.multiply(u1, v1, out=v1)
             alpha = np.add(v0, v1, out=u0)
             beta = np.subtract(v0, v1, out=u1)
-            gamma = np.add(c, d, out=v0)
+            gamma = np.add(cross0, cross1, out=v0)
             z = planes[:3].reshape(3, pm)
             zr, zi = z.real, z.imag
             # the six coefficients Re(z_i conj(z_j)) of the scan, z = (alpha,
