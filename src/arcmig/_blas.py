@@ -11,7 +11,6 @@ leave the thread count alone.
 
 import ctypes
 import functools
-import glob
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,9 +32,9 @@ def functions():
     """The (get, set) thread-count functions of NumPy's OpenBLAS, or None."""
     package = Path(np.__file__).resolve().parent
     for libdir in (package.parent / "numpy.libs", package / ".libs"):
-        for path in sorted(glob.glob(str(libdir / "*openblas*"))):
+        for path in sorted(libdir.glob("*openblas*")):
             try:
-                lib = ctypes.CDLL(path)
+                lib = ctypes.CDLL(str(path))
             except OSError:
                 continue
             for get_name, set_name in _NAMES:
