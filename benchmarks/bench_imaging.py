@@ -13,9 +13,9 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
   for comparison, the GEMM (real for the quadratic form, complex for the
   TE search), and the reduction (two row dots for the TM quadratic form,
   the normal search for TE);
-* the scratch bytes of one block walker: its (product, reduce) buffers,
-  measured with `tracemalloc`, its two steering buffers and its index
-  buffer;
+* the peak bytes one ``product`` + ``reduce`` call on a full block
+  allocates, measured with `tracemalloc`, the largest over the
+  frequencies: each walker holds this much while it works on a block;
 * for one whole ``image_subspace`` call on G2,TE: wall seconds, minor page
   faults (``ru_minflt``) and system seconds (``ru_stime``), both in the
   first call of the process and again after a call on a coarser grid;
@@ -67,29 +67,29 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     grid = cfg.grid()
     kept, expand = imaging._steering_basis(dirs, pair=cfg.mode != "te-search")
     if cfg.mode == "te-search":
-        pair = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates, dirs)
+        product, reduce = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates,
+                                             dirs)
     else:
-        pair = imaging._quadratic_form(
+        product, reduce = imaging._quadratic_form(
             [sub.retained_left() @ sub.retained_right().conj().T for sub in subspaces], expand
         )
-    tracemalloc.start()
-    product, reduce = pair()
-    pair_bytes = tracemalloc.get_traced_memory()[0]
-    tracemalloc.stop()
     rows = min(imaging._BLOCK, grid.nx * grid.ny)
     iy, ix = np.divmod(np.arange(rows), grid.nx)
     points = grid.points()[:rows]
-    s = np.empty((rows, kept), dtype=np.complex128)
-    scratch = np.empty_like(s)
     samples = {"phase_tables": [], "phase_direct": [], "gemm": [], "reduce": []}
+    block_bytes = 0
     for f, sub in enumerate(subspaces):
         tx, ty = imaging._phase_tables(grid, sub.k, dirs, kept)
-        real = s.view(np.float64)
+        real = imaging._steering_block(tx, ty, ix, iy).view(np.float64)
+        tracemalloc.start()
+        reduce(f, real, product(f, real))
+        block_bytes = max(block_bytes, tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
         for _ in range(repeats):
             t0 = time.perf_counter()
             np.exp(1j * sub.k * (points @ dirs.directions().T)).conj() / math.sqrt(dirs.count)
             t1 = time.perf_counter()
-            imaging._steering_block(tx, ty, ix, iy, s, scratch)
+            real = imaging._steering_block(tx, ty, ix, iy).view(np.float64)
             t2 = time.perf_counter()
             prod = product(f, real)
             t3 = time.perf_counter()
@@ -101,7 +101,7 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     out.update(basis="paired" if kept < dirs.count else "unpaired", real_columns=len(expand),
                block=rows, directions=dirs.count, frequencies=len(subspaces),
                max_cut=max(sub.cut_index for sub in subspaces),
-               walker_scratch_bytes=pair_bytes + 2 * s.nbytes + 3 * rows * np.intp(0).nbytes)
+               block_peak_bytes=block_bytes)
     return out
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, geometry, imaging, msr, refine
-from .backend import BACKEND
+from .backend import BACKEND, kernels
 from .errors import (
     ConfigError,
     DegenerateSteeringError,
@@ -528,8 +528,6 @@ def identity_suite(fast=False):
             continue
         tried += 1
         discrete = np.mean(np.exp(1j * k * (dirs @ x)))
-        from .backend import kernels
-
         worst_a = max(worst_a, abs(discrete - kernels.j0v(np.array([k * r]))[0]))
         ang = rng.uniform(0.0, 2.0 * np.pi)
         xi = np.array([math.cos(ang), math.sin(ang)])
@@ -563,8 +561,6 @@ def identity_suite(fast=False):
     full = analysis.ring_integrals(
         0.0, 2.0 * math.pi, 12.0, np.array([0.2, 0.1]), np.array([0.0, 1.0])
     )
-    from .backend import kernels
-
     defect = abs(full.plain - 2.0 * math.pi * kernels.j0v(np.array([12.0 * math.hypot(0.2, 0.1)]))[0])
     results.append(
         ("ring-full-aperture", defect == 0.0 and full.tail_bound == 0.0, f"defect {defect:.3e}")

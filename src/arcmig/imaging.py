@@ -7,12 +7,12 @@ matrix, times a small per-frequency factor matrix, followed by a reduction:
 TM, the TE alternative and Kirchhoff are one quadratic form per frequency,
 and the TE search reduces over the subspace index. When the direction set
 holds the opposite of each direction, the phase block keeps only half of
-them. One engine walks the row-major grid in fixed row blocks; a block's
-phases are gathered from per-frequency x and y phase tables, and its
-working set lives in buffers allocated once per map, which bounds memory.
-The TE search deals its blocks to one walker per CPU, with BLAS held to
-one thread. The reduction order over frequencies and factor rows is fixed
-and independent of the block and the walker, so maps are bitwise
+them. One engine walks the row-major grid in fixed row blocks, which
+bounds memory; a block's phases are gathered from per-frequency x and y
+phase tables, and its temporaries stay on the heap through `_heap`. The
+TE search deals its blocks to one walker per CPU, with BLAS held to one
+thread. The reduction order over frequencies and factor rows is fixed and
+independent of the block and the walker, so maps are bitwise
 reproducible.
 """
 
@@ -256,11 +256,6 @@ def candidate_normals(count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _prefix(buf, *shape):
-    """C-contiguous view of the leading elements of a flat scratch buffer."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
 def _steering_basis(dirs, pair=True):
     """Real steering basis of a direction set: the number N' of directions
     kept in the phase tables and the complex (R x N) map E with s = S E,
@@ -296,13 +291,11 @@ def _phase_tables(grid, k, dirs, kept=None):
     return tx, ty
 
 
-def _steering_block(tx, ty, ix, iy, out, scratch):
-    """Conjugate steering block of grid points (ix, iy) from the phase
-    tables, written into out; scratch has out's shape."""
-    # mode="clip" writes straight into out; the default "raise" buffers it
-    np.take(tx, ix, axis=0, out=out, mode="clip")
-    np.take(ty, iy, axis=0, out=scratch, mode="clip")
-    out *= scratch
+def _steering_block(tx, ty, ix, iy):
+    """Conjugate steering block of grid points (ix, iy) from the phase tables."""
+    # np.take gathers the rows faster than fancy indexing; they are in range
+    out = np.take(tx, ix, axis=0, mode="clip")
+    out *= np.take(ty, iy, axis=0, mode="clip")
     return out
 
 
@@ -318,7 +311,7 @@ def _search_walkers(blocks):
     return min(os.cpu_count() or 1, blocks)
 
 
-def _blocked_sum(grid, ks, dirs, kept, pair, parallel=False):
+def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
     """Per-point sum over f of reduce(f, S, product(f, S)), with S the real
     (P, 2N') view of the (P, N') conjugate TM steering block
     conj(exp(i k_f theta_n . x)) / sqrt(N) of the points over the first
@@ -326,11 +319,9 @@ def _blocked_sum(grid, ks, dirs, kept, pair, parallel=False):
 
     The row-major grid is walked in fixed blocks of _BLOCK points by W
     walkers, walker w taking blocks w, w + W, ...: walker 0 on the calling
-    thread, the others on threads of their own. Each walker has its own
-    (product, reduce) from pair() and its own steering and index buffers,
-    allocated here before any thread starts; product and reduce return
-    views of buffers of their own, so the block loop allocates no array
-    data.
+    thread, the others on threads of their own. All walkers share product
+    and reduce, which are reentrant: product returns a fresh GEMM output
+    and reduce works on it and on arrays of its own call.
 
     W is 1 unless parallel is true, and then `_search_walkers` picks it,
     with BLAS held to one thread while the walkers run. The GEMM-bound
@@ -341,29 +332,18 @@ def _blocked_sum(grid, ks, dirs, kept, pair, parallel=False):
     tables = [_phase_tables(grid, k, dirs, kept) for k in ks]
     count = grid.nx * grid.ny
     starts = range(0, count, _BLOCK)
-    rows = min(_BLOCK, count)
     total = np.zeros(count, dtype=np.complex128)
     walkers = _search_walkers(len(starts)) if parallel else 1
-    offsets = np.arange(rows)
-    # the block's point, row and column indices live in buffers too: small
-    # arrays made per block scatter over the heap and raise its peak
-    scratch = [(*pair(), np.empty((rows, kept), dtype=np.complex128),
-                np.empty((rows, kept), dtype=np.complex128), np.empty((3, rows), dtype=np.intp))
-               for _ in range(walkers)]
     errors = []
 
     def walk(w):
-        product, reduce, s_buf, t_buf, index_buf = scratch[w]
         try:
             for start in starts[w::walkers]:
-                n = min(_BLOCK, count - start)
-                point, iy, ix = index_buf[:, :n]
-                np.add(offsets[:n], start, out=point)
-                np.divmod(point, grid.nx, out=(iy, ix))
-                s, t = s_buf[:n], t_buf[:n]
-                acc = total[start : start + n]
+                stop = min(start + _BLOCK, count)
+                iy, ix = np.divmod(np.arange(start, stop), grid.nx)
+                acc = total[start:stop]
                 for f, (tx, ty) in enumerate(tables):
-                    real = _steering_block(tx, ty, ix, iy, s, t).view(np.float64)
+                    real = _steering_block(tx, ty, ix, iy).view(np.float64)
                     acc += reduce(f, real, product(f, real))
         except BaseException as exc:
             errors.append(exc)
@@ -382,8 +362,7 @@ def _blocked_sum(grid, ks, dirs, kept, pair, parallel=False):
 
 def _quadratic_form(forms, expand):
     """Product and reduction of the per-point form s B_f s^T, for complex
-    (N x N) matrices B_f and the conjugate steering block s = S E; the
-    returned pair() gives a (product, reduce) over buffers of its own.
+    (N x N) matrices B_f and the conjugate steering block s = S E.
 
     With C_f = E B_f E^T the form is S C_f S^T: one real GEMM of S against
     [Re C_f | Im C_f] (R x 2R), then the dots of each point's two output
@@ -394,27 +373,20 @@ def _quadratic_form(forms, expand):
         factors.append(np.concatenate([c.real, c.imag], axis=1))
     r = len(expand)
 
-    def pair():
-        prod_buf = np.empty(_BLOCK * 2 * r)
-        row_buf = np.empty((_BLOCK, 2))
+    def product(f, s):
+        return np.matmul(s, factors[f])
 
-        def product(f, s):
-            return np.matmul(s, factors[f], out=_prefix(prod_buf, len(s), 2 * r))
+    def reduce(f, s, prod):
+        p = len(s)
+        rows = np.einsum("pkr,pr->pk", prod.reshape(p, 2, r), s, out=np.empty((p, 2)))
+        return rows.view(np.complex128)[:, 0]
 
-        def reduce(f, s, prod):
-            p = len(s)
-            rows = np.einsum("pkr,pr->pk", prod.reshape(p, 2, r), s, out=row_buf[:p])
-            return rows.view(np.complex128)[:, 0]
-
-        return product, reduce
-
-    return pair
+    return product, reduce
 
 
 def _te_search(subspaces, weights, candidates, dirs):
     """Product and reduction of the TE normal search, over the unpaired
-    steering basis (S is the real view of the conjugate steering block s);
-    the returned pair() gives a (product, reduce) over buffers of its own.
+    steering basis (S is the real view of the conjugate steering block s).
 
     With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u]
     = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM
@@ -451,68 +423,51 @@ def _te_search(subspaces, weights, candidates, dirs):
     for sub in subspaces:
         u, v = sub.retained_left(), sub.retained_right().conj()
         factors.append(np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T)
-    size = _BLOCK * max(sub.cut_index for sub in subspaces)
 
-    def pair():
-        # six (M x P) complex planes: the GEMM writes u_0, u_1, v_0 and v_1
-        # into planes 0-3, reduce forms alpha, beta and gamma in planes 0-2
-        # and the six real coefficient rows in planes 3-5
-        plane_buf = np.empty(6 * size, dtype=np.complex128)
-        real_buf = np.empty(3 * size)
-        mod_buf = np.empty(len(w) * size)
-        below_buf = np.empty((len(w) - 1) * size, dtype=np.uint8)
-        pick_buf = np.empty(size, dtype=np.min_scalar_type(len(w)))
-        row_buf = np.empty(_BLOCK, dtype=np.complex128)
+    def product(f, s):
+        return np.matmul(factors[f], s.view(np.complex128).T)
 
-        def product(f, s):
-            rows, p = len(factors[f]), len(s)
-            return np.matmul(factors[f], s.view(np.complex128).T, out=_prefix(plane_buf, rows, p))
+    def reduce(f, s, prod):
+        m, p = len(prod) // 4, len(s)
+        pm = p * m
+        # the GEMM wrote u_0, u_1, v_0 and v_1 into planes 0-3 of prod;
+        # alpha, beta and gamma are formed in planes 0-2
+        u0, u1, v0, v1 = prod.reshape(4, m, p)
+        cross0, cross1 = np.empty((2, m, p), dtype=np.complex128)
+        np.multiply(u0, v1, out=cross0)
+        np.multiply(u1, v0, out=cross1)
+        np.multiply(u0, v0, out=v0)
+        np.multiply(u1, v1, out=v1)
+        alpha = np.add(v0, v1, out=u0)
+        beta = np.subtract(v0, v1, out=u1)
+        gamma = np.add(cross0, cross1, out=v0)
+        z = prod[: 3 * m].reshape(3, pm)
+        zr, zi = z.real, z.imag
+        # the six coefficients Re(z_i conj(z_j)) of the scan, z = (alpha,
+        # beta, gamma): rows (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)
+        coef, tmp = np.empty((6, pm)), np.empty((3, pm))
+        np.multiply(zr, zr, out=coef[:3])
+        coef[:3] += np.multiply(zi, zi, out=tmp)
+        np.multiply(zr[:1], zr[1:], out=coef[3:5])
+        coef[3:5] += np.multiply(zi[:1], zi[1:], out=tmp[:2])
+        np.multiply(zr[1], zr[2], out=coef[5])
+        coef[5] += np.multiply(zi[1], zi[2], out=tmp[0])
+        moduli = np.matmul(scan, coef)
+        # first index of each column maximum, so ties keep the smallest l:
+        # the running maximum in place, then the count of entries below the
+        # final one (argmax over the short axis costs a call per column)
+        for l in range(1, len(w)):
+            np.maximum(moduli[l - 1], moduli[l], out=moduli[l])
+        below = np.less(moduli[:-1], moduli[-1]).view(np.uint8)
+        pick = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(len(w)))
+        sel = np.take(picked, pick, axis=1, out=tmp, mode="clip")
+        np.multiply(zr, sel, out=zr)
+        np.multiply(zi, sel, out=zi)
+        alpha += beta
+        alpha += gamma
+        return np.sum(alpha, axis=0) * weights[f]
 
-        def reduce(f, s, prod):
-            m, p = len(prod) // 4, len(s)
-            pm = p * m
-            planes = _prefix(plane_buf, 6, m, p)
-            u0, u1, v0, v1, cross0, cross1 = planes
-            np.multiply(u0, v1, out=cross0)
-            np.multiply(u1, v0, out=cross1)
-            np.multiply(u0, v0, out=v0)
-            np.multiply(u1, v1, out=v1)
-            alpha = np.add(v0, v1, out=u0)
-            beta = np.subtract(v0, v1, out=u1)
-            gamma = np.add(cross0, cross1, out=v0)
-            z = planes[:3].reshape(3, pm)
-            zr, zi = z.real, z.imag
-            # the six coefficients Re(z_i conj(z_j)) of the scan, z = (alpha,
-            # beta, gamma): rows (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)
-            coef = planes[3:].reshape(-1).view(np.float64).reshape(6, pm)
-            tmp = _prefix(real_buf, 3, pm)
-            np.multiply(zr, zr, out=coef[:3])
-            coef[:3] += np.multiply(zi, zi, out=tmp)
-            np.multiply(zr[:1], zr[1:], out=coef[3:5])
-            coef[3:5] += np.multiply(zi[:1], zi[1:], out=tmp[:2])
-            np.multiply(zr[1], zr[2], out=coef[5])
-            coef[5] += np.multiply(zi[1], zi[2], out=tmp[0])
-            moduli = np.matmul(scan, coef, out=_prefix(mod_buf, len(w), pm))
-            # first index of each column maximum, so ties keep the smallest l:
-            # the running maximum in place, then the count of entries below the
-            # final one (argmax over the short axis costs a call per column)
-            for l in range(1, len(w)):
-                np.maximum(moduli[l - 1], moduli[l], out=moduli[l])
-            below = _prefix(below_buf, len(w) - 1, pm)
-            np.less(moduli[:-1], moduli[-1], out=below.view(bool))
-            pick = np.add.reduce(below, axis=0, dtype=pick_buf.dtype, out=pick_buf[:pm])
-            sel = np.take(picked, pick, axis=1, out=tmp, mode="clip")
-            np.multiply(zr, sel, out=zr)
-            np.multiply(zi, sel, out=zi)
-            alpha += beta
-            alpha += gamma
-            row = np.sum(alpha, axis=0, out=row_buf[:p])
-            row *= weights[f]
-            return row
-
-        return product, reduce
-
-    return pair
+    return product, reduce
 
 
 def _wavenumbers(items, dirs, what):
@@ -557,14 +512,14 @@ def image_subspace(
     kept, expand = _steering_basis(dirs, pair=mode.kind != "te-search")
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
-        pair = _te_search(subspaces, weights, mode.candidates, dirs)
+        engine = _te_search(subspaces, weights, mode.candidates, dirs)
     else:
-        pair = _quadratic_form(
+        engine = _quadratic_form(
             [w * (sub.retained_left() @ sub.retained_right().conj().T)
              for w, sub in zip(weights, subspaces)],
             expand,
         )
-    acc = _blocked_sum(grid, ks, dirs, kept, pair, parallel=mode.kind == "te-search")
+    acc = _blocked_sum(grid, ks, dirs, kept, *engine, parallel=mode.kind == "te-search")
     return ImageMap(grid=grid, values=np.abs(acc) / len(subspaces), provenance=prov)
 
 
@@ -576,8 +531,8 @@ def image_kirchhoff(
     """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|."""
     ks = _wavenumbers(matrices, dirs, "MSR matrix")
     kept, expand = _steering_basis(dirs)
-    pair = _quadratic_form([m.entries for m in matrices], expand)
-    acc = _blocked_sum(grid, ks, dirs, kept, pair)
+    engine = _quadratic_form([m.entries for m in matrices], expand)
+    acc = _blocked_sum(grid, ks, dirs, kept, *engine)
     prov = _provenance("kirchhoff", "unit", ks, dirs)
     return ImageMap(grid=grid, values=np.abs(acc) / len(matrices), provenance=prov)
 

@@ -206,6 +206,9 @@ def save_msr(m: MsrMatrix, path):
 
 
 def load_msr(path) -> MsrMatrix:
+    """Read a `save_msr` file. A malformed or invalid header field, a
+    malformed entry line, an index outside 1..N, a repeated (j, l) or a line
+    count other than 1 + N^2 raises MapParseError with its line number."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("MSR "):
@@ -213,20 +216,31 @@ def load_msr(path) -> MsrMatrix:
     head = raw[0].split()
     if len(head) != 8:
         raise MapParseError(f"{path}: malformed MSR header", line=1)
-    n = int(head[1])
-    k = float(head[2])
-    dirs = DirectionSet(alpha=float(head[3]), beta=float(head[4]), count=n)
-    bc = BoundaryCondition.parse(head[5])
-    noise = None
-    if head[6] != "none":
-        noise = NoiseSpec(snr_db=float(head[6]), seed=int(head[7]))
+    try:
+        n, k = int(head[1]), float(head[2])
+        dirs = DirectionSet(alpha=float(head[3]), beta=float(head[4]), count=n)
+        bc = BoundaryCondition.parse(head[5])
+        noise = None if head[6] == "none" else NoiseSpec(snr_db=float(head[6]), seed=int(head[7]))
+    except ValueError as exc:             # ConfigError is one too
+        raise MapParseError(f"{path}: malformed MSR header: {exc}", line=1) from exc
+    if len(raw) != 1 + n * n:
+        raise MapParseError(f"{path}: expected {n * n} entry lines",
+                            line=min(len(raw), 2 + n * n))
     entries = np.zeros((n, n), dtype=np.complex128)
-    if len(raw) < 1 + n * n:
-        raise MapParseError(f"{path}: expected {n * n} entry lines", line=len(raw))
-    for idx in range(n * n):
-        parts = raw[1 + idx].split()
+    seen = np.zeros((n, n), dtype=bool)
+    for lineno, line in enumerate(raw[1:], start=2):
+        parts = line.split()
         if len(parts) != 4:
-            raise MapParseError(f"{path}: malformed entry line", line=idx + 2)
-        j, l = int(parts[0]) - 1, int(parts[1]) - 1
-        entries[j, l] = complex(float(parts[2]), float(parts[3]))
+            raise MapParseError(f"{path}: malformed entry line", line=lineno)
+        try:
+            j, l = int(parts[0]) - 1, int(parts[1]) - 1
+            value = complex(float(parts[2]), float(parts[3]))
+        except ValueError as exc:
+            raise MapParseError(f"{path}: malformed entry line: {exc}", line=lineno) from exc
+        if not (0 <= j < n and 0 <= l < n):
+            raise MapParseError(f"{path}: entry index outside 1..{n}", line=lineno)
+        if seen[j, l]:
+            raise MapParseError(f"{path}: repeated entry ({j + 1}, {l + 1})", line=lineno)
+        seen[j, l] = True
+        entries[j, l] = value
     return MsrMatrix(k=k, entries=entries, dirs=dirs, bc=bc, noise=noise)

@@ -304,8 +304,7 @@ def test_factored_phase_block_matches_direct_exponentials():
     direct = np.exp(1j * phase).conj() / np.sqrt(dirs.count)
     tx, ty = imaging._phase_tables(grid, k, dirs)
     iy, ix = np.divmod(np.arange(len(pts)), grid.nx)
-    block = np.empty_like(direct)
-    imaging._steering_block(tx, ty, ix, iy, block, np.empty_like(direct))
+    block = imaging._steering_block(tx, ty, ix, iy)
     assert np.max(np.abs(block - direct)) < 1e-13
 
 
@@ -394,39 +393,42 @@ def _te_subspaces(seed):
     return [msr.svd_threshold(m, 0.3) for m in matrices], dirs
 
 
-def _spy_pairs(monkeypatch, wrap=lambda walker, product, reduce: (product, reduce)):
-    """Count the (product, reduce) pairs the TE search hands out, one per
-    walker, passing each through wrap(walker index, product, reduce)."""
-    made = []
+def _spy_reduce(monkeypatch, check=lambda: None):
+    """The thread of every call of the TE search's shared reduce, in call
+    order; check() runs at the start of each call."""
+    threads = []
     search = imaging._te_search
 
     def spied(*args):
-        pair = search(*args)
+        product, reduce = search(*args)
 
-        def counted():
-            made.append(len(made))
-            return wrap(made[-1], *pair())
+        def counted(f, s, prod):
+            threads.append(threading.current_thread())
+            check()
+            return reduce(f, s, prod)
 
-        return counted
+        return product, counted
 
     monkeypatch.setattr(imaging, "_te_search", spied)
-    return made
+    return threads
 
 
-@pytest.mark.parametrize("bounds", [(-0.6, 0.6, -0.4, 0.8, 0.05), (-0.3, 0.3, -0.2, 0.2, 0.1)],
+@pytest.mark.parametrize("bounds, walking", [((-0.6, 0.6, -0.4, 0.8, 0.05), 2),
+                                             ((-0.3, 0.3, -0.2, 0.2, 0.1), 1)],
                          ids=["ragged-last-block", "under-one-block"])
-def test_te_search_walkers_give_the_serial_map(monkeypatch, bounds):
+def test_te_search_walkers_give_the_serial_map(monkeypatch, bounds, walking):
     # 625 points are two full blocks and a ragged one, split 2 + 1 between
     # two walkers; 35 points are one block, and the second walker gets none
     grid = imaging.SearchGrid(*bounds)
     subs, dirs = _te_subspaces(seed=21)
-    made = _spy_pairs(monkeypatch)
+    threads = _spy_reduce(monkeypatch)
     monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 1)
     serial = _te_search_map(subs, grid, dirs)
-    assert len(made) == 1
+    assert set(threads) == {threading.current_thread()}
+    threads.clear()
     monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 2)
     parallel = _te_search_map(subs, grid, dirs)
-    assert len(made) == 3
+    assert len(set(threads)) == walking
     assert parallel.tobytes() == serial.tobytes()
 
 
@@ -463,28 +465,27 @@ def blas_at_two_threads():
     set_(saved)
 
 
-@pytest.mark.parametrize("failing", [None, 0, 1],
+@pytest.mark.parametrize("failing", [None, "caller", "thread"],
                          ids=["no-error", "caller-walker", "thread-walker"])
 def test_te_search_holds_blas_to_one_thread_and_restores_it(monkeypatch, blas_at_two_threads,
                                                             failing):
     grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.05)
     subs, dirs = _te_subspaces(seed=22)
     seen, boom = [], RuntimeError("reduce failed")
+    caller = threading.current_thread()
 
-    def wrap(walker, product, reduce):
-        def checked(f, s, prod):
-            seen.append(_blas.threads())
-            if walker == failing:
-                raise boom
-            return reduce(f, s, prod)
+    def check():
+        seen.append(_blas.threads())
+        walker = "caller" if threading.current_thread() is caller else "thread"
+        if walker == failing:
+            raise boom
 
-        return product, checked
-
-    _spy_pairs(monkeypatch, wrap)
+    threads = _spy_reduce(monkeypatch, check)
     monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 2)
     assert _blas.threads() == 2
     if failing is None:
         _te_search_map(subs, grid, dirs)
+        assert len(set(threads)) == 2
     else:
         with pytest.raises(RuntimeError) as raised:
             _te_search_map(subs, grid, dirs)
@@ -499,10 +500,10 @@ def test_te_search_without_blas_control_walks_serially(monkeypatch):
     monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 1)
     serial = _te_search_map(subs, grid, dirs)
     monkeypatch.undo()
-    made = _spy_pairs(monkeypatch)
+    threads = _spy_reduce(monkeypatch)
     monkeypatch.setattr(_blas, "functions", lambda: None)
     values = _te_search_map(subs, grid, dirs)
-    assert len(made) == 1
+    assert set(threads) == {threading.current_thread()}
     assert values.tobytes() == serial.tobytes()
 
 

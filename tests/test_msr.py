@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcmig import forward, geometry, msr
-from arcmig.errors import ConfigError, DomainError, SolverError
+from arcmig.errors import ConfigError, DomainError, MapParseError, SolverError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig
 
@@ -222,6 +222,66 @@ def test_save_msr_bytes_match_reference_formatter(tmp_path):
         msr.save_msr(m, tmp_path / "new.msr")
         _reference_save_msr(m, tmp_path / "ref.msr")
         assert (tmp_path / "new.msr").read_bytes() == (tmp_path / "ref.msr").read_bytes()
+
+
+def _saved_lines(tmp_path):
+    """The lines of a saved noisy 3 x 3 MSR file: a header, then entries
+    (1, 1), (1, 2), ..., (3, 3) on lines 2-10."""
+    rng = np.random.default_rng(4)
+    entries = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m = msr.MsrMatrix(k=9.0, entries=entries, dirs=msr.DirectionSet.full_view(3),
+                      bc=BC.DIRICHLET, noise=msr.NoiseSpec(15.0, 7))
+    msr.save_msr(m, tmp_path / "m.msr")
+    return (tmp_path / "m.msr").read_text().splitlines()
+
+
+def _load_edited(tmp_path, lineno, edit):
+    """load_msr on the saved file with line lineno (1-based) replaced by
+    edit(its fields); the MapParseError it raises."""
+    lines = _saved_lines(tmp_path)
+    lines[lineno - 1] = " ".join(edit(lines[lineno - 1].split()))
+    (tmp_path / "edited.msr").write_text("\n".join(lines) + "\n")
+    with pytest.raises(MapParseError) as err:
+        msr.load_msr(tmp_path / "edited.msr")
+    return err.value
+
+
+def test_msr_entry_index_zero_is_rejected(tmp_path):
+    # at the parent a 0 index was written to row -1, the last row
+    err = _load_edited(tmp_path, 4, lambda f: ["0", f[1], *f[2:]])
+    assert err.line == 4
+
+
+def test_msr_repeated_entry_is_rejected(tmp_path):
+    # line 3 holds (1, 2); writing (1, 1) again leaves (1, 2) unset
+    err = _load_edited(tmp_path, 3, lambda f: ["1", "1", *f[2:]])
+    assert err.line == 3 and "repeated" in str(err)
+
+
+def test_msr_entry_index_above_n_is_rejected(tmp_path):
+    err = _load_edited(tmp_path, 10, lambda f: [f[0], "4", *f[2:]])
+    assert err.line == 10
+
+
+def test_msr_non_numeric_entry_field_is_rejected(tmp_path):
+    err = _load_edited(tmp_path, 6, lambda f: [*f[:3], "1.0j"])
+    assert err.line == 6
+
+
+def test_msr_non_numeric_header_field_is_rejected(tmp_path):
+    # fields 1-7: N, k, alpha, beta, the boundary condition, SNR and seed
+    for field in range(1, 8):
+        err = _load_edited(tmp_path, 1, lambda f: [*f[:field], "x", *f[field + 1:]])
+        assert err.line == 1, field
+
+
+def test_msr_line_count_other_than_one_plus_n_squared_is_rejected(tmp_path):
+    lines = _saved_lines(tmp_path)
+    for kept, line in ((lines[:-1], 9), (lines + [lines[-1]], 11)):
+        (tmp_path / "edited.msr").write_text("\n".join(kept) + "\n")
+        with pytest.raises(MapParseError) as err:
+            msr.load_msr(tmp_path / "edited.msr")
+        assert err.value.line == line
 
 
 def test_direction_set_validation():
