@@ -247,7 +247,7 @@ def _load_edited(tmp_path, lineno, edit):
 
 
 def test_msr_entry_index_zero_is_rejected(tmp_path):
-    # at the parent a 0 index was written to row -1, the last row
+    # unchecked, a 0 index would land in row -1, the last row
     err = _load_edited(tmp_path, 4, lambda f: ["0", f[1], *f[2:]])
     assert err.line == 4
 
