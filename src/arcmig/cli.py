@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_ERRORS = (ConfigError, LookupNameError, MapParseError, DomainError, KeyError)
+_CONFIG_ERRORS = (
+    ConfigError, LookupNameError, MapParseError, DomainError, KeyError, FileNotFoundError
+)
 _NUMERIC_ERRORS = (
     SolverError,
     IterationError,
@@ -52,26 +54,20 @@ _NUMERIC_ERRORS = (
     np.linalg.LinAlgError,
 )
 
-# Preset experiment configurations, keyed by catalog crack and
-# polarization: (directions, frequencies, lambda_1, lambda_F, search
-# domain); TE differs only in the direction count.
+# Preset experiments, one row per catalog crack: the fields that differ
+# from their defaults, with the direction count as (TM, TE)
 PRESETS = {
-    ("G1", "TM"): dict(count=16, freqs=10, lambda_first=0.5, lambda_last=0.4,
-                       bounds=(-1.0, 1.0, -1.0, 1.0)),
-    ("G2", "TM"): dict(count=28, freqs=12, lambda_first=0.6, lambda_last=0.3,
-                       bounds=(-2.0, 2.0, -2.0, 2.0)),
-    ("G3", "TM"): dict(count=40, freqs=16, lambda_first=0.5, lambda_last=0.3,
-                       bounds=(-2.0, 2.0, -1.0, 3.0)),
-    ("G4", "TM"): dict(count=32, freqs=24, lambda_first=0.4, lambda_last=0.2,
-                       bounds=(-1.0, 1.0, -1.0, 1.0)),
-    ("G1", "TE"): dict(count=16, freqs=10, lambda_first=0.5, lambda_last=0.4,
-                       bounds=(-1.0, 1.0, -1.0, 1.0)),
-    ("G2", "TE"): dict(count=36, freqs=12, lambda_first=0.6, lambda_last=0.3,
-                       bounds=(-2.0, 2.0, -2.0, 2.0)),
-    ("G3", "TE"): dict(count=64, freqs=16, lambda_first=0.5, lambda_last=0.3,
-                       bounds=(-2.0, 2.0, -1.0, 3.0)),
-    ("G4", "TE"): dict(count=64, freqs=24, lambda_first=0.4, lambda_last=0.2,
-                       bounds=(-1.0, 1.0, -1.0, 1.0)),
+    "G1": dict(count=(16, 16), freq_count=10, lambda_first=0.5, lambda_last=0.4,
+               x_lo=-1.0, x_hi=1.0, y_lo=-1.0, y_hi=1.0),
+    "G2": dict(count=(28, 36), freq_count=12, lambda_first=0.6, lambda_last=0.3,
+               x_lo=-2.0, x_hi=2.0, y_lo=-2.0, y_hi=2.0, candidates=24),
+    # the long spiral needs twice the quadrature resolution of the other
+    # cracks to pass the pre-run residual verification
+    "G3": dict(count=(40, 64), freq_count=16, lambda_first=0.5, lambda_last=0.3,
+               x_lo=-2.0, x_hi=2.0, y_lo=-1.0, y_hi=3.0, candidates=24,
+               nodes_data=256, nodes_check=128),
+    "G4": dict(count=(32, 64), freq_count=24, lambda_first=0.4, lambda_last=0.2,
+               x_lo=-1.0, x_hi=1.0, y_lo=-1.0, y_hi=1.0, candidates=24),
 }
 
 APERTURES = {
@@ -81,8 +77,6 @@ APERTURES = {
     "south": (7.0 * math.pi / 6.0, 11.0 * math.pi / 6.0),
     "east": (-math.pi / 6.0, math.pi / 6.0),
 }
-
-GRID_STEP = 0.02
 
 
 # ---------------------------------------------------------------- config io
@@ -162,38 +156,60 @@ def serialize_config(tables):
     return "\n".join(lines)
 
 
+def _key(section, key=None, default=MISSING):
+    # a config field stored as [section] key; key defaults to the field name
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass
 class ExperimentConfig:
-    crack_table: dict
-    alpha: float
-    beta: float
-    count: int
-    lambda_first: float
-    lambda_last: float
-    freq_count: int
-    bounds: tuple
-    step: float = GRID_STEP
-    bc: str = "dirichlet"
-    mode: str = "tm"
-    candidates: int = 8
-    weight: str = "unit"
-    threshold: float = 0.01
-    snr_db: float = None
-    seed: int = 0
-    nodes_data: int = 128
-    nodes_check: int = 64
+    """One experiment. Each field states its config section, type and
+    default once; a field without a default is a required key, and the
+    dict-typed crack table is the whole [crack] section."""
+
+    crack_table: dict = _key("crack")
+    alpha: float = _key("aperture")
+    beta: float = _key("aperture")
+    count: int = _key("aperture")
+    lambda_first: float = _key("frequencies")
+    lambda_last: float = _key("frequencies")
+    freq_count: int = _key("frequencies", "count")
+    x_lo: float = _key("grid")
+    x_hi: float = _key("grid")
+    y_lo: float = _key("grid")
+    y_hi: float = _key("grid")
+    step: float = _key("grid", default=0.02)
+    bc: str = _key("imaging", default="dirichlet")
+    mode: str = _key("imaging", default="tm")
+    candidates: int = _key("imaging", default=8)
+    weight: str = _key("imaging", default="unit")
+    threshold: float = _key("imaging", default=0.01)
+    snr_db: float = _key("noise", default=None)
+    seed: int = _key("noise", default=0)
+    nodes_data: int = _key("solver", default=128)
+    nodes_check: int = _key("solver", default=64)
+
+    @property
+    def bounds(self):
+        return (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
 
     def validate(self):
+        """Check every field a run needs but the crack table, which the run
+        builds and checks before its first solve; returns self."""
         if self.nodes_data < 2 * self.nodes_check:
             raise ConfigError(
                 "inverse-crime guard: data-generation nodes must be >= 2x the "
                 f"verification nodes (got {self.nodes_data} vs {self.nodes_check})"
             )
+        for nodes in (self.nodes_check, self.nodes_data):
+            NystromConfig(nodes_per_arc=nodes)
         BoundaryCondition.parse(self.bc)
-        imaging.SteeringMode(self.mode, self.candidates if self.mode == "te-search" else 0)
-        self.weight_scheme()
-        if not self.lambda_first >= self.lambda_last:
-            raise ConfigError("expect lambda_first >= lambda_last (k_1 < k_F)")
+        for build in (self.direction_set, self.frequency_set, self.grid,
+                      self.steering_mode, self.weight_scheme):
+            build()
+        msr.check_threshold(self.threshold)
+        if self.snr_db is not None:
+            msr.NoiseSpec(self.snr_db, self.seed)
         return self
 
     def crack(self):
@@ -208,124 +224,85 @@ class ExperimentConfig:
         )
 
     def grid(self):
-        x_lo, x_hi, y_lo, y_hi = self.bounds
-        return imaging.SearchGrid(x_lo, x_hi, y_lo, y_hi, self.step)
+        return imaging.SearchGrid(*self.bounds, self.step)
 
     def steering_mode(self):
-        if self.mode == "te-search":
-            return imaging.SteeringMode.te_search(self.candidates)
-        return imaging.SteeringMode(self.mode)
+        return imaging.SteeringMode(self.mode, self.candidates if self.mode == "te-search" else 0)
 
     def weight_scheme(self):
-        if self.weight == "unit":
-            return imaging.WeightScheme.unit()
-        if self.weight == "log":
-            return imaging.WeightScheme.log()
-        if self.weight.startswith("power:"):
-            return imaging.WeightScheme.power_p(int(self.weight.split(":", 1)[1]))
-        raise ConfigError(f"unknown weight scheme {self.weight!r}")
+        return imaging.WeightScheme.parse(self.weight)
 
     def to_tables(self):
-        tables = {
-            "crack": dict(self.crack_table),
-            "aperture": {"alpha": self.alpha, "beta": self.beta, "count": self.count},
-            "frequencies": {
-                "lambda_first": self.lambda_first,
-                "lambda_last": self.lambda_last,
-                "count": self.freq_count,
-            },
-            "grid": {
-                "x_lo": self.bounds[0], "x_hi": self.bounds[1],
-                "y_lo": self.bounds[2], "y_hi": self.bounds[3],
-                "step": self.step,
-            },
-            "imaging": {
-                "bc": self.bc, "mode": self.mode, "weight": self.weight,
-                "threshold": self.threshold, "candidates": self.candidates,
-            },
-            "solver": {"nodes_data": self.nodes_data, "nodes_check": self.nodes_check},
-        }
-        if self.snr_db is not None:
-            tables["noise"] = {"snr_db": self.snr_db, "seed": self.seed}
+        """{section: {key: value}}; a run without noise has no [noise]
+        section, so its seed is not written."""
+        tables = {}
+        for name, (section, key) in _KEYS.items():
+            value = getattr(self, name)
+            if key is None:
+                tables[section] = dict(value)
+            else:
+                tables.setdefault(section, {})[key] = value
+        if self.snr_db is None:
+            del tables["noise"]
         return tables
 
     @classmethod
     def from_tables(cls, tables):
-        try:
-            crack_table = dict(tables["crack"])
-            ap = tables["aperture"]
-            fr = tables["frequencies"]
-            gr = tables["grid"]
-        except KeyError as exc:
-            raise ConfigError(f"missing config section {exc}") from exc
-        im = tables.get("imaging", {})
-        so = tables.get("solver", {})
-        no = tables.get("noise", {})
-        cfg = cls(
-            crack_table=crack_table,
-            alpha=float(ap["alpha"]),
-            beta=float(ap["beta"]),
-            count=int(ap["count"]),
-            lambda_first=float(fr["lambda_first"]),
-            lambda_last=float(fr["lambda_last"]),
-            freq_count=int(fr["count"]),
-            bounds=(float(gr["x_lo"]), float(gr["x_hi"]), float(gr["y_lo"]), float(gr["y_hi"])),
-            step=float(gr.get("step", GRID_STEP)),
-            bc=im.get("bc", "dirichlet"),
-            mode=im.get("mode", "tm"),
-            candidates=int(im.get("candidates", 8)),
-            weight=im.get("weight", "unit"),
-            threshold=float(im.get("threshold", 0.01)),
-            snr_db=float(no["snr_db"]) if "snr_db" in no else None,
-            seed=int(no.get("seed", 0)),
-            nodes_data=int(so.get("nodes_data", 128)),
-            nodes_check=int(so.get("nodes_check", 64)),
-        )
-        return cfg.validate()
+        """Typed read of every key; an unknown, mistyped or missing key raises
+        ConfigError naming it."""
+        known = set(_KEYS.values())
+        for section, table in tables.items():
+            unknown = [key for key in table if (section, key) not in known]
+            if unknown and (section, None) not in known:
+                raise ConfigError(f"unknown config key {section}.{unknown[0]}")
+        values = {}
+        for f in fields(cls):
+            section, key = _KEYS[f.name]
+            name = f"{section}.{key}" if key else f"[{section}]"
+            where = tables if key is None else tables.get(section, {})
+            value = where.get(key or section, MISSING)
+            if value is not MISSING:
+                values[f.name] = _typed(value, f.type, name)
+            elif f.default is MISSING:
+                raise ConfigError(f"missing config key {name}")
+        return cls(**values).validate()
 
 
-def _normalize_crack_name(name):
-    key = str(name).strip().upper().replace("Γ", "G").replace("GAMMA", "G")
-    if key not in ("G1", "G2", "G3", "G4"):
-        raise LookupNameError(f"unknown preset crack {name!r}")
-    return key
+# (section, key) of each ExperimentConfig field; key None: the whole section
+_KEYS = {
+    f.name: (f.metadata["section"], None if f.type is dict else f.metadata["key"] or f.name)
+    for f in fields(ExperimentConfig)
+}
 
 
-def preset_config(spec, aperture="full", seed=0, snr_db=None):
+def _typed(value, kind, name):
+    # an int is accepted for a float; a bool is neither
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ConfigError(f"config key {name} must be {kind.__name__}, got {value!r}")
+
+
+def preset_config(spec, aperture="full", seed=ExperimentConfig.seed,
+                  snr_db=ExperimentConfig.snr_db):
     """Named catalog preset, e.g. 'G1,TM' or 'Gamma3,TE'."""
     parts = [p.strip() for p in str(spec).split(",")]
     if len(parts) != 2:
         raise LookupNameError(f"preset must be '<crack>,<TM|TE>', got {spec!r}")
-    crack_key = _normalize_crack_name(parts[0])
-    mode_key = parts[1].strip().upper()
-    if mode_key not in ("TM", "TE"):
+    crack_key = geometry.catalog_key(parts[0])
+    polarization = parts[1].upper()
+    if polarization not in ("TM", "TE"):
         raise LookupNameError(f"preset polarization must be TM or TE, got {parts[1]!r}")
-    entry = PRESETS[(crack_key, mode_key)]
     if aperture not in APERTURES:
         raise LookupNameError(f"unknown aperture {aperture!r}; valid: {sorted(APERTURES)}")
+    row = dict(PRESETS[crack_key])
+    row["count"] = row["count"][polarization == "TE"]
+    if polarization == "TE":
+        row.update(bc="neumann", mode="te-search")
     alpha, beta = APERTURES[aperture]
-    candidates = 8 if crack_key == "G1" else 24
-    # the long spiral needs twice the quadrature resolution of the other
-    # cracks to pass the pre-run residual verification
-    nodes_check = 128 if crack_key == "G3" else 64
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         crack_table={"kind": "catalog", "name": crack_key},
-        alpha=alpha,
-        beta=beta,
-        count=entry["count"],
-        lambda_first=entry["lambda_first"],
-        lambda_last=entry["lambda_last"],
-        freq_count=entry["freqs"],
-        bounds=entry["bounds"],
-        bc="dirichlet" if mode_key == "TM" else "neumann",
-        mode="tm" if mode_key == "TM" else "te-search",
-        candidates=candidates,
-        snr_db=snr_db,
-        seed=seed,
-        nodes_data=2 * nodes_check,
-        nodes_check=nodes_check,
-    )
-    return cfg.validate()
+        alpha=alpha, beta=beta, seed=seed, snr_db=snr_db, **row,
+    ).validate()
 
 
 # ------------------------------------------------------------- experiment
@@ -585,8 +562,9 @@ def identity_suite(fast=False):
 # -------------------------------------------------------------------- CLI
 
 def _add_common(parser):
-    parser.add_argument("--config", type=str, help="config file path")
-    parser.add_argument("--preset", type=str, help="catalog preset, e.g. G1,TM")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=str, help="config file path")
+    source.add_argument("--preset", type=str, help="catalog preset, e.g. G1,TM")
     parser.add_argument("--aperture", type=str, default="full", help=f"one of {sorted(APERTURES)}")
     parser.add_argument("--seed", type=int, default=None, help="noise seed (presets: 0)")
     parser.add_argument("--snr", type=float, default=None, help="noise SNR in dB")
@@ -600,14 +578,12 @@ def _config_from_args(args):
         cfg = ExperimentConfig.from_tables(
             parse_config_text(Path(args.config).read_text(), args.config)
         )
-        if args.snr is not None:
-            cfg.snr_db = args.snr
-        if args.seed is not None:
-            cfg.seed = args.seed
-    elif args.preset:
-        cfg = preset_config(args.preset, args.aperture, seed=args.seed or 0, snr_db=args.snr)
     else:
-        raise ConfigError("either --config or --preset is required")
+        cfg = preset_config(args.preset, args.aperture)
+    if args.snr is not None:
+        cfg.snr_db = args.snr
+    if args.seed is not None:
+        cfg.seed = args.seed
     if args.mode:
         cfg.mode = args.mode
         if args.mode in ("te-search", "te-plain"):
@@ -617,8 +593,15 @@ def _config_from_args(args):
     return cfg.validate()
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, which exits 2 with one line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="arcmig",
         description="Far-field crack scattering and subspace-migration imaging",
     )
@@ -643,9 +626,8 @@ def main(argv=None):
     p_render.add_argument("--in", dest="input", type=str, required=True)
     p_render.add_argument("--out", type=str, required=True)
 
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

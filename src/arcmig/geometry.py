@@ -19,6 +19,7 @@ __all__ = [
     "UnitNormal",
     "evaluate",
     "catalog",
+    "catalog_key",
     "catalog_names",
     "sample_points",
     "line_segment",
@@ -189,24 +190,21 @@ _CATALOG = {
     ),
 }
 
-_ALIASES = {
-    "G1": "G1", "GAMMA1": "G1", "Γ1": "G1",
-    "G2": "G2", "GAMMA2": "G2", "Γ2": "G2",
-    "G3": "G3", "GAMMA3": "G3", "Γ3": "G3",
-    "G4": "G4", "GAMMA4": "G4", "Γ4": "G4",
-}
-
-
 def catalog_names():
     return sorted(_CATALOG)
 
 
-def catalog(name: str) -> Crack:
-    """The four illustration cracks, by name (G1..G4, Gamma1.. accepted)."""
-    key = _ALIASES.get(str(name).strip().upper())
-    if key is None:
+def catalog_key(name) -> str:
+    """The catalog key of a crack name: G1..G4, Gamma1..Gamma4 or Γ1..Γ4."""
+    key = str(name).strip().upper().replace("GAMMA", "G").replace("Γ", "G")
+    if key not in _CATALOG:
         raise LookupNameError(f"unknown catalog crack {name!r}; valid: {catalog_names()}")
-    crack = _CATALOG[key]()
+    return key
+
+
+def catalog(name: str) -> Crack:
+    """The four illustration cracks, by name (see catalog_key)."""
+    crack = _CATALOG[catalog_key(name)]()
     validate_crack(crack)
     return crack
 

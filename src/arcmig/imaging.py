@@ -74,6 +74,8 @@ class FrequencySet:
     @classmethod
     def from_wavelengths(cls, lambda_first, lambda_last, count):
         # Table-style input: lambda_1 > lambda_F so k_1 < k_F
+        if not lambda_first >= lambda_last > 0:
+            raise ConfigError("expect lambda_first >= lambda_last > 0 (0 < k_1 <= k_F)")
         return cls(2.0 * np.pi / lambda_first, 2.0 * np.pi / lambda_last, count)
 
 
@@ -94,8 +96,9 @@ class SearchGrid:
     def __post_init__(self):
         if not self.h > 0:
             raise ConfigError("grid step must be positive")
-        if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
-            raise ConfigError("grid bounds must be nonempty")
+        if not (-math.inf < self.x_lo < self.x_hi < math.inf
+                and -math.inf < self.y_lo < self.y_hi < math.inf):
+            raise ConfigError("grid bounds must be finite and nonempty")
         # a saved map records its step only through two rows and two columns
         if self.nx < 2 or self.ny < 2:
             raise ConfigError("grid step exceeds the extent: a map needs two rows and two columns")
@@ -187,6 +190,14 @@ class WeightScheme:
         if self.kind == "power":
             return f"power:{self.power}"
         return self.kind
+
+    @classmethod
+    def parse(cls, text):
+        """The scheme that `describe` names: unit, log or power:p."""
+        kind, _, power = str(text).partition(":")
+        if text in ("unit", "log") or (kind == "power" and power.isdecimal()):
+            return cls(kind, power=int(power or 1))
+        raise ConfigError(f"unknown weight scheme {text!r}; expected unit, log or power:p")
 
     @classmethod
     def unit(cls):

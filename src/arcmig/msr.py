@@ -19,6 +19,7 @@ __all__ = [
     "assemble",
     "noisy_values",
     "add_noise",
+    "check_threshold",
     "svd_threshold",
     "save_msr",
     "load_msr",
@@ -77,8 +78,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not math.isfinite(self.snr_db):
             raise ConfigError("snr_db must be finite")
-        if self.seed is None:
-            raise ConfigError("noise seed must be set")
+        if self.seed is None or self.seed < 0:
+            raise ConfigError(f"noise seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,14 @@ def add_noise(m: MsrMatrix, spec: NoiseSpec) -> MsrMatrix:
     return replace(m, entries=noisy_values(m.entries, spec), noise=spec)
 
 
-def _cut_index(singular_values, tau):
+def check_threshold(tau):
+    """Refuse a relative SVD cut tau outside (0, 1)."""
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {tau}")
+
+
+def _cut_index(singular_values, tau):
+    check_threshold(tau)
     top = singular_values[0]
     if top <= 0.0:
         raise DomainError("rank-0 matrix has no signal subspace")

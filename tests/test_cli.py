@@ -64,6 +64,17 @@ def test_config_round_trip_is_byte_identical():
     assert cli.serialize_config(rebuilt.to_tables()) == text
 
 
+def _g1_config_text(section=None, key=None, value=None):
+    """The G1,TM preset's config text, with one key set (value not None)
+    or removed (value None)."""
+    tables = cli.preset_config("G1,TM", seed=9, snr_db=15.0).to_tables()
+    if value is None:
+        tables.get(section, {}).pop(key, None)
+    else:
+        tables[section][key] = value
+    return cli.serialize_config(tables)
+
+
 def test_config_parser_errors():
     with pytest.raises(ConfigError):
         cli.parse_config_text("key = 1\n")  # key outside a section
@@ -71,6 +82,22 @@ def test_config_parser_errors():
         cli.parse_config_text("[a]\nbroken line\n")
     with pytest.raises(ConfigError):
         cli.parse_config_text("[a]\nx = what\n")
+    # typed reads: each error names its section.key
+    for section, key, value, message in [
+        ("grid", "y_hi", "abc", "grid.y_hi must be float"),
+        ("grid", "y_hi", [1, 2], "grid.y_hi must be float"),
+        ("aperture", "count", 16.7, "aperture.count must be int"),
+        ("imaging", "candidates", True, "imaging.candidates must be int"),
+        ("imaging", "treshold", 0.02, "unknown config key imaging.treshold"),
+        ("aperture", "alpha", None, "missing config key aperture.alpha"),
+        ("imaging", "weight", "power:x", "unknown weight scheme"),
+    ]:
+        tables = cli.parse_config_text(_g1_config_text(section, key, value))
+        with pytest.raises(ConfigError, match=message):
+            cli.ExperimentConfig.from_tables(tables)
+    # an int is accepted for a float
+    tables = cli.parse_config_text(_g1_config_text("grid", "y_hi", 1))
+    assert cli.ExperimentConfig.from_tables(tables).y_hi == 1.0
 
 
 def test_inverse_crime_guard():
@@ -245,11 +272,28 @@ def test_cli_render_subcommand(tmp_path):
     assert (tmp_path / "m.pgm").read_bytes().startswith(b"P5\n3 3\n255\n")
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # config error: unknown preset
     assert cli.main(["image", "--preset", "G9,TM", "--out", str(tmp_path)]) == 2
-    # config error: missing preset/config
+    # config error: missing preset/config, or both given
     assert cli.main(["image", "--out", str(tmp_path)]) == 2
+    both = ["--preset", "G1,TM", "--config", str(tmp_path / "exp.cfg")]
+    assert cli.main(["image", *both, "--out", str(tmp_path)]) == 2
+    # config error: mistyped keys, a bad weight, missing input files; each
+    # prints one line on stderr
+    capsys.readouterr()
+    bad_cfg = tmp_path / "bad.cfg"
+    for value in ("abc", [1, 2]):
+        bad_cfg.write_text(_g1_config_text("grid", "y_hi", value))
+        assert cli.main(["image", "--config", str(bad_cfg), "--out", str(tmp_path)]) == 2
+    argv = ["image", "--preset", "G1,TM", "--weight", "power:x", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    missing = str(tmp_path / "missing")
+    assert cli.main(["image", "--config", missing, "--out", str(tmp_path)]) == 2
+    assert cli.main(["render", "--in", missing, "--out", str(tmp_path / "x.pgm")]) == 2
+    assert cli.main(["verify", "--manifest", missing]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 6 and all(line.startswith("config error: ") for line in lines)
     # numeric failure surfaces as exit code 3
     def boom(*args, **kwargs):
         raise SolverError("synthetic blow-up", condition=1e99)
@@ -273,6 +317,22 @@ def test_cli_image_from_config_file(tmp_path):
     assert (out / "map.csv").exists()
     meta = imaging.load_metadata(out / "manifest.txt")
     assert meta["config.noise.seed"] == "9"
+
+
+@pytest.mark.parametrize("section, key, value", [("grid", "step", 5), ("imaging", "threshold", 1.5)])
+def test_bad_config_fails_before_the_first_solve(section, key, value, tmp_path, monkeypatch):
+    # validate() checks every field but the crack, and builds no crack;
+    # the run builds the crack once, before its first solve
+    path = tmp_path / "exp.cfg"
+    path.write_text(_g1_config_text(section, key, value))
+    assert cli.main(["image", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert not list(tmp_path.glob("**/msr_*.msr"))
+    built = []
+    monkeypatch.setattr(cli.geometry, "crack_from_config", lambda table: built.append(table))
+    cli.preset_config("G3,TE").validate()
+    with pytest.raises(ConfigError):
+        cli.ExperimentConfig.from_tables(cli.parse_config_text(path.read_text()))
+    assert built == []
 
 
 def test_cli_seed_zero_overrides_config(tmp_path, monkeypatch):

@@ -36,10 +36,14 @@ def test_config_parse_serialize_round_trip(tables):
     st.integers(0, 2**31 - 1),
     st.one_of(st.none(), st.floats(-20.0, 60.0)),
     st.floats(0.01, 0.5),
+    st.sampled_from(["tm", "te-search", "te-plain"]),
+    st.sampled_from(["unit", "log"]) | st.integers(1, 12).map(lambda p: f"power:{p}"),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
-def test_experiment_config_round_trip(preset, aperture, seed, snr_db, step):
+def test_experiment_config_round_trip(preset, aperture, seed, snr_db, step, mode, weight,
+                                      threshold):
     cfg = cli.preset_config(preset, aperture=aperture, seed=seed, snr_db=snr_db)
-    cfg.step = step
+    cfg.step, cfg.mode, cfg.weight, cfg.threshold = step, mode, weight, threshold
     text = cli.serialize_config(cfg.to_tables())
     reparsed = cli.parse_config_text(text)
     assert cli.serialize_config(reparsed) == text
