@@ -61,14 +61,6 @@ def _row_blocks(count, samples):
     return [slice(lo, lo + rows) for lo in range(0, count, rows)]
 
 
-def _j0(z):
-    return kernels.j0v(np.ravel(np.abs(z))).reshape(np.shape(z))
-
-
-def _j1(z):
-    return kernels.j1v(np.ravel(np.abs(z))).reshape(np.shape(z))
-
-
 def _j01(z):
     """(J_0(z), J_1(z)) from one fused kernel call."""
     j0, j1 = kernels.jy01v(np.ravel(np.abs(z)), want_y=False)
@@ -81,8 +73,10 @@ def _j01_squares(z):
     return j0**2 + j1**2
 
 
-def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson quadrature for a scalar (possibly complex) integrand."""
+def adaptive_quad(f, a, b, tol=1e-10):
+    """Adaptive Simpson quadrature for a scalar (possibly complex) integrand,
+    at most 48 bisections deep: the independent oracle for the Gauss-panel
+    band integrals and the ring series."""
 
     def simpson(fa, fm, fb, h):
         return h / 6.0 * (fa + 4.0 * fm + fb)
@@ -111,34 +105,35 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48):
         xm = 0.5 * (x0 + x2)
         f0, f1, f2 = f(x0), f(xm), f(x2)
         whole = simpson(f0, f1, f2, x2 - x0)
-        total += recurse(x0, x2, f0, f1, f2, whole, max_depth)
+        total += recurse(x0, x2, f0, f1, f2, whole, 48)
     return total
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _panel_gauss(f_vec, a, b, panels):
-    """Composite 16-point Gauss-Legendre; f_vec maps a node array to values
-    with the node axis last."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
+def _gauss_nodes(edges):
+    """Nodes of the 16-point Gauss-Legendre rule on each of the equal panels
+    between ``edges``, panel by panel, and the panels' half-width."""
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    weights = np.broadcast_to(half * _GL_WEIGHTS, (panels, 16)).ravel()
-    vals = f_vec(nodes)
-    return np.tensordot(vals, weights, axes=([-1], [0]))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half * _GL_NODES[None, :]).ravel(), half
+
+
+def _band_panels(k_first, k_last, r_max):
+    """Nodes and weights of the composite Gauss-Legendre rule on [k_first,
+    k_last] for integrands oscillating in k no faster than exp(2 i k r_max):
+    at least 8 panels, each at most 3 / r_max wide."""
+    panels = max(8, int(math.ceil((k_last - k_first) * max(1e-9, r_max) / 3.0)) + 2)
+    nodes, half = _gauss_nodes(np.linspace(k_first, k_last, panels + 1))
+    return nodes, np.broadcast_to(half * _GL_WEIGHTS, (panels, 16)).ravel()
 
 
 def band_j1sq_integral(k_first, k_last, r):
     """integral over [k_first, k_last] of J_1(k r)^2 dk, vectorized in r."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    panels = max(8, int(math.ceil((k_last - k_first) * max(1e-9, float(np.max(r))) / 3.0)) + 2)
-
-    def f_vec(ks):
-        return _j1(np.outer(r, ks)) ** 2
-
-    return _panel_gauss(f_vec, k_first, k_last, panels)
+    nodes, weights = _band_panels(k_first, k_last, float(np.max(r)))
+    return np.tensordot(_j01(np.outer(r, nodes))[1] ** 2, weights, axes=([-1], [0]))
 
 
 def _distances(x, points):
@@ -149,7 +144,8 @@ def _distances(x, points):
 
 @dataclass(frozen=True)
 class RingIntegralResult:
-    """Truncated arc integrals of the steering phases over [alpha, beta]."""
+    """Truncated arc integrals of the steering phases over [alpha, beta]:
+    complex scalars, or arrays shaped like the wavenumbers asked for."""
 
     plain: complex
     weighted: complex
@@ -166,7 +162,11 @@ def _lambda_tail_bound(kr, L):
     return float("inf")
 
 
-def ring_integrals(alpha, beta, k, x, xi, truncation=None):
+# i^n, indexed by n mod 4
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def ring_integrals(alpha, beta, k, x, xi):
     """The two arc integrals of the limited-view analysis:
 
     plain    = integral over [alpha, beta] of exp(i k theta . x) dtheta,
@@ -175,6 +175,11 @@ def ring_integrals(alpha, beta, k, x, xi, truncation=None):
     both via the Jacobi-Anger form: (beta-alpha) J_0 plus the Lambda_D
     series, and the J_0/J_1 principal terms plus the Lambda_N series.  At
     full aperture every series term vanishes identically.
+
+    ``k`` may be an array: ``plain`` and ``weighted`` then take its shape,
+    every series runs to the truncation of the largest k r, and one
+    `kernels.jn_table` call serves all of them.  A scalar ``k`` gives
+    complex scalars.
     """
     x = np.asarray(x, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -183,53 +188,44 @@ def ring_integrals(alpha, beta, k, x, xi, truncation=None):
     span = beta - alpha
     if not (0.0 < span <= 2.0 * np.pi + _FULL_VIEW_TOL):
         raise DomainError(f"aperture span must lie in (0, 2*pi], got {span}")
+    k = np.asarray(k, dtype=np.float64)
     r = float(np.hypot(x[0], x[1]))
-    kr = k * r
+    kr = np.ravel(k * r)
     phi = math.atan2(x[1], x[0]) if r > 0.0 else 0.0
     xi_ang = math.atan2(xi[1], xi[0])
-    if truncation is None:
-        truncation = int(math.ceil(kr)) + 30
-    if truncation < 1:
-        raise DomainError(f"truncation must be >= 1, got {truncation}")
-    L = int(truncation)
-    table = kernels.jn_table(max(L, 1), np.array([kr]))[:, 0]
+    L = int(math.ceil(np.max(kr))) + 30
     # principal terms from the dedicated order-0/1 kernel (shared
     # evaluation path with every other module)
-    j0, j1 = (float(v[0]) for v in kernels.jy01v(np.array([kr]), want_y=False))
-    full_view = abs(span - 2.0 * np.pi) <= _FULL_VIEW_TOL
+    j0, j1 = kernels.jy01v(kr, want_y=False)
 
     xhat_dot_xi = (x @ xi) / r if r > 0.0 else 0.0
     plain = span * j0
     weighted = 2.0 * j0 * math.sin(span / 2.0) * math.cos((beta + alpha - 2.0 * xi_ang) / 2.0)
-    weighted += 1j * j1 * (
+    weighted = weighted + 1j * j1 * (
         span * xhat_dot_xi + math.sin(span) * math.cos(beta + alpha - xi_ang - phi)
     )
-    if full_view:
-        # sin(n (beta-alpha)/2) = sin(n pi) = 0: the series vanishes exactly
-        return RingIntegralResult(complex(plain), complex(weighted), L, 0.0)
-
-    for n in range(1, L + 1):
-        i_n = 1j**n
-        plain += (
-            4.0
-            * i_n
-            / n
-            * table[n]
-            * math.cos(n * (beta + alpha - 2.0 * phi) / 2.0)
-            * math.sin(n * span / 2.0)
+    tail = 0.0
+    if abs(span - 2.0 * np.pi) > _FULL_VIEW_TOL:
+        # off full view sin(n (beta-alpha)/2) != 0: rows n = 1..L of the series
+        table = kernels.jn_table(L, kr)
+        n = np.arange(1, L + 1)[:, None]
+        plain = plain + np.sum(
+            4.0 * _I_POWERS[n % 4] / n * table[1:]
+            * np.cos(n * (beta + alpha - 2.0 * phi) / 2.0) * np.sin(n * span / 2.0),
+            axis=0,
         )
-    for n in range(2, L + 1):
-        i_n = 1j**n
-        lam = math.sin((1 - n) * span / 2.0) / (1 - n) * math.cos(
+        n = n[1:]
+        lam = np.sin((1 - n) * span / 2.0) / (1 - n) * np.cos(
             ((1 - n) * (beta + alpha) + 2 * n * phi - 2.0 * xi_ang) / 2.0
         )
-        lam += math.sin((1 + n) * span / 2.0) / (1 + n) * math.cos(
+        lam += np.sin((1 + n) * span / 2.0) / (1 + n) * np.cos(
             ((1 + n) * (beta + alpha) - 2 * n * phi - 2.0 * xi_ang) / 2.0
         )
-        weighted += 2.0 * i_n * table[n] * lam
-    return RingIntegralResult(
-        complex(plain), complex(weighted), L, _lambda_tail_bound(kr, L)
-    )
+        weighted = weighted + np.sum(2.0 * _I_POWERS[n % 4] * table[2:] * lam, axis=0)
+        tail = _lambda_tail_bound(float(np.max(kr)), L)
+    if k.ndim == 0:
+        return RingIntegralResult(complex(plain[0]), complex(weighted[0]), L, tail)
+    return RingIntegralResult(plain.reshape(k.shape), weighted.reshape(k.shape), L, tail)
 
 
 def _require_positive_distance(r, regime):
@@ -252,21 +248,26 @@ def _transverse(diff, r, thetas, regime):
     return proj, trans
 
 
-def kernel_predict_grid(
-    kind,
-    x,
-    points,
-    normals=None,
-    k=None,
-    k_first=None,
-    k_last=None,
-    thetas=None,
-    alpha=None,
-    beta=None,
-    truncation=None,
-    include_remainder=False,
-    on_tol=1e-12,
-):
+def _ring_band(x, points, normals, alpha, beta, k_first, k_last):
+    """Per point, |sum_m integral over [k_first, k_last] of I_m(k)^2 dk| /
+    ((beta - alpha)^2 (k_last - k_first)): I_m is the plain ring integral of
+    x - y_m when ``normals`` is None, else the one weighted by nu_m.  The
+    k integrals run on the Gauss panels of `band_j1sq_integral`."""
+    r, diff = _distances(x, points)
+    nodes, weights = _band_panels(k_first, k_last, float(np.max(r)))
+    out = np.empty(x.shape[0])
+    for p in range(x.shape[0]):
+        acc = 0.0 + 0.0j
+        for m in range(points.shape[0]):
+            xi = np.array([1.0, 0.0]) if normals is None else normals[m]
+            ring = ring_integrals(alpha, beta, nodes, diff[p, m], xi)
+            acc += (ring.plain if normals is None else ring.weighted) ** 2 @ weights
+        out[p] = abs(acc) / ((beta - alpha) ** 2 * (k_last - k_first))
+    return out
+
+
+def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_last=None,
+                        thetas=None, alpha=None, beta=None, include_remainder=False):
     """Vectorized kernel prediction at the points ``x`` (shape (P, 2)).
 
     ``include_remainder`` switches on the integral/series terms the
@@ -276,10 +277,14 @@ def kernel_predict_grid(
         raise ConfigError(f"unknown kernel regime {kind!r}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if normals is not None:
+        normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    if thetas is not None:
+        thetas = np.atleast_2d(thetas)
     r, diff = _distances(x, points)
 
     if kind == "TM_SINGLE":
-        return np.sum(_j0(k * r) ** 2, axis=1)
+        return np.sum(_j01(k * r)[0] ** 2, axis=1)
 
     if kind == "TM_BAND":
         dk = k_last - k_first
@@ -292,11 +297,12 @@ def kernel_predict_grid(
         return np.abs(np.sum(bracket, axis=1))
 
     if kind == "TM_BAND_INF":
-        return (np.min(r, axis=1) <= on_tol).astype(np.float64)
+        # 1 on the crack samples (to 1e-12), 0 elsewhere
+        return (np.min(r, axis=1) <= 1e-12).astype(np.float64)
 
     if kind == "TM_SMALL_NINC_INF":
         _require_positive_distance(r, kind)
-        _, trans = _transverse(diff, r, np.atleast_2d(thetas), kind)
+        _, trans = _transverse(diff, r, thetas, kind)
         return np.abs(np.sum(1.0 / np.sqrt(trans), axis=(1, 2)))
 
     if kind == "TM_WEIGHTED_BAND":
@@ -307,11 +313,10 @@ def kernel_predict_grid(
 
     if kind == "TM_WEIGHTED_INF":
         _require_positive_distance(r, kind)
-        proj, trans = _transverse(diff, r, np.atleast_2d(thetas), kind)
+        proj, trans = _transverse(diff, r, thetas, kind)
         return np.abs(np.sum(proj / trans**1.5, axis=(1, 2)))
 
     if kind in ("TE_FULL_NEAR", "TE_FULL_FAR"):
-        normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         dot = np.einsum("pmd,md->pm", diff, normals)
         if kind == "TE_FULL_NEAR":
             pref = (k_last**3 - k_first**3) / (12.0 * (k_last - k_first))
@@ -321,9 +326,7 @@ def kernel_predict_grid(
         return pref * np.abs(np.sum(dot**2 / (math.sqrt(2.0 * k_last) * r**4), axis=1))
 
     if kind == "TE_SMALL_NINC_INF":
-        normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         _require_positive_distance(r, kind)
-        thetas = np.atleast_2d(thetas)
         proj, trans = _transverse(diff, r, thetas, kind)
         theta_nu = np.einsum("sd,md->ms", thetas, normals)        # (M, S)
         rhat_nu = np.einsum("pmd,md->pm", diff, normals) / r      # (P, M)
@@ -332,61 +335,30 @@ def kernel_predict_grid(
         return np.abs(total) / (k_last - k_first)
 
     if kind == "LV_TM_BAND":
-        span = beta - alpha
         if include_remainder:
-            out = np.empty(x.shape[0])
-            for p in range(x.shape[0]):
-                acc = 0.0 + 0.0j
-                for m in range(points.shape[0]):
-                    d = x[p] - points[m]
+            return _ring_band(x, points, None, alpha, beta, k_first, k_last)
+        return kernel_predict_grid("TM_BAND", x, points, k_first=k_first, k_last=k_last)
 
-                    def f(kk):
-                        return ring_integrals(
-                            alpha, beta, kk, d, np.array([1.0, 0.0]), truncation
-                        ).plain ** 2
-
-                    acc += adaptive_quad(f, k_first, k_last, tol=1e-11)
-                out[p] = abs(acc) / (span**2 * (k_last - k_first))
-            return out
-        return kernel_predict_grid(
-            "TM_BAND", x, points, k_first=k_first, k_last=k_last
-        )
-
-    if kind == "LV_TE_BAND":
-        normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-        span = beta - alpha
-        dk = k_last - k_first
-        if include_remainder:
-            out = np.empty(x.shape[0])
-            for p in range(x.shape[0]):
-                acc = 0.0 + 0.0j
-                for m in range(points.shape[0]):
-                    d = x[p] - points[m]
-                    nu = normals[m]
-
-                    def f(kk):
-                        return ring_integrals(alpha, beta, kk, d, nu, truncation).weighted ** 2
-
-                    acc += adaptive_quad(f, k_first, k_last, tol=1e-11)
-                out[p] = abs(acc) / (span**2 * dk)
-            return out
-        _require_positive_distance(r, kind)
-        nu_ang = np.arctan2(normals[:, 1], normals[:, 0])
-        phi = np.arctan2(diff[..., 1], diff[..., 0])
-        rhat_nu = np.einsum("pmd,md->pm", diff, normals) / r
-        c1 = 2.0 * math.sin(span / 2.0) * np.cos((beta + alpha - 2.0 * nu_ang) / 2.0)
-        c2 = span * rhat_nu + math.sin(span) * np.cos(beta + alpha - nu_ang[None, :] - phi)
-        j0_hi, j1_hi = _j01(k_last * r)
-        j0_lo, j1_lo = _j01(k_first * r)
-        term = (c1**2)[None, :] * (
-            k_last * (j0_hi**2 + j1_hi**2) - k_first * (j0_lo**2 + j1_lo**2)
-        ) / dk
-        j1sq = band_j1sq_integral(k_first, k_last, r.ravel()).reshape(r.shape)
-        term = term + ((c1**2)[None, :] - c2**2) * j1sq / dk
-        term = term + 1j * c1[None, :] * c2 * (j0_lo**2 - j0_hi**2) / (2.0 * dk * r)
-        return np.abs(np.sum(term, axis=1)) / span**2
-
-    raise ConfigError(f"unhandled kernel regime {kind!r}")
+    # LV_TE_BAND
+    if include_remainder:
+        return _ring_band(x, points, normals, alpha, beta, k_first, k_last)
+    span = beta - alpha
+    dk = k_last - k_first
+    _require_positive_distance(r, kind)
+    nu_ang = np.arctan2(normals[:, 1], normals[:, 0])
+    phi = np.arctan2(diff[..., 1], diff[..., 0])
+    rhat_nu = np.einsum("pmd,md->pm", diff, normals) / r
+    c1 = 2.0 * math.sin(span / 2.0) * np.cos((beta + alpha - 2.0 * nu_ang) / 2.0)
+    c2 = span * rhat_nu + math.sin(span) * np.cos(beta + alpha - nu_ang[None, :] - phi)
+    j0_hi, j1_hi = _j01(k_last * r)
+    j0_lo, j1_lo = _j01(k_first * r)
+    term = (c1**2)[None, :] * (
+        k_last * (j0_hi**2 + j1_hi**2) - k_first * (j0_lo**2 + j1_lo**2)
+    ) / dk
+    j1sq = band_j1sq_integral(k_first, k_last, r.ravel()).reshape(r.shape)
+    term = term + ((c1**2)[None, :] - c2**2) * j1sq / dk
+    term = term + 1j * c1[None, :] * c2 * (j0_lo**2 - j0_hi**2) / (2.0 * dk * r)
+    return np.abs(np.sum(term, axis=1)) / span**2
 
 
 def kernel_predict(kind, x, points, **kwargs) -> float:
@@ -405,23 +377,18 @@ def te_full_branch(k_first, r):
     return "gap"
 
 
-def halfline_oscillatory_j0(a, b, t_max=2000.0, window_fraction=0.4):
+def halfline_oscillatory_j0(a, b, t_max=2000.0):
     """integral over [0, inf) of exp(i a t) J_0(b t) dt for |a| < b, by
     truncated panel quadrature with Cesaro-style averaging of the
-    oscillating partial integrals."""
+    oscillating partial integrals over the last 40 % of the panels."""
     if not abs(a) < b:
         raise DomainError("requires |a| < b")
     panel = np.pi / (2.0 * b)
     n_panels = int(t_max / panel)
-    edges = panel * np.arange(n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * panel
-    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    vals = np.exp(1j * a * nodes) * _j0(b * nodes)
-    per_panel = (half * (vals.reshape(n_panels, 16) @ _GL_WEIGHTS))
-    partial = np.cumsum(per_panel)
-    tail = partial[int((1.0 - window_fraction) * n_panels):]
-    return complex(np.mean(tail))
+    nodes, half = _gauss_nodes(panel * np.arange(n_panels + 1))
+    vals = np.exp(1j * a * nodes) * _j01(b * nodes)[0]
+    partial = np.cumsum(half * (vals.reshape(n_panels, 16) @ _GL_WEIGHTS))
+    return complex(np.mean(partial[int((1.0 - 0.4) * n_panels):]))
 
 
 def first_sidelobe_ratio(values):

@@ -203,10 +203,15 @@ class ExperimentConfig:
             )
         for nodes in (self.nodes_check, self.nodes_data):
             NystromConfig(nodes_per_arc=nodes)
-        BoundaryCondition.parse(self.bc)
+        bc = BoundaryCondition.parse(self.bc)
         for build in (self.direction_set, self.frequency_set, self.grid,
                       self.steering_mode, self.weight_scheme):
             build()
+        if (bc is BoundaryCondition.DIRICHLET) != (self.mode == "tm"):
+            raise ConfigError(
+                f"imaging.mode = {self.mode!r} does not match imaging.bc = {self.bc!r}: "
+                "tm needs dirichlet, te-search and te-plain need neumann"
+            )
         msr.check_threshold(self.threshold)
         if self.snr_db is not None:
             msr.NoiseSpec(self.snr_db, self.seed)
@@ -282,6 +287,13 @@ def _typed(value, kind, name):
     raise ConfigError(f"config key {name} must be {kind.__name__}, got {value!r}")
 
 
+def _aperture_angles(name):
+    """(alpha, beta) of a named aperture."""
+    if name not in APERTURES:
+        raise LookupNameError(f"unknown aperture {name!r}; valid: {sorted(APERTURES)}")
+    return APERTURES[name]
+
+
 def preset_config(spec, aperture="full", seed=ExperimentConfig.seed,
                   snr_db=ExperimentConfig.snr_db):
     """Named catalog preset, e.g. 'G1,TM' or 'Gamma3,TE'."""
@@ -292,13 +304,11 @@ def preset_config(spec, aperture="full", seed=ExperimentConfig.seed,
     polarization = parts[1].upper()
     if polarization not in ("TM", "TE"):
         raise LookupNameError(f"preset polarization must be TM or TE, got {parts[1]!r}")
-    if aperture not in APERTURES:
-        raise LookupNameError(f"unknown aperture {aperture!r}; valid: {sorted(APERTURES)}")
+    alpha, beta = _aperture_angles(aperture)
     row = dict(PRESETS[crack_key])
     row["count"] = row["count"][polarization == "TE"]
     if polarization == "TE":
         row.update(bc="neumann", mode="te-search")
-    alpha, beta = APERTURES[aperture]
     return ExperimentConfig(
         crack_table={"kind": "catalog", "name": crack_key},
         alpha=alpha, beta=beta, seed=seed, snr_db=snr_db, **row,
@@ -565,7 +575,8 @@ def _add_common(parser):
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", type=str, help="config file path")
     source.add_argument("--preset", type=str, help="catalog preset, e.g. G1,TM")
-    parser.add_argument("--aperture", type=str, default="full", help=f"one of {sorted(APERTURES)}")
+    parser.add_argument("--aperture", type=str, default=None,
+                        help=f"one of {sorted(APERTURES)} (presets: full)")
     parser.add_argument("--seed", type=int, default=None, help="noise seed (presets: 0)")
     parser.add_argument("--snr", type=float, default=None, help="noise SNR in dB")
     parser.add_argument("--out", type=str, required=True)
@@ -579,15 +590,16 @@ def _config_from_args(args):
             parse_config_text(Path(args.config).read_text(), args.config)
         )
     else:
-        cfg = preset_config(args.preset, args.aperture)
+        cfg = preset_config(args.preset)
+    if args.aperture is not None:
+        cfg.alpha, cfg.beta = _aperture_angles(args.aperture)
     if args.snr is not None:
         cfg.snr_db = args.snr
     if args.seed is not None:
         cfg.seed = args.seed
     if args.mode:
         cfg.mode = args.mode
-        if args.mode in ("te-search", "te-plain"):
-            cfg.bc = "neumann"
+        cfg.bc = "dirichlet" if args.mode == "tm" else "neumann"
     if args.weight:
         cfg.weight = args.weight
     return cfg.validate()

@@ -15,14 +15,13 @@ import numpy as np
 from .errors import ConfigError, IterationError
 from .forward import NystromConfig, PlaneWave, dirichlet_far_fields
 from .geometry import chebyshev_graph_arc, chebyshev_value, validate_crack
-from .msr import NoiseSpec, noisy_values
+from .msr import DirectionSet, NoiseSpec, noisy_values
 
 __all__ = [
     "ChebyshevCrack",
     "FarFieldData",
     "NewtonState",
     "RefineConfig",
-    "observation_directions",
     "synthesize_data",
     "residual",
     "newton_refine",
@@ -96,12 +95,6 @@ class RefineConfig:
     def __post_init__(self):
         if min(self.stop_tol, self.fd_step, self.damping) <= 0 or self.max_iters <= 0:
             raise ConfigError("refine parameters must be positive")
-
-
-def observation_directions(alpha, beta, count):
-    """x_hat_j on the aperture arc, endpoints included."""
-    ang = alpha + (beta - alpha) * np.arange(count) / (count - 1)
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def synthesize_data(
@@ -266,7 +259,7 @@ def reference_scenario(noise=None, data_nodes=128):
     observation directions on [pi/6, 5 pi/6], broadside incidence from
     above, truth = the reference coefficient crack."""
     k = 2.0 * np.pi / 0.5
-    obs = observation_directions(np.pi / 6.0, 5.0 * np.pi / 6.0, 8)
+    obs = DirectionSet(np.pi / 6.0, 5.0 * np.pi / 6.0, 8).directions()
     theta = np.array([0.0, -1.0])
     truth = ChebyshevCrack(np.array(REFERENCE_TRUE))
     data = synthesize_data(

@@ -127,7 +127,7 @@ def test_criterion_02_ring_integral_oracle():
     # full aperture: series terms vanish identically
     full = analysis.ring_integrals(0.0, 2.0 * np.pi, 17.3, np.array([0.4, -0.7]), np.array([1.0, 0.0]))
     r = np.hypot(0.4, -0.7)
-    exact = full.tail_bound == 0.0 and full.plain == 2.0 * np.pi * analysis._j0(np.array([17.3 * r]))[0]
+    exact = full.tail_bound == 0.0 and full.plain == 2.0 * np.pi * analysis._j01(np.array([17.3 * r]))[0][0]
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and exact and elapsed < 10.0
     assert report(2, ok, f"ring integrals: defect {worst:.2e}, full-aperture exact={exact}, {elapsed:.1f}s")

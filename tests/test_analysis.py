@@ -102,6 +102,24 @@ def test_ring_integrals_match_quadrature_oracle():
         assert abs(res.weighted - weighted_ref) < 1e-8
 
 
+def test_ring_integrals_over_a_k_array_match_scalar_calls():
+    # one array call sums every series to the truncation of the largest k r
+    ks = np.linspace(10.5, 31.4, 128)
+    xi = np.array([np.sin(0.3), np.cos(0.3)])
+    for alpha, beta, x in [
+        (np.pi / 6.0, 5.0 * np.pi / 6.0, np.array([0.3, -0.6])),
+        (0.0, 2.0 * np.pi, np.array([0.3, -0.6])),
+        (0.4, 1.9, np.zeros(2)),
+    ]:
+        res = analysis.ring_integrals(alpha, beta, ks, x, xi)
+        assert res.plain.shape == res.weighted.shape == ks.shape
+        for k, plain, weighted in zip(ks, res.plain, res.weighted):
+            one = analysis.ring_integrals(alpha, beta, k, x, xi)
+            assert isinstance(one.plain, complex) and isinstance(one.weighted, complex)
+            assert abs(plain - one.plain) <= 1e-14 * max(1.0, abs(one.plain))
+            assert abs(weighted - one.weighted) <= 1e-14 * max(1.0, abs(one.weighted))
+
+
 def test_ring_integral_at_origin():
     res = analysis.ring_integrals(0.4, 1.9, 7.0, np.zeros(2), np.array([1.0, 0.0]))
     assert res.plain == pytest.approx(1.5, abs=1e-14)

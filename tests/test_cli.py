@@ -1,6 +1,8 @@
 """CLI tests: presets, config round trips, experiment artifacts, rendering,
 manifest verification and exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,7 @@ def test_config_parser_errors():
         ("imaging", "treshold", 0.02, "unknown config key imaging.treshold"),
         ("aperture", "alpha", None, "missing config key aperture.alpha"),
         ("imaging", "weight", "power:x", "unknown weight scheme"),
+        ("imaging", "mode", "te-plain", r"imaging\.mode = 'te-plain' .* imaging\.bc = 'dirichlet'"),
     ]:
         tables = cli.parse_config_text(_g1_config_text(section, key, value))
         with pytest.raises(ConfigError, match=message):
@@ -350,6 +353,38 @@ def test_cli_seed_zero_overrides_config(tmp_path, monkeypatch):
     assert cli.main(["image", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert cli.main(["image", "--preset", "G1,TM", "--out", str(tmp_path)]) == 0
     assert seeds == [0, 5, 0]     # --seed 0 wins; the file's seed; the preset default
+
+
+def test_cli_aperture_and_mode_apply_to_either_source(tmp_path, monkeypatch, capsys):
+    runs = []
+
+    def record(cfg, out_dir, stop_after=None):
+        runs.append((cfg.alpha, cfg.beta, cfg.bc, cfg.mode))
+        return cli.RunManifest(config_tables={})
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    path = tmp_path / "exp.cfg"
+    path.write_text(_g1_config_text())
+    config, out = ["--config", str(path)], ["--out", str(tmp_path)]
+    assert cli.main(["image", *config, "--aperture", "limited", *out]) == 0
+    assert cli.main(["image", "--preset", "G1,TM", "--aperture", "limited", *out]) == 0
+    assert cli.main(["image", *config, "--mode", "te-plain", *out]) == 0
+    assert cli.main(["image", "--preset", "G1,TE", "--mode", "tm", *out]) == 0
+    limited, full = (math.pi / 6.0, 5.0 * math.pi / 6.0), (0.0, 2.0 * math.pi)
+    assert runs == [
+        (*limited, "dirichlet", "tm"),
+        (*limited, "dirichlet", "tm"),
+        (*full, "neumann", "te-plain"),    # --mode sets bc both ways
+        (*full, "dirichlet", "tm"),
+    ]
+    # an unknown aperture name, or a file whose mode and bc disagree, exits 2
+    capsys.readouterr()
+    assert cli.main(["image", *config, "--aperture", "sideways", *out]) == 2
+    path.write_text(_g1_config_text("imaging", "mode", "te-search"))
+    assert cli.main(["image", *config, *out]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and "unknown aperture" in lines[0] and "imaging.bc" in lines[1]
+    assert len(runs) == 4
 
 
 def test_cli_verify_fast():

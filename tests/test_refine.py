@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcmig import forward, refine
+from arcmig import forward, msr, refine
 from arcmig.errors import DomainError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig, PlaneWave, solve_density
@@ -29,7 +29,7 @@ def test_truth_residual_vanishes_with_matched_nodes(scenario):
         truth.crack(),
         2.0 * np.pi / 0.5,
         np.array([0.0, -1.0]),
-        refine.observation_directions(np.pi / 6.0, 5.0 * np.pi / 6.0, 8),
+        msr.DirectionSet(np.pi / 6.0, 5.0 * np.pi / 6.0, 8).directions(),
         NystromConfig(nodes_per_arc=64),
     )
     assert refine.residual(truth, data_matched) <= 1e-10
@@ -168,7 +168,7 @@ def test_start_at_truth_stops_immediately(scenario):
         truth.crack(),
         2.0 * np.pi / 0.5,
         np.array([0.0, -1.0]),
-        refine.observation_directions(np.pi / 6.0, 5.0 * np.pi / 6.0, 8),
+        msr.DirectionSet(np.pi / 6.0, 5.0 * np.pi / 6.0, 8).directions(),
         NystromConfig(nodes_per_arc=64),
     )
     traj = refine.newton_refine(truth, data_matched)
@@ -213,7 +213,6 @@ def test_initial_guess_from_map():
     # scripted convenience: fit the ridge of an imaging map; useful when
     # the map itself is clean (alias-free direction count)
     import arcmig.imaging as imaging
-    import arcmig.msr as msr
     from arcmig.forward import BoundaryCondition as BC
 
     crack = catalog("G2")
