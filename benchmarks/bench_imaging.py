@@ -105,18 +105,18 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     return out
 
 
-def image_call(cfg, dirs, subspaces, grid):
+def image_call(cfg, subspaces, grid):
     """Wall seconds, minor faults and system seconds of one image_subspace call."""
     before = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
-    imaging.image_subspace(subspaces, grid, cfg.steering_mode(), cfg.weight_scheme(), dirs)
+    imaging.image_subspace(subspaces, grid, cfg.steering_mode(), cfg.weight_scheme())
     wall = time.perf_counter() - t0
     after = resource.getrusage(resource.RUSAGE_SELF)
     return {"wall_s": round(wall, 3), "ru_minflt": after.ru_minflt - before.ru_minflt,
             "ru_stime": round(after.ru_stime - before.ru_stime, 3)}
 
 
-def walker_calls(cfg, dirs, subspaces, calls):
+def walker_calls(cfg, subspaces, calls):
     """Median wall and CPU seconds of image_subspace with one block walker
     and with the engine's own walker count."""
     grid = cfg.grid()
@@ -129,8 +129,7 @@ def walker_calls(cfg, dirs, subspaces, calls):
             wall, cpu = [], []
             for _ in range(calls):
                 t0, c0 = time.perf_counter(), time.process_time()
-                imaging.image_subspace(subspaces, grid, cfg.steering_mode(), cfg.weight_scheme(),
-                                       dirs)
+                imaging.image_subspace(subspaces, grid, cfg.steering_mode(), cfg.weight_scheme())
                 wall.append(time.perf_counter() - t0)
                 cpu.append(time.process_time() - c0)
             out[label] = {"wall_s": round(statistics.median(wall), 3),
@@ -151,12 +150,12 @@ def main():
     imaging._BLOCK = args.block
 
     inputs = {preset: preset_inputs(preset) for preset in PRESETS}
-    cfg, dirs, subspaces = inputs["G2,TE"]
+    cfg, _, subspaces = inputs["G2,TE"]
     grid = cfg.grid()
-    calls = {"first": image_call(cfg, dirs, subspaces, grid)}
+    calls = {"first": image_call(cfg, subspaces, grid)}
     coarse = replace(grid, h=2.0 * grid.h)
-    image_call(cfg, dirs, subspaces, coarse)
-    calls["after_coarse"] = image_call(cfg, dirs, subspaces, grid)
+    image_call(cfg, subspaces, coarse)
+    calls["after_coarse"] = image_call(cfg, subspaces, grid)
 
     print(f"imaging engine, block {args.block} points; ms per block and frequency, median")
     layers = {}
@@ -167,7 +166,8 @@ def main():
         print(f"image_subspace G2,TE ({label}): " + ", ".join(f"{k} {v}" for k, v in call.items()))
     walkers = {}
     for preset in ("G2,TE", "G3,TE"):
-        walkers[preset] = walker_calls(*inputs[preset], args.calls)
+        pcfg, _, psubs = inputs[preset]
+        walkers[preset] = walker_calls(pcfg, psubs, args.calls)
         print(f"image_subspace {preset}, median of {args.calls}: "
               + ", ".join(f"{k} {v}" for k, v in walkers[preset].items()))
     record("imaging", {"block": args.block, "layers": layers, "image_subspace_G2_TE": calls,

@@ -25,6 +25,7 @@ __all__ = [
     "kernel_predict",
     "kernel_predict_grid",
     "validate_map",
+    "crack_samples_on_grid",
     "adaptive_quad",
     "band_j1sq_integral",
     "halfline_oscillatory_j0",
@@ -420,15 +421,32 @@ def _nearest_distances(grid_points, pts):
     return dist
 
 
-def _on_off_means(image: ImageMap, grid_points, pts, off_distance):
-    """Mean of the map at the grid points nearest the crack samples
-    ``pts``, its mean over the grid points at least ``off_distance`` from
-    every sample, and their ratio."""
-    grid = image.grid
-    dist = _nearest_distances(grid_points, pts)
+# grid points at least this far from every crack sample are off the crack
+_OFF_DISTANCE = 0.5
+# crack samples of localization_metrics
+_METRIC_SAMPLES = 64
+
+
+def crack_samples_on_grid(crack: Crack, grid, m_samples=_METRIC_SAMPLES):
+    """Points and unit normals of ``m_samples`` crack samples
+    (`geometry.sample_points`) and the indices of the grid points nearest
+    them; a sample outside the grid raises ConfigError.  The default count
+    is that of `localization_metrics`, so a run checks its grid with this
+    call before its forward stage."""
+    samples = sample_points(crack, m_samples)
+    pts = np.array([s.point for s in samples])
+    normals = np.array([s.normal for s in samples])
     on_idx = np.unique([grid.index_nearest(p) for p in pts])
+    return pts, normals, on_idx
+
+
+def _on_off_means(image: ImageMap, grid_points, pts, on_idx):
+    """Mean of the map at the grid points ``on_idx`` nearest the crack
+    samples ``pts``, its mean over the grid points at least
+    `_OFF_DISTANCE` from every sample, and their ratio."""
+    dist = _nearest_distances(grid_points, pts)
     on_mean = float(np.mean(image.values[on_idx]))
-    off_mask = dist >= off_distance
+    off_mask = dist >= _OFF_DISTANCE
     if not off_mask.any():
         raise ConfigError("no grid point is far enough from the crack")
     off_mean = float(np.mean(image.values[off_mask]))
@@ -439,25 +457,16 @@ def _on_off_means(image: ImageMap, grid_points, pts, off_distance):
     }
 
 
-def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, m_samples=32):
+def validate_map(image: ImageMap, crack: Crack, kind, params, m_samples=32):
     """Compare a computed map against a kernel prediction and report
     localization metrics.
 
     Returns a dict with sup_deviation, on_crack_mean, off_crack_mean and
     contrast.  The prediction's ``m_samples`` sample points y_m come from
-    `geometry.sample_points`; ``params`` feeds `kernel_predict_grid`.
+    `crack_samples_on_grid`; ``params`` feeds `kernel_predict_grid`.
     """
     grid = image.grid
-    samples = sample_points(crack, m_samples)
-    pts = np.array([s.point for s in samples])
-    normals = np.array([s.normal for s in samples])
-    if (
-        np.any(pts[:, 0] < grid.x_lo)
-        or np.any(pts[:, 0] > grid.x_hi)
-        or np.any(pts[:, 1] < grid.y_lo)
-        or np.any(pts[:, 1] > grid.y_hi)
-    ):
-        raise ConfigError("crack lies outside the search grid")
+    pts, normals, on_idx = crack_samples_on_grid(crack, grid, m_samples)
     grid_points = grid.points()
     needs_normals = kind.startswith("TE") or kind == "LV_TE_BAND"
     kwargs = dict(params)
@@ -467,14 +476,13 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, off_distance=0.5, 
     for rows in _row_blocks(grid_points.shape[0], pts.shape[0]):
         prediction[rows] = kernel_predict_grid(kind, grid_points[rows], pts, **kwargs)
     sup_dev = float(np.max(np.abs(image.values - prediction)))
-    return {"sup_deviation": sup_dev, **_on_off_means(image, grid_points, pts, off_distance)}
+    return {"sup_deviation": sup_dev, **_on_off_means(image, grid_points, pts, on_idx)}
 
 
-def localization_metrics(image: ImageMap, crack: Crack, off_distance=0.5, m_samples=64):
+def localization_metrics(image: ImageMap, crack: Crack):
     """Contrast-style metrics without a kernel prediction."""
-    samples = sample_points(crack, m_samples)
-    pts = np.array([s.point for s in samples])
-    means = _on_off_means(image, image.grid.points(), pts, off_distance)
+    pts, _, on_idx = crack_samples_on_grid(crack, image.grid)
+    means = _on_off_means(image, image.grid.points(), pts, on_idx)
     argmax = image.argmax_point()
     return {
         "argmax_x": float(argmax[0]),

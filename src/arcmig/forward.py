@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
+_RESIDUAL_POINTS = 64             # collocation points per arc of boundary_residual
 
 
 class BoundaryCondition(Enum):
@@ -63,9 +64,9 @@ class BoundaryCondition(Enum):
         if isinstance(value, cls):
             return value
         key = str(value).strip().lower()
-        if key in ("dirichlet", "tm"):
+        if key == "dirichlet":
             return cls.DIRICHLET
-        if key in ("neumann", "te"):
+        if key == "neumann":
             return cls.NEUMANN
         raise ConfigError(f"unknown boundary condition {value!r}")
 
@@ -551,19 +552,20 @@ def scattered_field(density: DensitySolution, x) -> complex:
     return complex(np.sum(kernel * density.quad_weights * density.values))
 
 
-def boundary_residual(density: DensitySolution, n_check: int = 64) -> float:
+def boundary_residual(density: DensitySolution) -> float:
     """Max Dirichlet boundary-condition defect |u_inc + SLP[phi]| at
-    off-node collocation points (independent of the solve's own nodes)."""
+    `_RESIDUAL_POINTS` off-node collocation points per arc (independent of
+    the solve's own nodes)."""
     if density.bc is not BoundaryCondition.DIRICHLET:
         raise DomainError("boundary residual check is defined for the Dirichlet case")
     k = density.k
     disc = density._disc
-    tau_star = (np.arange(n_check) + 0.37) * np.pi / n_check
+    tau_star = (np.arange(_RESIDUAL_POINTS) + 0.37) * np.pi / _RESIDUAL_POINTS
     t_star = np.cos(tau_star)
     worst = 0.0
     for arc, arc_slice in zip(disc.cracks[0].components, disc.component_slices):
         pts = np.atleast_2d(arc.points(t_star))
-        total = np.zeros(n_check, dtype=np.complex128)
+        total = np.zeros(_RESIDUAL_POINTS, dtype=np.complex128)
         for other_slice in disc.component_slices:
             q = _slp_quad_matrix(
                 k, tau_star, pts, disc.grid, density.points[other_slice],

@@ -6,7 +6,7 @@ arcs with a different native range are mapped onto it affinely so all
 quadrature downstream shares a single convention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +69,6 @@ class Crack:
 
     components: Sequence[ParametricArc]
     label: str = ""
-    origin: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if len(self.components) < 1:
@@ -182,12 +181,10 @@ def _gamma4_2():
 
 
 _CATALOG = {
-    "G1": lambda: Crack([_gamma1()], "Gamma1", {"kind": "catalog", "name": "G1"}),
-    "G2": lambda: Crack([_gamma2()], "Gamma2", {"kind": "catalog", "name": "G2"}),
-    "G3": lambda: Crack([_gamma3()], "Gamma3", {"kind": "catalog", "name": "G3"}),
-    "G4": lambda: Crack(
-        [_gamma4_1(), _gamma4_2()], "Gamma4", {"kind": "catalog", "name": "G4"}
-    ),
+    "G1": lambda: Crack([_gamma1()], "Gamma1"),
+    "G2": lambda: Crack([_gamma2()], "Gamma2"),
+    "G3": lambda: Crack([_gamma3()], "Gamma3"),
+    "G4": lambda: Crack([_gamma4_1(), _gamma4_2()], "Gamma4"),
 }
 
 def catalog_names():
@@ -226,11 +223,7 @@ def line_segment(p0, p1, name="segment") -> Crack:
         s = np.asarray(t, dtype=np.float64)
         return np.broadcast_to(half, np.shape(s) + (2,)).copy()
 
-    return Crack(
-        [ParametricArc(name, pos, der)],
-        name,
-        {"kind": "segment", "p0": p0.tolist(), "p1": p1.tolist()},
-    )
+    return Crack([ParametricArc(name, pos, der)], name)
 
 
 def chebyshev_graph_arc(coefficients, name="chebyshev") -> Crack:
@@ -247,11 +240,7 @@ def chebyshev_graph_arc(coefficients, name="chebyshev") -> Crack:
         s = np.asarray(t, dtype=np.float64)
         return np.stack([np.ones_like(s), chebyshev_derivative(coeffs, s)], axis=-1)
 
-    return Crack(
-        [ParametricArc(name, pos, der)],
-        name,
-        {"kind": "chebyshev-graph", "coefficients": coeffs.tolist()},
-    )
+    return Crack([ParametricArc(name, pos, der)], name)
 
 
 def chebyshev_value(coeffs, s):

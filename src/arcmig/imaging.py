@@ -22,7 +22,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,34 +144,19 @@ class SteeringMode:
         if self.kind == "te-search" and self.candidates < 2:
             raise ConfigError("te-search needs at least 2 candidate normals")
 
-    @classmethod
-    def tm(cls):
-        return cls("tm")
-
-    @classmethod
-    def te_search(cls, candidates):
-        return cls("te-search", candidates)
-
-    @classmethod
-    def te_plain(cls):
-        return cls("te-plain")
-
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Frequency weight w(k): 1, k^p, ln k, or a custom zeta(k)."""
+    """Frequency weight w(k): 1, k^p or ln k."""
 
-    kind: str                      # "unit" | "power" | "log" | "custom"
+    kind: str                      # "unit" | "power" | "log"
     power: int = 1
-    zeta: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.kind not in ("unit", "power", "log", "custom"):
+        if self.kind not in ("unit", "power", "log"):
             raise ConfigError(f"unknown weight scheme {self.kind!r}")
         if self.kind == "power" and (self.power < 1 or int(self.power) != self.power):
             raise ConfigError("power weight needs a positive integer exponent")
-        if self.kind == "custom" and self.zeta is None:
-            raise ConfigError("custom weight needs a zeta callable")
 
     def values(self, ks):
         ks = np.asarray(ks, dtype=np.float64)
@@ -179,12 +164,7 @@ class WeightScheme:
             return np.ones_like(ks)
         if self.kind == "power":
             return ks**self.power
-        if self.kind == "log":
-            return np.log(ks)
-        vals = np.array([float(self.zeta(k)) for k in ks])
-        if np.any(vals <= 0.0):
-            raise ConfigError("custom weight must be positive on the frequency range")
-        return vals
+        return np.log(ks)
 
     def describe(self):
         if self.kind == "power":
@@ -198,22 +178,6 @@ class WeightScheme:
         if text in ("unit", "log") or (kind == "power" and power.isdecimal()):
             return cls(kind, power=int(power or 1))
         raise ConfigError(f"unknown weight scheme {text!r}; expected unit, log or power:p")
-
-    @classmethod
-    def unit(cls):
-        return cls("unit")
-
-    @classmethod
-    def power_p(cls, p):
-        return cls("power", power=p)
-
-    @classmethod
-    def log(cls):
-        return cls("log")
-
-    @classmethod
-    def custom(cls, zeta):
-        return cls("custom", zeta=zeta)
 
 
 @dataclass(frozen=True)
@@ -290,10 +254,10 @@ def _steering_basis(dirs, pair=True):
     return kept, expand
 
 
-def _phase_tables(grid, k, dirs, kept=None):
+def _phase_tables(grid, k, dirs, kept):
     """Factored conjugate steering phases at wavenumber k over the first
-    kept directions (all by default): exp(-i k theta_x x) / sqrt(N) per grid
-    column x (nx x N') and exp(-i k theta_y y) per grid row y (ny x N'). The
+    kept directions: exp(-i k theta_x x) / sqrt(N) per grid column x
+    (nx x N') and exp(-i k theta_y y) per grid row y (ny x N'). The
     conjugate steering vector of grid point (ix, iy) over those directions
     is the product of row ix of the first table and row iy of the second."""
     d = dirs.directions()[:kept]
@@ -481,17 +445,18 @@ def _te_search(subspaces, weights, candidates, dirs):
     return product, reduce
 
 
-def _wavenumbers(items, dirs, what):
-    """The wavenumbers of per-frequency inputs, checked against dirs."""
+def _wavenumbers(items, what):
+    """The wavenumbers of per-frequency inputs and the one direction set
+    they were all built over."""
     if not items:
         raise ConfigError(f"need at least one {what}")
-    key = dirs.key()
-    if any(item.dirs.key() != key for item in items):
-        raise ConfigError(f"a {what} was built over a different direction set")
+    dirs = items[0].dirs
+    if any(item.dirs.key() != dirs.key() for item in items):
+        raise ConfigError(f"the {what}s were built over more than one direction set")
     ks = [item.k for item in items]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ConfigError("frequencies must be strictly increasing")
-    return ks
+    return ks, dirs
 
 
 def _provenance(functional, weight, ks, dirs):
@@ -510,13 +475,13 @@ def image_subspace(
     grid: SearchGrid,
     mode: SteeringMode,
     weight: WeightScheme,
-    dirs: DirectionSet,
 ) -> ImageMap:
     """Multi-frequency subspace-migration map over the grid:
     value(x) = (1/F) |sum_f sum_{m<=M_f} w(k_f) (S*(x)U_m)(S*(x)Vbar_m)|,
     with the TE search maximizing each (f, m) term's modulus over the
-    candidate normals before summation."""
-    ks = _wavenumbers(subspaces, dirs, "frequency subspace")
+    candidate normals before summation. The steering vectors run over the
+    direction set the subspaces were built over."""
+    ks, dirs = _wavenumbers(subspaces, "frequency subspace")
     weights = weight.values(ks)
     prov = _provenance(f"subspace-{mode.kind}", weight.describe(), ks, dirs)
     # the TE search runs its complex GEMM on the unpaired steering block
@@ -537,10 +502,10 @@ def image_subspace(
 def image_kirchhoff(
     matrices: Sequence[MsrMatrix],
     grid: SearchGrid,
-    dirs: DirectionSet,
 ) -> ImageMap:
-    """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|."""
-    ks = _wavenumbers(matrices, dirs, "MSR matrix")
+    """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|,
+    over the direction set the matrices were built over."""
+    ks, dirs = _wavenumbers(matrices, "MSR matrix")
     kept, expand = _steering_basis(dirs)
     engine = _quadratic_form([m.entries for m in matrices], expand)
     acc = _blocked_sum(grid, ks, dirs, kept, *engine)

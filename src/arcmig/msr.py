@@ -112,7 +112,6 @@ class SignalSubspace:
     right_vectors: np.ndarray
     cut_index: int
     dirs: DirectionSet
-    tau: float = 0.01
 
     def retained_left(self):
         return self.left_vectors[:, : self.cut_index]
@@ -191,7 +190,6 @@ def svd_threshold(m: MsrMatrix, tau: float = 0.01) -> SignalSubspace:
         right_vectors=vh.conj().T,
         cut_index=cut,
         dirs=m.dirs,
-        tau=tau,
     )
 
 

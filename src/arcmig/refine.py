@@ -219,11 +219,11 @@ def save_trajectory(trajectory: Sequence[NewtonState], path):
         fh.write("\n".join(lines) + "\n")
 
 
-def initial_guess_from_map(image, degree=5, ridge_fraction=0.5):
+def initial_guess_from_map(image, degree=5):
     """Fit Chebyshev coefficients to the ridge of an imaging map.
 
     A scripted convenience, not a guaranteed procedure: per grid column,
-    the best map value above ``ridge_fraction`` of the global peak marks a
+    the best map value above half the global peak marks a
     ridge point (x, y); the degree-``degree`` graph is then the
     value-weighted least-squares fit through those points.  Columns whose
     maxima stay below the threshold contribute nothing, so a partially
@@ -238,7 +238,7 @@ def initial_guess_from_map(image, degree=5, ridge_fraction=0.5):
     ys = grid.ys()
     best_iy = np.argmax(rows, axis=0)
     best_val = rows[best_iy, np.arange(grid.nx)]
-    keep = best_val >= ridge_fraction * peak
+    keep = best_val >= 0.5 * peak
     if np.count_nonzero(keep) <= degree:
         raise ConfigError("not enough ridge points above the threshold to fit")
     s_pts = xs[keep]
@@ -254,15 +254,15 @@ def initial_guess_from_map(image, degree=5, ridge_fraction=0.5):
     return ChebyshevCrack(coeffs)
 
 
-def reference_scenario(noise=None, data_nodes=128):
+def reference_scenario(noise=None):
     """The bundled reference refinement experiment: k = 2 pi / 0.5, eight
     observation directions on [pi/6, 5 pi/6], broadside incidence from
-    above, truth = the reference coefficient crack."""
+    above, truth = the reference coefficient crack, data on 128 nodes."""
     k = 2.0 * np.pi / 0.5
     obs = DirectionSet(np.pi / 6.0, 5.0 * np.pi / 6.0, 8).directions()
     theta = np.array([0.0, -1.0])
     truth = ChebyshevCrack(np.array(REFERENCE_TRUE))
     data = synthesize_data(
-        truth.crack(), k, theta, obs, NystromConfig(nodes_per_arc=data_nodes), noise=noise
+        truth.crack(), k, theta, obs, NystromConfig(nodes_per_arc=128), noise=noise
     )
     return ChebyshevCrack(np.array(REFERENCE_INITIAL)), truth, data

@@ -93,7 +93,7 @@ def test_config_parser_errors():
         ("imaging", "treshold", 0.02, "unknown config key imaging.treshold"),
         ("aperture", "alpha", None, "missing config key aperture.alpha"),
         ("imaging", "weight", "power:x", "unknown weight scheme"),
-        ("imaging", "mode", "te-plain", r"imaging\.mode = 'te-plain' .* imaging\.bc = 'dirichlet'"),
+        ("imaging", "bc", "dirichlet", "unknown config key imaging.bc"),
     ]:
         tables = cli.parse_config_text(_g1_config_text(section, key, value))
         with pytest.raises(ConfigError, match=message):
@@ -338,6 +338,22 @@ def test_bad_config_fails_before_the_first_solve(section, key, value, tmp_path, 
     assert built == []
 
 
+def test_grid_that_misses_the_crack_fails_before_the_first_solve(tmp_path, capsys):
+    # G1 spans x in [-0.5, 0.5]: a grid from x = 0 misses half of it, which
+    # the metrics stage refuses, so image refuses it before any solve
+    path = tmp_path / "exp.cfg"
+    path.write_text(_g1_config_text("grid", "x_lo", 0.0))
+    capsys.readouterr()
+    assert cli.main(["image", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "outside the grid" in lines[0]
+    assert not list(tmp_path.glob("**/msr_*.msr"))
+    # forward computes no metrics, so it takes such a grid
+    assert cli.main(["forward", "--config", str(path), "--out", str(tmp_path / "fwd")]) == 0
+    assert list((tmp_path / "fwd").glob("msr_*.msr"))
+
+
 def test_cli_seed_zero_overrides_config(tmp_path, monkeypatch):
     seeds = []
 
@@ -374,17 +390,39 @@ def test_cli_aperture_and_mode_apply_to_either_source(tmp_path, monkeypatch, cap
     assert runs == [
         (*limited, "dirichlet", "tm"),
         (*limited, "dirichlet", "tm"),
-        (*full, "neumann", "te-plain"),    # --mode sets bc both ways
+        (*full, "neumann", "te-plain"),    # bc follows --mode both ways
         (*full, "dirichlet", "tm"),
     ]
-    # an unknown aperture name, or a file whose mode and bc disagree, exits 2
+    # an unknown aperture name, or a file that names imaging.bc, exits 2
     capsys.readouterr()
     assert cli.main(["image", *config, "--aperture", "sideways", *out]) == 2
-    path.write_text(_g1_config_text("imaging", "mode", "te-search"))
+    path.write_text(_g1_config_text("imaging", "bc", "dirichlet"))
     assert cli.main(["image", *config, *out]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and "unknown aperture" in lines[0] and "imaging.bc" in lines[1]
     assert len(runs) == 4
+
+
+def test_bc_follows_the_imaging_mode(tmp_path, monkeypatch):
+    runs = []
+
+    def record(cfg, out_dir, stop_after=None):
+        runs.append((cfg.mode, cfg.bc))
+        return cli.RunManifest(config_tables={})
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    expected = [("tm", "dirichlet"), ("te-search", "neumann"), ("te-plain", "neumann")]
+    cfg = cli.preset_config("G1,TM")
+    for mode, bc in expected:
+        cfg.mode = mode
+        assert cfg.validate().bc == bc
+        assert "bc" not in cfg.to_tables()["imaging"]
+        for preset in ("G1,TM", "G1,TE"):
+            argv = ["image", "--preset", preset, "--mode", mode, "--out", str(tmp_path)]
+            assert cli.main(argv) == 0
+    assert runs == [pair for pair in expected for _ in range(2)]
+    with pytest.raises(AttributeError):
+        cfg.bc = "dirichlet"
 
 
 def test_cli_verify_fast():

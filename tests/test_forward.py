@@ -25,7 +25,7 @@ def test_gamma1_boundary_residual():
     crack = geometry.catalog("G1")
     wave = PlaneWave(np.array([1.0, 0.0]), K_HALF)
     sol = forward.solve_density(crack, wave, BC.DIRICHLET, CFG64)
-    assert forward.boundary_residual(sol, 64) < 1e-6
+    assert forward.boundary_residual(sol) < 1e-6
 
 
 def test_all_catalog_residuals_at_128_nodes():
@@ -33,7 +33,7 @@ def test_all_catalog_residuals_at_128_nodes():
     wave = PlaneWave(np.array([np.cos(0.3), np.sin(0.3)]), K_HALF)
     for name in geometry.catalog_names():
         sol = forward.solve_density(geometry.catalog(name), wave, BC.DIRICHLET, cfg)
-        assert forward.boundary_residual(sol, 64) < 1e-6, name
+        assert forward.boundary_residual(sol) < 1e-6, name
 
 
 def test_self_convergence_dirichlet():

@@ -53,7 +53,7 @@ for k in (9.0, 11.5):
     subs.append(msr.svd_threshold(matrix, 0.01))
 grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.03)
 assert grid.nx * grid.ny >= 10 * imaging._BLOCK
-args = (subs, grid, imaging.SteeringMode.te_search(24), imaging.WeightScheme.unit(), dirs)
+args = (subs, grid, imaging.SteeringMode("te-search", 24), imaging.WeightScheme("unit"))
 imaging.image_subspace(*args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 imaging.image_subspace(*args)

@@ -90,10 +90,10 @@ def test_steering_te_degenerate_error():
 
 
 def test_micro_segment_single_frequency_matches_kernel(micro_subspaces):
-    center, dirs, sub, _ = micro_subspaces
+    center, _, sub, _ = micro_subspaces
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.02)
     img = imaging.image_subspace(
-        [sub], grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs
+        [sub], grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
     )
     pred = analysis.kernel_predict_grid(
         "TM_SINGLE", grid.points(), np.array([center]), k=K_HALF
@@ -104,10 +104,10 @@ def test_micro_segment_single_frequency_matches_kernel(micro_subspaces):
 def test_global_phase_invariance(micro_subspaces):
     from dataclasses import replace
 
-    center, dirs, sub, _ = micro_subspaces
+    center, _, sub, _ = micro_subspaces
     grid = imaging.SearchGrid(-0.3, 0.3, -0.5, 0.1, 0.05)
     base = imaging.image_subspace(
-        [sub], grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs
+        [sub], grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
     )
     # the SVD gauge freedom multiplies matched singular-vector pairs by a
     # common phase; K = U S V* is preserved and so must be the map
@@ -118,7 +118,7 @@ def test_global_phase_invariance(micro_subspaces):
         right_vectors=sub.right_vectors * np.exp(1j * gamma),
     )
     img = imaging.image_subspace(
-        [rotated], grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs
+        [rotated], grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
     )
     assert np.max(np.abs(img.values - base.values)) < 1e-12
 
@@ -130,7 +130,7 @@ def test_kirchhoff_rank_one_peak():
     k_mat = np.outer(s, s)
     m = msr.MsrMatrix(k=K_HALF, entries=k_mat, dirs=dirs, bc=BC.DIRICHLET)
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.02)
-    img = imaging.image_kirchhoff([m], grid, dirs)
+    img = imaging.image_kirchhoff([m], grid)
     assert np.linalg.norm(img.argmax_point() - y0) <= 0.02 + 1e-12
 
 
@@ -141,23 +141,20 @@ def test_kirchhoff_linearity():
     grid = imaging.SearchGrid(-0.5, 0.5, -0.5, 0.5, 0.1)
     m1 = msr.MsrMatrix(k=K_HALF, entries=k_mat, dirs=dirs, bc=BC.DIRICHLET)
     m2 = msr.MsrMatrix(k=K_HALF, entries=2.0 * k_mat, dirs=dirs, bc=BC.DIRICHLET)
-    img1 = imaging.image_kirchhoff([m1], grid, dirs)
-    img2 = imaging.image_kirchhoff([m2], grid, dirs)
+    img1 = imaging.image_kirchhoff([m1], grid)
+    img2 = imaging.image_kirchhoff([m2], grid)
     assert np.allclose(img2.values, 2.0 * img1.values, rtol=1e-12)
 
 
 def test_weight_scheme_values():
     ks = np.array([2.0, 4.0, 8.0])
-    assert np.allclose(imaging.WeightScheme.unit().values(ks), 1.0)
-    assert np.allclose(imaging.WeightScheme.power_p(2).values(ks), ks**2)
-    assert np.allclose(imaging.WeightScheme.log().values(ks), np.log(ks))
-    assert np.allclose(
-        imaging.WeightScheme.custom(lambda k: np.sqrt(k)).values(ks), np.sqrt(ks)
-    )
+    assert np.allclose(imaging.WeightScheme("unit").values(ks), 1.0)
+    assert np.allclose(imaging.WeightScheme("power", 2).values(ks), ks**2)
+    assert np.allclose(imaging.WeightScheme("log").values(ks), np.log(ks))
     with pytest.raises(ConfigError):
-        imaging.WeightScheme.power_p(0)
+        imaging.WeightScheme("power", 0)
     with pytest.raises(ConfigError):
-        imaging.WeightScheme.custom(lambda k: -1.0).values(ks)
+        imaging.WeightScheme("custom")
 
 
 def test_grid_layout_and_nearest_index():
@@ -174,12 +171,16 @@ def test_grid_layout_and_nearest_index():
 
 
 def test_direction_set_mismatch_rejected(micro_subspaces):
-    _, dirs, sub, _ = micro_subspaces
-    other = msr.DirectionSet.full_view(32)
+    # the second frequency's subspace was built over another direction set
+    _, _, sub, m = micro_subspaces
+    other = msr.svd_threshold(
+        msr.MsrMatrix(k=2.0 * K_HALF, entries=m.entries[:32, :32],
+                      dirs=msr.DirectionSet.full_view(32), bc=BC.DIRICHLET)
+    )
     grid = imaging.SearchGrid(-0.2, 0.2, -0.2, 0.2, 0.1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="more than one direction set"):
         imaging.image_subspace(
-            [sub], grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), other
+            [sub, other], grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
         )
 
 
@@ -187,16 +188,16 @@ def test_map_rows_do_not_depend_on_block_position(micro_subspaces):
     # 65 x 65 = 4225 points span more than three row blocks; the sub-grid
     # starts at y = -0.5, point 1560 of the full grid, in the middle of a
     # block. A dyadic step makes the shared points bitwise equal.
-    _, dirs, sub, _ = micro_subspaces
-    mode, unit = imaging.SteeringMode.tm(), imaging.WeightScheme.unit()
+    _, _, sub, _ = micro_subspaces
+    mode, unit = imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
     full_grid = imaging.SearchGrid(-2.0, 2.0, -2.0, 2.0, 0.0625)
     sub_grid = imaging.SearchGrid(-2.0, 2.0, -0.5, 2.0, 0.0625)
     start = full_grid.index_nearest(np.array([-2.0, -0.5]))
     block = imaging._BLOCK
     assert full_grid.nx * full_grid.ny > 3 * block and start % block != 0
     assert np.array_equal(sub_grid.points(), full_grid.points()[start:])
-    full = imaging.image_subspace([sub], full_grid, mode, unit, dirs)
-    part = imaging.image_subspace([sub], sub_grid, mode, unit, dirs)
+    full = imaging.image_subspace([sub], full_grid, mode, unit)
+    part = imaging.image_subspace([sub], sub_grid, mode, unit)
     assert np.array_equal(part.values, full.values[start:])
 
 
@@ -210,7 +211,7 @@ def test_te_search_degenerate_candidate_raises():
     grid = imaging.SearchGrid(-0.2, 0.2, -0.2, 0.2, 0.1)
     with pytest.raises(DegenerateSteeringError):
         imaging.image_subspace(
-            [sub], grid, imaging.SteeringMode.te_search(4), imaging.WeightScheme.unit(), dirs
+            [sub], grid, imaging.SteeringMode("te-search", 4), imaging.WeightScheme("unit")
         )
 
 
@@ -226,8 +227,8 @@ def test_te_search_matches_brute_force_oracle():
     grid = imaging.SearchGrid(-0.6, 0.6, -0.1, 0.7, 0.2)
     candidates = 8
     img = imaging.image_subspace(
-        subs, grid, imaging.SteeringMode.te_search(candidates),
-        imaging.WeightScheme.unit(), dirs,
+        subs, grid, imaging.SteeringMode("te-search", candidates),
+        imaging.WeightScheme("unit")
     )
     normals = imaging.candidate_normals(candidates)
     expected = []
@@ -285,8 +286,8 @@ def test_te_search_limited_aperture_odd_candidates_matches_oracle():
         subs.append(msr.svd_threshold(m, 0.01))
     grid = imaging.SearchGrid(-0.6, 0.6, -0.1, 0.7, 0.2)
     img = imaging.image_subspace(
-        subs, grid, imaging.SteeringMode.te_search(candidates),
-        imaging.WeightScheme.unit(), dirs,
+        subs, grid, imaging.SteeringMode("te-search", candidates),
+        imaging.WeightScheme("unit")
     )
     expected = _te_search_oracle(subs, grid, dirs, candidates)
     assert np.allclose(img.values, expected, atol=1e-12)
@@ -302,7 +303,7 @@ def test_factored_phase_block_matches_direct_exponentials():
     phase = k * (pts @ dirs.directions().T)
     assert np.max(np.abs(phase)) > 50.0
     direct = np.exp(1j * phase).conj() / np.sqrt(dirs.count)
-    tx, ty = imaging._phase_tables(grid, k, dirs)
+    tx, ty = imaging._phase_tables(grid, k, dirs, dirs.count)
     iy, ix = np.divmod(np.arange(len(pts)), grid.nx)
     block = imaging._steering_block(tx, ty, ix, iy)
     assert np.max(np.abs(block - direct)) < 1e-13
@@ -325,11 +326,11 @@ def _engine_maps(matrices, grid, dirs):
     subs = [msr.svd_threshold(m, 0.3) for m in matrices]
     assert all(0 < sub.cut_index < dirs.count for sub in subs)
     return subs, {
-        "tm": imaging.image_subspace(subs, grid, imaging.SteeringMode.tm(),
-                                     imaging.WeightScheme.power_p(1), dirs).values,
-        "te-plain": imaging.image_subspace(subs, grid, imaging.SteeringMode.te_plain(),
-                                           imaging.WeightScheme.log(), dirs).values,
-        "kirchhoff": imaging.image_kirchhoff(matrices, grid, dirs).values,
+        "tm": imaging.image_subspace(subs, grid, imaging.SteeringMode("tm"),
+                                     imaging.WeightScheme("power", 1)).values,
+        "te-plain": imaging.image_subspace(subs, grid, imaging.SteeringMode("te-plain"),
+                                           imaging.WeightScheme("log")).values,
+        "kirchhoff": imaging.image_kirchhoff(matrices, grid).values,
     }
 
 
@@ -383,8 +384,8 @@ def test_paired_basis_matches_unpaired_basis(monkeypatch):
 
 
 def _te_search_map(subs, grid, dirs):
-    return imaging.image_subspace(subs, grid, imaging.SteeringMode.te_search(8),
-                                  imaging.WeightScheme.unit(), dirs).values
+    return imaging.image_subspace(subs, grid, imaging.SteeringMode("te-search", 8),
+                                  imaging.WeightScheme("unit")).values
 
 
 def _te_subspaces(seed):
@@ -520,7 +521,7 @@ def test_noiseless_peak_normalization():
         subs.append(msr.svd_threshold(m, 0.01))
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.02)
     img = imaging.image_subspace(
-        subs, grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs
+        subs, grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
     )
     assert 0.5 <= float(img.values.max()) <= 1.3
     # the crack midpoint carries a near-peak value
@@ -529,10 +530,10 @@ def test_noiseless_peak_normalization():
 
 
 def test_map_csv_round_trip(tmp_path, micro_subspaces):
-    center, dirs, sub, _ = micro_subspaces
+    center, _, sub, _ = micro_subspaces
     grid = imaging.SearchGrid(-0.5, 0.5, -0.5, 0.5, 0.1)
     img = imaging.image_subspace(
-        [sub], grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs
+        [sub], grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
     )
     path = tmp_path / "map.csv"
     imaging.save_map(img, path)

@@ -226,7 +226,7 @@ def test_initial_guess_from_map():
         subs.append(msr.svd_threshold(m, 0.01))
     grid = imaging.SearchGrid(-2.0, 2.0, -2.0, 2.0, 0.02)
     image = imaging.image_subspace(
-        subs, grid, imaging.SteeringMode.tm(), imaging.WeightScheme.unit(), dirs
+        subs, grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
     )
     guess = refine.initial_guess_from_map(image, degree=5)
     s_axis = np.linspace(-1.0, 1.0, 401)
