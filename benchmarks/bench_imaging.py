@@ -21,9 +21,9 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
   first call of the process and again after a call on a coarser grid;
 * for G2,TE and G3,TE, ``image_subspace`` wall and CPU
   (``time.process_time``, every thread of the process) seconds, median
-  over ``--calls`` calls, with one block walker (BLAS left at its own
-  thread count) and with the walker count the engine picks for the TE
-  search.
+  over ``--calls`` calls, with one block walker and with the walker count
+  the engine picks for the TE search (BLAS at one thread in both, as
+  ``import arcmig`` sets it).
 
 The results and their provenance go to ``BENCH_imaging.json`` (see
 ``_record.py``) and, as one JSON line, to the end of the output.

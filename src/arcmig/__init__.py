@@ -2,7 +2,7 @@
 multi-frequency subspace-migration imaging, with closed-form Bessel-kernel
 validation and Newton shape refinement."""
 
-from . import _heap  # noqa: F401  (fixes the heap policy at import)
+from . import _blas, _heap  # noqa: F401  (fix the BLAS and heap policies at import)
 from .backend import BACKEND
 
 __version__ = "0.1.0"

@@ -1,18 +1,22 @@
-"""Thread count of the OpenBLAS that NumPy loaded.
+"""BLAS policy of the process: NumPy's OpenBLAS runs on one thread.
+
+The pipeline's BLAS work is small dense solves and GEMMs, which a second
+OpenBLAS thread does not speed up; it spins on a core instead, and the
+threaded LU and GEMMs round differently at each thread count.  Setting one
+thread at import, as `_heap` fixes the heap policy, gives the same
+artifact bytes on any core count for one NumPy/OpenBLAS build and leaves
+the cores to the TE search's walkers.  A caller who wants a threaded BLAS
+afterwards sets it back through `functions`.
 
 A NumPy wheel ships its OpenBLAS in ``numpy.libs``; the library exports
 a getter and a setter for its thread count, under the scipy-openblas
-names or the plain ``openblas_*`` ones.  They are reached through
-`ctypes`, the way `_heap` reaches glibc's ``mallopt``, and resolved on
-first use rather than at ``import arcmig``.  Under another BLAS, or a
-NumPy without the bundled library, `functions` returns None and callers
-leave the thread count alone.
+names or the plain ``openblas_*`` ones, reached through `ctypes`.  Under
+another BLAS, or a NumPy without the bundled library, `functions` returns
+None, the thread count is left alone and `applied` is false.
 """
 
 import ctypes
 import functools
-import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +27,6 @@ _NAMES = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-
-_lock = threading.Lock()
 
 
 @functools.cache
@@ -52,22 +54,16 @@ def threads():
     return None if found is None else int(found[0]())
 
 
-@contextmanager
-def one_thread():
-    """Hold BLAS to one thread for the body and restore its count on exit;
-    without the thread-count functions, change nothing.
+def use_one_thread():
+    """Set BLAS to one thread; True when it was set.
 
-    The body runs under a module lock, so two overlapping holders cannot
-    restore in the wrong order."""
+    Without the thread-count functions, nothing is changed."""
     found = functions()
     if found is None:
-        yield
-        return
+        return False
     get, set_ = found
-    with _lock:
-        saved = get()
-        set_(1)
-        try:
-            yield
-        finally:
-            set_(saved)
+    set_(1)
+    return get() == 1
+
+
+applied = use_one_thread()

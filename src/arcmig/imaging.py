@@ -10,13 +10,12 @@ holds the opposite of each direction, the phase block keeps only half of
 them. One engine walks the row-major grid in fixed row blocks, which
 bounds memory; a block's phases are gathered from per-frequency x and y
 phase tables, and its temporaries stay on the heap through `_heap`. The
-TE search deals its blocks to one walker per CPU, with BLAS held to one
-thread. The reduction order over frequencies and factor rows is fixed and
-independent of the block and the walker, so maps are bitwise
-reproducible.
+TE search deals its blocks to one walker per CPU; BLAS runs on one thread
+for the whole process (`_blas`). The reduction order over frequencies and
+factor rows is fixed and independent of the block and the walker, so maps
+are bitwise reproducible.
 """
 
-import contextlib
 import hashlib
 import math
 import os
@@ -277,9 +276,9 @@ def _steering_block(tx, ty, ix, iy):
 def _search_walkers(blocks):
     """Block walkers of the TE search: one per CPU the process may run on,
     at most one per block. Two walkers under a multithreaded BLAS
-    oversubscribe the cores, so without a way to hold BLAS to one thread
-    the walk stays serial."""
-    if _blas.functions() is None:
+    oversubscribe the cores, so when `_blas` could not set BLAS to one
+    thread at import the walk stays serial."""
+    if not _blas.applied:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), blocks)
@@ -298,12 +297,11 @@ def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
     and reduce, which are reentrant: product returns a fresh GEMM output
     and reduce works on it and on arrays of its own call.
 
-    W is 1 unless parallel is true, and then `_search_walkers` picks it,
-    with BLAS held to one thread while the walkers run. The GEMM-bound
-    quadratic form stays serial: there a second walker only competes with
-    BLAS's own threads. No per-point result depends on its block or its
-    walker, so the map is the same for every W. An exception in a walker
-    is raised here once every walker has stopped."""
+    W is 1 unless parallel is true, and then `_search_walkers` picks it.
+    The GEMM-bound quadratic form stays serial: on two CPUs a second
+    walker did not speed it up. No per-point result depends on its block
+    or its walker, so the map is the same for every W. An exception in a
+    walker is raised here once every walker has stopped."""
     tables = [_phase_tables(grid, k, dirs, kept) for k in ks]
     count = grid.nx * grid.ny
     starts = range(0, count, _BLOCK)
@@ -323,13 +321,12 @@ def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
         except BaseException as exc:
             errors.append(exc)
 
-    with _blas.one_thread() if walkers > 1 else contextlib.nullcontext():
-        threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
-        for thread in threads:
-            thread.start()
-        walk(0)
-        for thread in threads:
-            thread.join()
+    threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
+    for thread in threads:
+        thread.start()
+    walk(0)
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
     return total

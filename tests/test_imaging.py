@@ -453,23 +453,13 @@ def test_te_search_walkers_outnumbering_cores_give_the_serial_map(monkeypatch):
     assert parallel.tobytes() == serial.tobytes()
 
 
-@pytest.fixture
-def blas_at_two_threads():
-    """BLAS set to two threads for the test, so holding it to one shows."""
-    found = _blas.functions()
-    if found is None:
-        pytest.skip("no thread-count control of NumPy's BLAS")
-    get, set_ = found
-    saved = get()
-    set_(2)
-    yield
-    set_(saved)
-
-
+@pytest.mark.skipif(_blas.functions() is None, reason="no thread-count control of NumPy's BLAS")
 @pytest.mark.parametrize("failing", [None, "caller", "thread"],
                          ids=["no-error", "caller-walker", "thread-walker"])
-def test_te_search_holds_blas_to_one_thread_and_restores_it(monkeypatch, blas_at_two_threads,
-                                                            failing):
+def test_te_search_runs_on_one_blas_thread(monkeypatch, failing):
+    # import arcmig set BLAS to one thread; every walker runs under it
+    assert _blas.applied
+    assert _blas.threads() == 1
     grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.05)
     subs, dirs = _te_subspaces(seed=22)
     seen, boom = [], RuntimeError("reduce failed")
@@ -483,7 +473,6 @@ def test_te_search_holds_blas_to_one_thread_and_restores_it(monkeypatch, blas_at
 
     threads = _spy_reduce(monkeypatch, check)
     monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 2)
-    assert _blas.threads() == 2
     if failing is None:
         _te_search_map(subs, grid, dirs)
         assert len(set(threads)) == 2
@@ -492,7 +481,7 @@ def test_te_search_holds_blas_to_one_thread_and_restores_it(monkeypatch, blas_at
             _te_search_map(subs, grid, dirs)
         assert raised.value is boom
     assert seen and set(seen) == {1}
-    assert _blas.threads() == 2
+    assert _blas.threads() == 1
 
 
 def test_te_search_without_blas_control_walks_serially(monkeypatch):
@@ -502,7 +491,7 @@ def test_te_search_without_blas_control_walks_serially(monkeypatch):
     serial = _te_search_map(subs, grid, dirs)
     monkeypatch.undo()
     threads = _spy_reduce(monkeypatch)
-    monkeypatch.setattr(_blas, "functions", lambda: None)
+    monkeypatch.setattr(_blas, "applied", False)
     values = _te_search_map(subs, grid, dirs)
     assert set(threads) == {threading.current_thread()}
     assert values.tobytes() == serial.tobytes()
