@@ -18,7 +18,7 @@ import time
 import numpy as np
 from _record import record
 
-from arcmig.backend import kernels
+from arcmig import kernels
 
 RANGES = {
     "series [1e-3, 9)": (1e-3, 9.0),

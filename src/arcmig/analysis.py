@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import kernels
+from . import kernels
 from .errors import ConfigError, DomainError, SingularityError
 from .geometry import Crack, sample_points
 from .imaging import ImageMap
@@ -64,8 +64,7 @@ def _row_blocks(count, samples):
 
 def _j01(z):
     """(J_0(z), J_1(z)) from one fused kernel call."""
-    j0, j1 = kernels.jy01v(np.ravel(np.abs(z)), want_y=False)
-    return j0.reshape(np.shape(z)), j1.reshape(np.shape(z))
+    return kernels.jy01v(np.abs(z), want_y=False)
 
 
 def _j01_squares(z):

@@ -1,10 +1,8 @@
-"""Kernel backend: the pure-NumPy Bessel-family kernels.
-
-`kernels` is the module the rest of the package calls; `BACKEND` names it
-in run manifests.
+"""Names kept for perfbench: it imports `kernels` from here and reads
+`arcmig.BACKEND`, which is set here.  This module goes once perfbench
+imports `arcmig.kernels` (ROADMAP item 4).
 """
 
-from . import _kernels_py
+from . import kernels  # noqa: F401
 
-kernels = _kernels_py
 BACKEND = "pure"

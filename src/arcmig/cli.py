@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, geometry, imaging, msr, refine
-from .backend import BACKEND, kernels
+from . import __version__, analysis, geometry, imaging, kernels, msr, refine
+from .backend import BACKEND
 from .errors import (
     ConfigError,
     DegenerateSteeringError,

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .backend import kernels
+from . import kernels
 from .errors import ConfigError, DomainError, SolverError
 from .geometry import Crack
 
@@ -164,13 +164,13 @@ def _grid_log_weights(grid: _NodeGrid):
 
 
 def _hankel0(z):
-    j0, _, y0, _ = kernels.jy01v(np.ravel(z))
-    return (j0 + 1j * y0).reshape(np.shape(z))
+    j0, _, y0, _ = kernels.jy01v(z)
+    return j0 + 1j * y0
 
 
 def _hankel1v(z):
-    _, j1, _, y1 = kernels.jy01v(np.ravel(z))
-    return (j1 + 1j * y1).reshape(np.shape(z))
+    _, j1, _, y1 = kernels.jy01v(z)
+    return j1 + 1j * y1
 
 
 def _distances(tgt_points, src_points):

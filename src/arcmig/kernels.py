@@ -21,8 +21,8 @@ neglected term is below 1e-16 at the range's worst end:
 series below ``x = 9`` and a normalized downward recurrence from an
 argument-dependent start above.
 
-All functions assume finite ``x >= 0`` (``x > 0`` for Y); argument
-validation lives in `arcmig.specfun`.
+All functions take finite ``x >= 0`` (``x > 0`` for Y) and do not check
+it; the callers in the package pass distances and products k|x|.
 """
 
 from math import factorial

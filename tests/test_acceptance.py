@@ -250,11 +250,11 @@ def test_criterion_06_imaging_localization(tmp_path):
     assert part_a, "argmax localization failed"
     assert part_b, (
         f"contrast {contrast:.2f} < 3 at the stated preset (N=16 ghost-replica "
-        "regime; see decisions ledger)"
+        "regime; see the N-sweep in ROADMAP item 3)"
     )
     assert part_c, (
         f"Kirchhoff contrast {km_contrast:.2f} not below subspace {contrast:.2f} "
-        "at the stated preset (see decisions ledger)"
+        "at the stated preset (see the N-sweep in ROADMAP item 3)"
     )
 
 
@@ -282,7 +282,7 @@ def test_criterion_08_limited_view():
     # pipeline.  The endpoint clause holds; the contrast-ordering clause is
     # inverted at every measured configuration because the limited-aperture
     # correlation decays faster than J_0 off the illuminated sector (see
-    # decisions ledger and the supplementary coverage test).
+    # the N-sweep in ROADMAP item 3 and the supplementary coverage test).
     start = time.perf_counter()
     cfg_f, dirs_f, _, _, img_full = run_preset_pipeline("G2,TM", "full")
     cfg_l, dirs_l, _, _, img_lim = run_preset_pipeline("G2,TM", "limited")
@@ -309,7 +309,7 @@ def test_criterion_08_limited_view():
     assert endpoint_ok, "endpoint neighborhoods not in the top-5% map values"
     assert part_a, (
         f"limited-view contrast {contrast_lim:.2f} exceeds full-view {contrast_full:.2f} "
-        "at the stated preset (see decisions ledger)"
+        "at the stated preset (see the N-sweep in ROADMAP item 3)"
     )
 
 

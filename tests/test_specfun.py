@@ -1,5 +1,6 @@
-"""Special-function tests: trivial identities, independent series oracles,
-bisection-located zeros, and regime-sweep invariants."""
+"""Tests of the Bessel kernels in `arcmig.kernels`: trivial identities,
+independent series oracles, bisection-located zeros, and regime-sweep
+invariants."""
 
 import math
 
@@ -9,9 +10,8 @@ import scipy.special as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcmig import specfun
-from arcmig.backend import kernels
-from arcmig.errors import DomainError
+import arcmig
+from arcmig import backend, kernels
 
 
 def series_j_oracle(n, x, terms=80):
@@ -37,13 +37,28 @@ def series_y0_oracle(x, terms=80):
     return (2.0 / math.pi) * ((math.log(x / 2.0) + gamma) * j0 + acc)
 
 
+def jacobi_anger_partial(z, phi, L):
+    """J_0(z) + 2 sum_{n<=L} i^n J_n(z) cos(n phi), which tends to
+    exp(i z cos(phi)) as L grows."""
+    table = kernels.jn_table(L, np.array([z]))[:, 0]
+    n = np.arange(1, L + 1)
+    i_powers = np.array([1.0, 1j, -1.0, -1j])[n % 4]
+    return complex(table[0] + np.sum(2.0 * i_powers * table[1:] * np.cos(n * phi)))
+
+
+def hankel0(x):
+    """H_0^(1)(x) = J_0(x) + i Y_0(x) at one x > 0."""
+    j0, _, y0, _ = kernels.jy01v(np.array([x]))
+    return complex(j0[0], y0[0])
+
+
 def test_j0_at_zero_is_one():
-    assert specfun.bessel_j(0, 0.0) == 1.0
+    assert kernels.jnv(0, np.array([0.0]))[0] == 1.0
 
 
 def test_jn_at_zero_vanishes():
     for n in range(1, 8):
-        assert specfun.bessel_j(n, 0.0) == 0.0
+        assert kernels.jnv(n, np.array([0.0]))[0] == 0.0
 
 
 def test_first_zero_of_j0_by_bisection():
@@ -58,17 +73,16 @@ def test_first_zero_of_j0_by_bisection():
             lo = mid
     zero = 0.5 * (lo + hi)
     assert abs(zero - 2.404825557695773) < 1e-12
-    assert abs(specfun.bessel_j(0, zero)) < 1e-10
+    assert abs(kernels.jnv(0, np.array([zero]))[0]) < 1e-10
 
 
 def test_hankel_real_part_is_j():
-    for x in [0.3, 1.7, 9.4, 25.0, 400.0]:
-        h = specfun.hankel1(0, x)
-        assert h.real == specfun.bessel_j(0, x)
+    xs = np.array([0.3, 1.7, 9.4, 25.0, 400.0])
+    assert np.array_equal(kernels.jy01v(xs)[0], kernels.jnv(0, xs))
 
 
 def test_hankel0_at_one_series_oracle():
-    h = specfun.hankel1(0, 1.0)
+    h = hankel0(1.0)
     assert abs(h.real - series_j_oracle(0, 1.0)) < 1e-14
     assert abs(h.imag - series_y0_oracle(1.0)) < 1e-13
     assert abs(h - (0.76519768655 + 0.08825696421j)) < 1e-10
@@ -78,7 +92,7 @@ def test_hankel0_small_argument_log_growth():
     # Im H_0(x) -> (2/pi) ln(x/2) to leading order as x -> 0+
     gamma = 0.5772156649015328606
     x = 1e-4
-    h = specfun.hankel1(0, x)
+    h = hankel0(x)
     expansion = (2.0 / math.pi) * (math.log(x / 2.0) + gamma)
     # neglected terms are O(x^2 ln x)
     assert abs(h.imag - expansion) < 1e-7
@@ -87,7 +101,8 @@ def test_hankel0_small_argument_log_growth():
 
 def test_hankel1_order_one_against_scipy():
     xs = np.array([0.05, 0.8, 3.1, 11.0, 44.0, 600.0])
-    mine = specfun.hankel1_many(1, xs)
+    _, j1, _, y1 = kernels.jy01v(xs)
+    mine = j1 + 1j * y1
     ref = sp.hankel1(1, xs)
     assert np.max(np.abs(mine - ref)) < 1e-10
 
@@ -97,7 +112,7 @@ def test_bessel_broad_accuracy_vs_independent_implementation():
     rng = np.random.default_rng(42)
     xs = np.concatenate([rng.uniform(0.0, 20.0, 250), rng.uniform(20.0, 1000.0, 250)])
     for n in [0, 1, 2, 7, 19, 33, 64]:
-        err = np.max(np.abs(specfun.bessel_j_many(n, xs) - sp.jv(n, xs)))
+        err = np.max(np.abs(kernels.jnv(n, xs) - sp.jv(n, xs)))
         assert err < 1e-12, f"n={n}: {err}"
 
 
@@ -105,7 +120,7 @@ def test_bessel_bound_invariant():
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.0, 200.0, 300)
     for n in [0, 1, 2, 5, 12, 30]:
-        vals = np.abs(specfun.bessel_j_many(n, xs))
+        vals = np.abs(kernels.jnv(n, xs))
         bound = np.minimum(1.0, (xs**n) / (2.0**n * math.factorial(n)))
         assert np.all(vals <= bound + 1e-12)
 
@@ -114,11 +129,11 @@ def test_recurrence_consistency():
     rng = np.random.default_rng(4)
     xs = rng.uniform(0.1, 100.0, 200)
     for n in range(1, 20):
-        lhs = specfun.bessel_j_many(n - 1, xs) + specfun.bessel_j_many(n + 1, xs)
-        rhs = (2.0 * n / xs) * specfun.bessel_j_many(n, xs)
+        lhs = kernels.jnv(n - 1, xs) + kernels.jnv(n + 1, xs)
+        rhs = (2.0 * n / xs) * kernels.jnv(n, xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
     # recurrence at fixed x across all orders from one table call
-    table = specfun.bessel_j_table(21, np.array([0.5, 7.7, 60.0]))
+    table = kernels.jn_table(21, np.array([0.5, 7.7, 60.0]))
     for n in range(1, 20):
         lhs = table[n - 1] + table[n + 1]
         rhs = 2.0 * n / np.array([0.5, 7.7, 60.0]) * table[n]
@@ -130,25 +145,25 @@ def test_asymptotic_agreement():
     xs = rng.uniform(50.0, 1000.0, 200)
     for n in range(4):
         approx = np.sqrt(2.0 / (np.pi * xs)) * np.cos(xs - 0.5 * n * np.pi - 0.25 * np.pi)
-        err = np.abs(specfun.bessel_j_many(n, xs) - approx)
+        err = np.abs(kernels.jnv(n, xs) - approx)
         assert np.all(err <= 0.5 / xs)
 
 
 def test_jacobi_anger_zero_argument():
     for phi in [0.0, 0.4, 2.0]:
         for L in [0, 3, 25]:
-            assert specfun.jacobi_anger_partial(0.0, phi, L) == 1.0 + 0.0j
+            assert jacobi_anger_partial(0.0, phi, L) == 1.0 + 0.0j
 
 
 def test_jacobi_anger_direct_exponential():
-    val = specfun.jacobi_anger_partial(3.0, 0.0, 40)
+    val = jacobi_anger_partial(3.0, 0.0, 40)
     assert abs(val - np.exp(3.0j)) < 1e-10
 
 
 def test_jacobi_anger_error_decreases_beyond_z():
     z, phi = 5.0, 1.0
     target = np.exp(1j * z * math.cos(phi))
-    errs = [abs(specfun.jacobi_anger_partial(z, phi, L) - target) for L in range(6, 31)]
+    errs = [abs(jacobi_anger_partial(z, phi, L) - target) for L in range(6, 31)]
     # the added term at step L carries a cos(L*phi) factor that can nearly
     # vanish, so the decay is monotone along each parity class until the
     # error reaches the rounding floor
@@ -167,37 +182,8 @@ def test_jacobi_anger_uniform_convergence():
     for _ in range(40):
         z = rng.uniform(0.0, 20.0)
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        val = specfun.jacobi_anger_partial(z, phi, int(math.ceil(z)) + 40)
+        val = jacobi_anger_partial(z, phi, int(math.ceil(z)) + 40)
         assert abs(val - np.exp(1j * z * math.cos(phi))) < 1e-12
-
-
-def test_default_truncation_rule():
-    # default L = ceil(z) + 20: tail is super-exponentially small but not
-    # yet at machine level for z near 20
-    z = 17.3
-    a = specfun.jacobi_anger_partial(z, 0.7)
-    b = specfun.jacobi_anger_partial(z, 0.7, int(math.ceil(z)) + 60)
-    assert abs(a - b) < 1e-9
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        specfun.bessel_j(-1, 1.0)
-    with pytest.raises(DomainError):
-        specfun.bessel_j(2, float("nan"))
-    with pytest.raises(DomainError):
-        specfun.bessel_j(2, float("inf"))
-    with pytest.raises(DomainError):
-        specfun.hankel1(0, 0.0)
-    with pytest.raises(DomainError):
-        specfun.hankel1(0, -1.0)
-    with pytest.raises(DomainError):
-        specfun.hankel1(2, 1.0)
-
-
-def test_negative_argument_reflection():
-    assert abs(specfun.bessel_j(2, -3.0) - specfun.bessel_j(2, 3.0)) < 1e-15
-    assert abs(specfun.bessel_j(3, -3.0) + specfun.bessel_j(3, 3.0)) < 1e-15
 
 
 # the scheme cuts of the order-0/1 kernel and their float64 neighbours
@@ -258,3 +244,9 @@ def test_wronskian(x):
     j0, j1, y0, y1 = (float(v[0]) for v in kernels.jy01v(np.array([x])))
     expected = 2.0 / (math.pi * x)
     assert abs(j1 * y0 - j0 * y1 - expected) <= 1e-12 * expected
+
+
+def test_backend_names_are_the_kernels_module():
+    # perfbench imports `kernels` from `arcmig.backend` and reads `arcmig.BACKEND`
+    assert backend.kernels is kernels
+    assert arcmig.BACKEND == "pure"
