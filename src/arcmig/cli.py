@@ -3,9 +3,9 @@ imaging -> metrics pipeline, artifact persistence with a reproducibility
 manifest, identity-suite verification, refinement runs, and grayscale
 rendering.
 
-Config files are flat TOML-style tables (sections, `key = value`,
-`#` comments); the canonical serializer makes parse -> serialize a
-byte-identical round trip.
+Config files are TOML 1.0, read by the standard library's `tomllib`, with
+every key in a section; every file the canonical serializer writes reads
+back, and parse -> serialize is a byte-identical round trip.
 """
 
 import argparse
@@ -87,56 +87,25 @@ def _format_value(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format(value, ".17g")
+        # "-0" would read back as the integer 0
+        text = format(value, ".17g")
+        return "-0.0" if text == "-0" else text
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(v) for v in value) + "]"
     return '"' + str(value) + '"'
 
 
-def _parse_value(text, path, lineno):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(part, path, lineno) for part in inner.split(",")]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        value = int(text)
-    except ValueError:
-        pass
-    else:
-        # "-0" is how the float -0.0 serializes; no integer carries that sign
-        return -0.0 if value == 0 and text.startswith("-") else value
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: cannot parse value {text!r}") from exc
-
-
 def parse_config_text(text, path="<config>"):
-    """Parse the TOML-style subset into {section: {key: value}}."""
-    tables = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ConfigError(f"{path}:{lineno}: empty section name")
-            tables.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        if current is None:
-            raise ConfigError(f"{path}:{lineno}: key outside a section")
-        key, value = line.split("=", 1)
-        tables[current][key.strip()] = _parse_value(value, path, lineno)
+    """Parse TOML into {section: {key: value}}; every key lies in a section."""
+    import tomllib     # only a config file needs it; preset runs never do
+
+    try:
+        tables = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for key, value in tables.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: key {key!r} outside a section")
     return tables
 
 

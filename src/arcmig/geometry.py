@@ -277,12 +277,19 @@ def chebyshev_derivative(coeffs, s):
 
 
 def crack_from_config(table: dict) -> Crack:
-    """Build a crack from a config table: kind = catalog | chebyshev-graph."""
+    """Build and validate a crack from a config table: kind = catalog |
+    chebyshev-graph, whose coefficients are a list of numbers."""
     kind = table.get("kind")
     if kind == "catalog":
         return catalog(table["name"])
     if kind == "chebyshev-graph":
-        return chebyshev_graph_arc(table["coefficients"])
+        coeffs = table["coefficients"]
+        # a bool is an int to Python, but no coefficient
+        if not (isinstance(coeffs, list) and all(type(a) in (int, float) for a in coeffs)):
+            raise DomainError(f"crack coefficients must be a list of numbers, got {coeffs!r}")
+        crack = chebyshev_graph_arc(coeffs)
+        validate_crack(crack)
+        return crack
     raise LookupNameError(f"unknown crack kind {kind!r}")
 
 

@@ -227,6 +227,8 @@ def load_msr(path) -> MsrMatrix:
         noise = None if head[6] == "none" else NoiseSpec(snr_db=float(head[6]), seed=int(head[7]))
     except ValueError as exc:             # ConfigError is one too
         raise MapParseError(f"{path}: malformed MSR header: {exc}", line=1) from exc
+    if not (math.isfinite(k) and k > 0.0):
+        raise MapParseError(f"{path}: wavenumber must be positive and finite, got {k}", line=1)
     if len(raw) != 1 + n * n:
         raise MapParseError(f"{path}: expected {n * n} entry lines",
                             line=min(len(raw), 2 + n * n))

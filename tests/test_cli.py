@@ -84,6 +84,14 @@ def test_config_parser_errors():
         cli.parse_config_text("[a]\nbroken line\n")
     with pytest.raises(ConfigError):
         cli.parse_config_text("[a]\nx = what\n")
+    # TOML 1.0: a "#" in a quoted string is no comment; a repeated key or
+    # section, and a float spelling only Python reads, are errors
+    assert cli.parse_config_text('[crack]\nname = "G#1"  # note\n') == {"crack": {"name": "G#1"}}
+    for text in ("[grid]\nstep = 0.02\nstep = 0.5\n",
+                 "[grid]\nstep = 0.02\n[grid]\nx_lo = 0.5\n",
+                 "[grid]\nstep = .5\n"):
+        with pytest.raises(ConfigError, match=r"^exp\.cfg: .*line"):
+            cli.parse_config_text(text, "exp.cfg")
     # typed reads: each error names its section.key
     for section, key, value, message in [
         ("grid", "y_hi", "abc", "grid.y_hi must be float"),
@@ -336,6 +344,21 @@ def test_bad_config_fails_before_the_first_solve(section, key, value, tmp_path, 
     with pytest.raises(ConfigError):
         cli.ExperimentConfig.from_tables(cli.parse_config_text(path.read_text()))
     assert built == []
+
+
+@pytest.mark.parametrize("coefficients", ["[0.1, nan]", '["a", "b"]', '"abc"', "true", "{ a = 1.0 }"])
+def test_bad_chebyshev_crack_exits_2_before_any_output(coefficients, tmp_path, capsys):
+    tables = cli.preset_config("G1,TM").to_tables()
+    del tables["crack"]
+    path = tmp_path / "exp.cfg"
+    path.write_text(f'[crack]\nkind = "chebyshev-graph"\ncoefficients = {coefficients}\n\n'
+                    + cli.serialize_config(tables))
+    capsys.readouterr()
+    for command in ("forward", "image"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("config error:") for line in lines)
+    assert not (tmp_path / "run").exists()
 
 
 def test_grid_that_misses_the_crack_fails_before_the_first_solve(tmp_path, capsys):

@@ -275,6 +275,12 @@ def test_msr_non_numeric_header_field_is_rejected(tmp_path):
         assert err.line == 1, field
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "0", "-3"])
+def test_msr_invalid_wavenumber_is_rejected(tmp_path, k):
+    err = _load_edited(tmp_path, 1, lambda f: [*f[:2], k, *f[3:]])
+    assert err.line == 1 and "wavenumber" in str(err)
+
+
 def test_msr_line_count_other_than_one_plus_n_squared_is_rejected(tmp_path):
     lines = _saved_lines(tmp_path)
     for kept, line in ((lines[:-1], 9), (lines + [lines[-1]], 11)):
