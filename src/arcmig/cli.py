@@ -81,6 +81,13 @@ APERTURES = {
 
 # ---------------------------------------------------------------- config io
 
+# TOML basic-string escapes: the quote, the backslash and every control
+# character
+_STRING_ESCAPES = {c: f"\\u{c:04X}" for c in (*range(0x20), 0x7F)} | {
+    ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')
+}
+
+
 def _format_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -92,7 +99,7 @@ def _format_value(value):
         return "-0.0" if text == "-0" else text
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(v) for v in value) + "]"
-    return '"' + str(value) + '"'
+    return '"' + str(value).translate(_STRING_ESCAPES) + '"'
 
 
 def parse_config_text(text, path="<config>"):
@@ -251,7 +258,10 @@ _KEYS = {
 def _typed(value, kind, name):
     # an int is accepted for a float; a bool is neither
     if type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ConfigError(f"config key {name} is too large for a float") from None
     raise ConfigError(f"config key {name} must be {kind.__name__}, got {value!r}")
 
 

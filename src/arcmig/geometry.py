@@ -287,7 +287,10 @@ def crack_from_config(table: dict) -> Crack:
         # a bool is an int to Python, but no coefficient
         if not (isinstance(coeffs, list) and all(type(a) in (int, float) for a in coeffs)):
             raise DomainError(f"crack coefficients must be a list of numbers, got {coeffs!r}")
-        crack = chebyshev_graph_arc(coeffs)
+        try:
+            crack = chebyshev_graph_arc(coeffs)
+        except OverflowError:
+            raise DomainError("a crack coefficient is too large for a float") from None
         validate_crack(crack)
         return crack
     raise LookupNameError(f"unknown crack kind {kind!r}")

@@ -372,13 +372,60 @@ def test_validate_map_blocked_prediction_is_exact():
         )
         return float(np.mean(values[dist >= 0.5]))
 
+    regimes = [("TM_SINGLE", {"k": KF}), ("TM_BAND", {"k_first": K1, "k_last": KF}),
+               ("TM_WEIGHTED_BAND", {"k_first": K1, "k_last": KF})]
     for crack in (geometry.line_segment([-0.3, 0.1], [0.4, -0.2]), geometry.catalog("G4")):
-        metrics = analysis.validate_map(image, crack, "TM_BAND", {"k_first": K1, "k_last": KF})
         pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
-        pred = analysis.kernel_predict_grid("TM_BAND", grid_points, pts, k_first=K1, k_last=KF)
-        assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
-        assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
+        for kind, params in regimes:
+            metrics = analysis.validate_map(image, crack, kind, params)
+            pred = analysis.kernel_predict_grid(kind, grid_points, pts, **params)
+            assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
+            assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
+            # each call builds its radial table to its own largest distance;
+            # a shorter table is a prefix of a longer one, so row subsets
+            # of one block each agree bit for bit
+            for rows in (slice(0, 7), slice(1200, 1201), slice(2000, None)):
+                part = analysis.kernel_predict_grid(kind, grid_points[rows], pts, **params)
+                assert np.array_equal(part, pred[rows])
         # localization_metrics shares the blocked distances (64 samples)
         pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
         loc = analysis.localization_metrics(image, crack)
         assert loc["off_crack_mean"] == unblocked_mean_off(pts64)
+
+
+@pytest.mark.parametrize("preset", ["G1", "G2", "G3", "G4"])
+def test_radial_tables_match_the_closed_form_and_scipy(preset):
+    # TM_SINGLE, TM_BAND and TM_WEIGHTED_BAND read one function g of the
+    # distance from a table of degree-9 Chebyshev panels of width
+    # 0.5 / k_max: it agrees with the fused kernel's closed form and with
+    # scipy within 5e-13 max|g|, at r = 0, on and just below the panel
+    # edges, and at random distances out to every preset grid's diagonal
+    from arcmig import cli
+
+    ks = cli.preset_config(f"{preset},TM").frequency_set().wavenumbers()
+    k1, kf = float(ks[0]), float(ks[-1])
+    edges = 0.5 / kf * np.arange(1, int(6.0 * kf / 0.5))
+    r = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0),
+                        np.random.default_rng(11).uniform(0.0, 6.0, 20000)])
+
+    def squares(k, fused):
+        if fused:
+            return analysis._j01_squares(k * r)
+        return sp.j0(k * r) ** 2 + sp.j1(k * r) ** 2
+
+    def reference(kind, k, fused):
+        if kind == "TM_SINGLE":
+            return (analysis._j01(k * r)[0] if fused else sp.j0(k * r)) ** 2
+        power = 1 if kind == "TM_BAND" else 2
+        g = kf**power * squares(kf, fused) - k1**power * squares(k1, fused)
+        return np.abs(g / (kf - k1) / power)
+
+    x = np.stack([r, np.zeros_like(r)], axis=1)
+    origin = np.array([[0.0, 0.0]])
+    cases = [("TM_SINGLE", {"k": k}) for k in (k1, kf)]
+    cases += [(kind, {"k_first": k1, "k_last": kf}) for kind in ("TM_BAND", "TM_WEIGHTED_BAND")]
+    for kind, params in cases:
+        table = analysis.kernel_predict_grid(kind, x, origin, **params)
+        for fused in (True, False):
+            ref = reference(kind, params.get("k"), fused)
+            assert np.max(np.abs(table - ref)) <= 5e-13 * np.max(np.abs(ref)), (kind, fused)

@@ -66,6 +66,18 @@ def test_config_round_trip_is_byte_identical():
     assert cli.serialize_config(rebuilt.to_tables()) == text
 
 
+def test_config_strings_round_trip_with_escapes():
+    # a crack table keeps keys the crack ignores, so any string reaches
+    # the file: quotes, backslashes and control characters are escaped
+    note = 'a"b\\c\nd\te\x00\x1f\x7f \u00e9'
+    tables = cli.preset_config("G1,TM").to_tables()
+    tables["crack"]["note"] = note
+    text = cli.serialize_config(tables)
+    reparsed = cli.parse_config_text(text)
+    assert reparsed["crack"]["note"] == note
+    assert cli.serialize_config(reparsed) == text
+
+
 def _g1_config_text(section=None, key=None, value=None):
     """The G1,TM preset's config text, with one key set (value not None)
     or removed (value None)."""
@@ -358,6 +370,24 @@ def test_bad_chebyshev_crack_exits_2_before_any_output(coefficients, tmp_path, c
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(line.startswith("config error:") for line in lines)
+    assert not (tmp_path / "run").exists()
+
+
+def test_integer_too_large_for_a_float_exits_2_before_any_output(tmp_path, capsys):
+    # TOML integers are unbounded: 10^400 has no float
+    step = tmp_path / "step.cfg"
+    step.write_text(_g1_config_text("grid", "step", 10**400))
+    tables = cli.preset_config("G1,TM").to_tables()
+    del tables["crack"]
+    coefficients = tmp_path / "coefficients.cfg"
+    coefficients.write_text(f'[crack]\nkind = "chebyshev-graph"\ncoefficients = [0.1, {10**400}]\n\n'
+                            + cli.serialize_config(tables))
+    capsys.readouterr()
+    for path in (step, coefficients):
+        assert cli.main(["image", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("config error:") for line in lines)
+    assert "grid.step" in lines[0] and "too large" in lines[1]
     assert not (tmp_path / "run").exists()
 
 
