@@ -7,6 +7,8 @@ It times, as the median over ``--calls`` calls (one warm-up call first):
   G3,TM and G4,TM preset grids and cracks, the metrics an ``arcmig image``
   run and the perfbench ``tm_image`` workload compute; the map holds fixed
   uniform random values, since neither call's work depends on them;
+  ``validate_map`` is also given per point-sample pair (grid points times
+  its 32 crack samples per crack component), in ns;
 * one scalar ``ring_integrals`` call on the limited aperture
   [pi/6, 5 pi/6] at k = 15;
 * ``kernel_predict("LV_TM_BAND" / "LV_TE_BAND", include_remainder=True)``
@@ -48,14 +50,17 @@ def main():
     parser.add_argument("--calls", type=int, default=5)
     args = parser.parse_args()
     rng = np.random.default_rng(0)
-    results = {}
+    results, ns_per_pair = {}, {}
     for preset in PRESETS:
         cfg = cli.preset_config(preset, seed=7, snr_db=15.0)
         crack, grid, ks = cfg.crack(), cfg.grid(), cfg.frequency_set().wavenumbers()
         image = imaging.ImageMap(grid=grid, values=rng.uniform(0.0, 1.0, grid.nx * grid.ny))
         params = {"k_first": ks[0], "k_last": ks[-1]}
-        results[f"validate_map TM_BAND {preset}"] = _ms_per_call(
+        name = f"validate_map TM_BAND {preset}"
+        results[name] = _ms_per_call(
             lambda: analysis.validate_map(image, crack, "TM_BAND", params), args.calls)
+        samples = analysis.crack_samples_on_grid(crack, grid, 32)[0].shape[0]
+        ns_per_pair[name] = round(1e6 * results[name] / (grid.nx * grid.ny * samples), 2)
         results[f"localization_metrics {preset}"] = _ms_per_call(
             lambda: analysis.localization_metrics(image, crack), args.calls)
 
@@ -73,7 +78,11 @@ def main():
     print(f"{'call':44s}{'ms':>12s}")
     for name, ms in results.items():
         print(f"{name:44s}{ms:12.3f}")
-    record("analysis", {"calls": args.calls, "ms_per_call": results})
+    print(f"{'call':44s}{'ns/pair':>12s}")
+    for name, ns in ns_per_pair.items():
+        print(f"{name:44s}{ns:12.2f}")
+    record("analysis", {"calls": args.calls, "ms_per_call": results,
+                        "ns_per_point_sample_pair": ns_per_pair})
 
 
 if __name__ == "__main__":

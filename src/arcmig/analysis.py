@@ -211,6 +211,12 @@ def _distances(x, points):
     return np.hypot(diff[..., 0], diff[..., 1]), diff
 
 
+def _radii(x, points):
+    """|x_p - y_m| as (P, M), the same bits as `_distances` from contiguous
+    coordinate differences."""
+    return np.hypot(x[:, None, 0] - points[None, :, 0], x[:, None, 1] - points[None, :, 1])
+
+
 @dataclass(frozen=True)
 class RingIntegralResult:
     """Truncated arc integrals of the steering phases over [alpha, beta]:
@@ -343,13 +349,14 @@ def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_l
     leading-order statements neglect.
 
     TM_SINGLE, TM_BAND's closed-form bracket (and so LV_TM_BAND without its
-    remainder) and TM_WEIGHTED_BAND sum one function of the distance over
-    the samples.  It is read from a `_RadialTable` built once per call,
+    remainder) and TM_WEIGHTED_BAND sum one function g of the distance over
+    the samples.  g is read from a `_RadialTable` built once per call,
     within 5e-13 max|g| per sample of the closed form in `kernels.jy01v`
-    and of scipy.special (tested over the G1-G4 preset bands).  The points are taken in
-    row blocks of at most `_PREDICT_ARGS` point-sample pairs, which bounds
-    the temporaries; every block reads the same table, so the result does
-    not depend on the blocking.
+    and of scipy.special (tested over the G1-G4 preset bands).
+
+    The points are taken in row blocks of at most `_PREDICT_ARGS`
+    point-sample pairs, which bounds the temporaries; every block reads the
+    same table, so the result does not depend on the blocking.
     """
     if kind not in REGIMES:
         raise ConfigError(f"unknown kernel regime {kind!r}")
@@ -372,17 +379,15 @@ def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_l
 def _predict_rows(kind, x, points, normals, k_first, k_last, thetas, alpha, beta,
                   include_remainder, table):
     """`kernel_predict_grid` on one row block."""
-    r, diff = _distances(x, points)
-
-    if kind == "TM_SINGLE":
-        return np.sum(table(r), axis=1)
-
-    if kind == "TM_BAND":
-        bracket = table(r)
-        if include_remainder:
+    if table is not None:
+        r = _radii(x, points)
+        terms = table(r)
+        if include_remainder and kind == "TM_BAND":
             flat = band_j1sq_integral(k_first, k_last, r.ravel()) / (k_last - k_first)
-            bracket = bracket + flat.reshape(r.shape)
-        return np.abs(np.sum(bracket, axis=1))
+            terms = terms + flat.reshape(r.shape)
+        return np.abs(np.sum(terms, axis=1))
+
+    r, diff = _distances(x, points)
 
     if kind == "TM_BAND_INF":
         # 1 on the crack samples (to 1e-12), 0 elsewhere
@@ -392,9 +397,6 @@ def _predict_rows(kind, x, points, normals, k_first, k_last, thetas, alpha, beta
         _require_positive_distance(r, kind)
         _, trans = _transverse(diff, r, thetas, kind)
         return np.abs(np.sum(1.0 / np.sqrt(trans), axis=(1, 2)))
-
-    if kind == "TM_WEIGHTED_BAND":
-        return np.abs(np.sum(table(r), axis=1))
 
     if kind == "TM_WEIGHTED_INF":
         _require_positive_distance(r, kind)
@@ -495,11 +497,7 @@ def _nearest_distances(grid_points, pts):
     row blocks of at most `_PREDICT_ARGS` point-sample pairs."""
     dist = np.empty(grid_points.shape[0])
     for rows in _row_blocks(grid_points.shape[0], pts.shape[0]):
-        block = grid_points[rows]
-        dist[rows] = np.min(
-            np.hypot(block[:, None, 0] - pts[None, :, 0], block[:, None, 1] - pts[None, :, 1]),
-            axis=1,
-        )
+        dist[rows] = np.min(_radii(grid_points[rows], pts), axis=1)
     return dist
 
 
