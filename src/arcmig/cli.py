@@ -84,7 +84,8 @@ APERTURES = {
 # TOML basic-string escapes: the quote, the backslash and every control
 # character
 _STRING_ESCAPES = {c: f"\\u{c:04X}" for c in (*range(0x20), 0x7F)} | {
-    ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b", ord("\t"): "\\t",
+    ord("\n"): "\\n", ord("\f"): "\\f", ord("\r"): "\\r",
 }
 
 

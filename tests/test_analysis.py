@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.special as sp
 
-from arcmig import analysis, geometry, imaging, msr
+from arcmig import analysis, cli, geometry, imaging, msr
 from arcmig.errors import ConfigError, SingularityError
 
 K1 = 2.0 * np.pi / 0.5
@@ -400,8 +400,6 @@ def test_radial_tables_match_the_closed_form_and_scipy(preset):
     # 0.5 / k_max: it agrees with the fused kernel's closed form and with
     # scipy within 5e-13 max|g|, at r = 0, on and just below the panel
     # edges, and at random distances out to every preset grid's diagonal
-    from arcmig import cli
-
     ks = cli.preset_config(f"{preset},TM").frequency_set().wavenumbers()
     k1, kf = float(ks[0]), float(ks[-1])
     edges = 0.5 / kf * np.arange(1, int(6.0 * kf / 0.5))
