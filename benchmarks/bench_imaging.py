@@ -43,7 +43,6 @@ import numpy as np
 from _record import record
 
 from arcmig import cli, imaging, msr
-from arcmig.forward import BoundaryCondition, NystromConfig
 
 PRESETS = ("G3,TM", "G4,TM", "G2,TE", "G3,TE")
 
@@ -51,14 +50,8 @@ PRESETS = ("G3,TM", "G4,TM", "G2,TE", "G3,TE")
 def preset_inputs(preset):
     """Config, direction set and thresholded subspaces of a preset run."""
     cfg = cli.preset_config(preset, seed=7, snr_db=15.0)
-    crack, dirs = cfg.crack(), cfg.direction_set()
-    nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
-    subspaces = []
-    for f, k in enumerate(cfg.frequency_set().wavenumbers()):
-        matrix = msr.assemble(crack, k, dirs, BoundaryCondition.parse(cfg.bc), nystrom)
-        matrix = msr.add_noise(matrix, msr.NoiseSpec(cfg.snr_db, cfg.seed + f))
-        subspaces.append(msr.svd_threshold(matrix, cfg.threshold))
-    return cfg, dirs, subspaces
+    run = cli.run_pipeline(cfg, stop_after="forward")
+    return cfg, cfg.direction_set(), [msr.svd_threshold(m, cfg.threshold) for m in run.matrices]
 
 
 def layer_ms(cfg, dirs, subspaces, repeats):

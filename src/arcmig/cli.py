@@ -44,7 +44,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _CONFIG_ERRORS = (
-    ConfigError, LookupNameError, MapParseError, DomainError, KeyError, FileNotFoundError
+    ConfigError, LookupNameError, MapParseError, DomainError, KeyError, FileNotFoundError,
+    FileExistsError, NotADirectoryError,
 )
 _NUMERIC_ERRORS = (
     SolverError,
@@ -337,26 +338,31 @@ def verify_manifest(path):
     return mismatches
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
-    """forward -> MSR -> SVD -> imaging -> metrics with artifact persistence.
+class PipelineRun:
+    """One run of forward -> MSR -> SVD -> imaging -> metrics in memory:
+    the MSR matrices (noise added), their subspaces, the map, its metrics,
+    the `verify` checks, the seconds and names of the stages completed.
 
-    A failed stage raises after writing a manifest that records the stages
-    already completed."""
-    cfg.validate()
-    crack = cfg.crack()
-    if stop_after != "forward":
-        # the metrics stage's own check that every crack sample has a
-        # nearest grid point, before any solve
-        analysis.crack_samples_on_grid(crack, cfg.grid())
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_tables=cfg.to_tables(), seed=cfg.seed)
-    manifest_path = out / "manifest.txt"
-    dirs = cfg.direction_set()
-    bc = BoundaryCondition.parse(cfg.bc)
-    wavenumbers = cfg.frequency_set().wavenumbers()
+    Building it builds the crack and, unless the run stops after the
+    forward stage, checks that the grid covers the crack samples of the
+    metrics, both before any solve. A stage that raises in `execute`
+    leaves the record of the stages before it."""
 
-    try:
+    def __init__(self, cfg: ExperimentConfig, stop_after=None):
+        self.cfg = cfg.validate()
+        self.stop_after = stop_after
+        self.crack = cfg.crack()
+        if stop_after != "forward":
+            analysis.crack_samples_on_grid(self.crack, cfg.grid())
+        self.matrices, self.subspaces, self.image, self.metrics = [], None, None, None
+        self.verify, self.timings, self.stages_completed = {}, {}, []
+
+    def execute(self):
+        """Run the stages up to `stop_after`; returns self."""
+        cfg, crack = self.cfg, self.crack
+        bc = BoundaryCondition.parse(cfg.bc)
+        wavenumbers = cfg.frequency_set().wavenumbers()
+
         # solver verification at the check node count; data generation at
         # >= 2x that count (inverse-crime guard, validated above)
         t0 = time.perf_counter()
@@ -370,13 +376,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
                     NystromConfig(nodes_per_arc=cfg.nodes_check),
                 )
             )
-            manifest.verify["boundary_residual"] = defect
+            self.verify["boundary_residual"] = defect
             if defect > 1e-6:
                 raise SolverError(f"verification residual {defect:.3e} exceeds 1e-6")
-        manifest.timings["verify"] = time.perf_counter() - t0
+        self.timings["verify"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        matrices = []
+        dirs = cfg.direction_set()
         data_cfg = NystromConfig(nodes_per_arc=cfg.nodes_data)
         # one discretization serves every wavenumber of the sweep
         disc = discretize(crack, bc, data_cfg)
@@ -386,60 +392,90 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
             # reciprocity makes the clean matrix symmetric for any
             # direction set and either boundary condition
             defect = matrix.symmetry_defect()
-            manifest.verify["symmetry_defect"] = max(
-                manifest.verify.get("symmetry_defect", 0.0), defect
-            )
+            self.verify["symmetry_defect"] = max(self.verify.get("symmetry_defect", 0.0), defect)
             if defect > 1e-6:
                 raise SolverError(
                     f"assembled matrix violates reciprocal symmetry (defect {defect:.3e})"
                 )
             if cfg.snr_db is not None:
                 matrix = msr.add_noise(matrix, msr.NoiseSpec(cfg.snr_db, cfg.seed + f_idx))
-            name = f"msr_{f_idx:03d}.msr"
-            msr.save_msr(matrix, out / name)
-            manifest.artifacts[name] = file_sha256(out / name)
-            matrices.append(matrix)
+            self.matrices.append(matrix)
         # its tables must not outlive the forward stage
         del disc
-        manifest.timings["forward"] = time.perf_counter() - t0
-        manifest.stages_completed.append("forward")
-        if stop_after == "forward":
-            manifest.write(manifest_path)
-            return manifest
+        self._completed("forward", t0)
+        if self.stop_after == "forward":
+            return self
 
         t0 = time.perf_counter()
-        subspaces = [msr.svd_threshold(m, cfg.threshold) for m in matrices]
-        manifest.timings["svd"] = time.perf_counter() - t0
-        manifest.stages_completed.append("svd")
+        self.subspaces = [msr.svd_threshold(m, cfg.threshold) for m in self.matrices]
+        self._completed("svd", t0)
 
         t0 = time.perf_counter()
-        image = imaging.image_subspace(
-            subspaces, cfg.grid(), cfg.steering_mode(), cfg.weight_scheme()
+        self.image = imaging.image_subspace(
+            self.subspaces, cfg.grid(), cfg.steering_mode(), cfg.weight_scheme()
         )
-        imaging.save_map(image, out / "map.csv")
-        manifest.artifacts["map.csv"] = file_sha256(out / "map.csv")
-        meta = dict(image.provenance)
-        meta["threshold"] = cfg.threshold
-        meta["seed"] = cfg.seed
-        meta["snr_db"] = "none" if cfg.snr_db is None else cfg.snr_db
-        for f_idx in range(len(matrices)):
-            name = f"msr_{f_idx:03d}.msr"
-            meta[f"input.{name}.sha256"] = manifest.artifacts[name]
-        imaging.save_metadata(meta, out / "map.meta")
-        manifest.artifacts["map.meta"] = file_sha256(out / "map.meta")
-        manifest.timings["imaging"] = time.perf_counter() - t0
-        manifest.stages_completed.append("imaging")
+        self._completed("imaging", t0)
 
         t0 = time.perf_counter()
-        metrics = analysis.localization_metrics(image, crack)
-        metrics.update(_endpoint_top_fractions(image, crack))
-        imaging.save_metadata(metrics, out / "metrics.txt")
-        manifest.artifacts["metrics.txt"] = file_sha256(out / "metrics.txt")
-        manifest.timings["metrics"] = time.perf_counter() - t0
-        manifest.stages_completed.append("metrics")
+        self.metrics = analysis.localization_metrics(self.image, crack)
+        self.metrics.update(_endpoint_top_fractions(self.image, crack))
+        self._completed("metrics", t0)
+        return self
+
+    def _completed(self, stage, t0):
+        self.timings[stage] = time.perf_counter() - t0
+        self.stages_completed.append(stage)
+
+
+def run_pipeline(cfg: ExperimentConfig, stop_after=None):
+    """The pipeline in memory, writing no file; returns the PipelineRun."""
+    return PipelineRun(cfg, stop_after).execute()
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
+    """The pipeline with artifact persistence; returns the RunManifest.
+
+    A failed stage raises after writing the artifacts of the stages already
+    completed and a manifest that records them. The manifest times the
+    writing and hashing as `timing.write_s`."""
+    run = PipelineRun(cfg, stop_after)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        run.execute()
     finally:
-        manifest.write(manifest_path)
+        t0 = time.perf_counter()
+        manifest = RunManifest(
+            config_tables=cfg.to_tables(), artifacts=_save_artifacts(run, out),
+            timings=dict(run.timings), stages_completed=list(run.stages_completed),
+            seed=cfg.seed, verify=dict(run.verify),
+        )
+        manifest.timings["write"] = time.perf_counter() - t0
+        manifest.write(out / "manifest.txt")
     return manifest
+
+
+def _save_artifacts(run, out):
+    """Write the artifacts of the stages `run` completed; returns their
+    sha256 by file name."""
+    digests = {}
+
+    def save(writer, value, name):
+        writer(value, out / name)
+        digests[name] = file_sha256(out / name)
+
+    for f_idx, matrix in enumerate(run.matrices):
+        save(msr.save_msr, matrix, f"msr_{f_idx:03d}.msr")
+    if run.image is not None:
+        meta = dict(run.image.provenance, threshold=run.cfg.threshold, seed=run.cfg.seed,
+                    snr_db="none" if run.cfg.snr_db is None else run.cfg.snr_db)
+        # so far the digests are those of the MSR files, the map's inputs
+        meta.update({f"input.{name}.sha256": digest for name, digest in digests.items()})
+        save(imaging.save_map, run.image, "map.csv")
+        save(imaging.save_metadata, meta, "map.meta")
+    if run.metrics is not None:
+        save(imaging.save_metadata, run.metrics, "metrics.txt")
+    return digests
 
 
 def _endpoint_top_fractions(image, crack):

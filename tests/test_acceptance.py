@@ -28,30 +28,13 @@ def report(criterion, ok, detail):
     return ok
 
 
-def run_preset_pipeline(preset, aperture="full", snr_db=15.0, seed=SEED, mode=None,
-                        weight=None, tau=0.01):
-    """Assemble the catalog preset pipeline and return (cfg, dirs, matrices,
-    subspaces, map)."""
-    cfg = cli.preset_config(preset, aperture, seed=seed, snr_db=snr_db)
-    if mode is not None:
-        cfg.mode = mode
-    if weight is not None:
-        cfg.weight = weight
-    dirs = cfg.direction_set()
-    bc = BC.parse(cfg.bc)
-    data_cfg = NystromConfig(nodes_per_arc=cfg.nodes_data)
-    matrices = []
-    subspaces = []
-    for f_idx, k in enumerate(cfg.frequency_set().wavenumbers()):
-        m = msr.assemble(cfg.crack(), k, dirs, bc, data_cfg)
-        if snr_db is not None:
-            m = msr.add_noise(m, msr.NoiseSpec(snr_db, seed + f_idx))
-        matrices.append(m)
-        subspaces.append(msr.svd_threshold(m, tau))
-    image = imaging.image_subspace(
-        subspaces, cfg.grid(), cfg.steering_mode(), cfg.weight_scheme()
-    )
-    return cfg, dirs, matrices, subspaces, image
+def preset_run(preset, aperture="full", **changes):
+    """The in-memory run of a catalog preset at 15 dB and the suite's seed,
+    with `changes` set on its config."""
+    cfg = cli.preset_config(preset, aperture, seed=SEED, snr_db=15.0)
+    for name, value in changes.items():
+        setattr(cfg, name, value)
+    return cli.run_pipeline(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +202,7 @@ def test_criterion_05_kernel_equivalence(micro_pipeline):
     assert report(5, ok, f"micro-segment map vs J0^2 kernel: sup deviation {sup:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_06_imaging_localization(tmp_path):
+def test_criterion_06_imaging_localization():
     # the G1,TM preset: full view, 15 dB noise, fixed seed, exactly
     # as stated.  The direction count N = 16 places this configuration in
     # the ghost-replica regime (k |x| reaches ~36 >> N), where the aliased
@@ -229,14 +212,12 @@ def test_criterion_06_imaging_localization(tmp_path):
     # every legitimate reading we measured; see the supplementary test for
     # the alias-free regime where they hold.
     start = time.perf_counter()
-    cfg = cli.preset_config("G1,TM", seed=SEED, snr_db=15.0)
-    manifest = cli.run_experiment(cfg, tmp_path)
-    metrics = imaging.load_metadata(tmp_path / "metrics.txt")
-    argmax_dist = float(metrics["argmax_distance"])
-    contrast = float(metrics["contrast"])
-    matrices = [msr.load_msr(tmp_path / f"msr_{i:03d}.msr") for i in range(cfg.freq_count)]
-    kirchhoff = imaging.image_kirchhoff(matrices, cfg.grid())
-    km_contrast = analysis.localization_metrics(kirchhoff, cfg.crack())["contrast"]
+    run = preset_run("G1,TM")
+    cfg = run.cfg
+    argmax_dist = run.metrics["argmax_distance"]
+    contrast = run.metrics["contrast"]
+    kirchhoff = imaging.image_kirchhoff(run.matrices, cfg.grid())
+    km_contrast = analysis.localization_metrics(kirchhoff, run.crack)["contrast"]
     elapsed = time.perf_counter() - start
     part_a = argmax_dist <= 2.0 * cfg.step
     part_b = contrast >= 3.0
@@ -260,9 +241,8 @@ def test_criterion_06_imaging_localization(tmp_path):
 
 def test_criterion_07_te_two_curve_signature():
     start = time.perf_counter()
-    cfg, dirs, _, subs, image = run_preset_pipeline("G1,TE", mode="te-plain")
-    crack = cfg.crack()
-    grid = cfg.grid()
+    run = preset_run("G1,TE", mode="te-plain")
+    crack, grid, image = run.crack, run.cfg.grid(), run.image
     samples = geometry.sample_points(crack, 21)
     hits = 0
     for s in samples:
@@ -284,13 +264,12 @@ def test_criterion_08_limited_view():
     # correlation decays faster than J_0 off the illuminated sector (see
     # the N-sweep in ROADMAP item 3 and the supplementary coverage test).
     start = time.perf_counter()
-    cfg_f, dirs_f, _, _, img_full = run_preset_pipeline("G2,TM", "full")
-    cfg_l, dirs_l, _, _, img_lim = run_preset_pipeline("G2,TM", "limited")
-    crack = cfg_f.crack()
-    contrast_full = analysis.localization_metrics(img_full, crack)["contrast"]
-    contrast_lim = analysis.localization_metrics(img_lim, crack)["contrast"]
+    run_full, run_lim = preset_run("G2,TM", "full"), preset_run("G2,TM", "limited")
+    img_lim = run_lim.image
+    contrast_full = run_full.metrics["contrast"]
+    contrast_lim = run_lim.metrics["contrast"]
     endpoints = [np.array([-1.0, -0.2]), np.array([1.0, 0.2])]
-    grid = cfg_l.grid()
+    grid = run_lim.cfg.grid()
     pts = grid.points()
     threshold = np.quantile(img_lim.values, 0.95)
     endpoint_ok = all(
@@ -366,20 +345,8 @@ def test_criterion_10_weighted_variants(micro_pipeline):
 def test_supplementary_localization_alias_free_regime():
     """The criterion-6 quantities in the regime the derivations assume:
     enough directions that k|x| stays below the aliasing threshold."""
-    crack = geometry.catalog("G1")
-    dirs = msr.DirectionSet.full_view(64)
-    ks = imaging.FrequencySet.from_wavelengths(0.5, 0.4, 10).wavenumbers()
-    cfg = NystromConfig(nodes_per_arc=128)
-    subs = []
-    for f_idx, k in enumerate(ks):
-        m = msr.assemble(crack, k, dirs, BC.DIRICHLET, cfg)
-        m = msr.add_noise(m, msr.NoiseSpec(15.0, SEED + f_idx))
-        subs.append(msr.svd_threshold(m, 0.01))
-    grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.02)
-    image = imaging.image_subspace(
-        subs, grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
-    )
-    metrics = analysis.localization_metrics(image, crack)
+    # the G1,TM preset at 64 directions in place of 16
+    metrics = preset_run("G1,TM", count=64).metrics
     assert metrics["argmax_distance"] <= 0.04
     assert metrics["contrast"] >= 3.0
     # normalization property: the peak of the noiseless functional is near 1
@@ -389,15 +356,13 @@ def test_supplementary_localization_alias_free_regime():
 def test_supplementary_limited_view_coverage_degrades():
     """The attainable form of the aperture-degradation claim: the limited
     aperture images a smaller fraction of the crack than full view."""
-    cfg_f, _, _, _, img_full = run_preset_pipeline("G2,TM", "full")
-    _, _, _, _, img_lim = run_preset_pipeline("G2,TM", "limited")
-    crack = cfg_f.crack()
-    grid = cfg_f.grid()
-    samples = geometry.sample_points(crack, 64)
+    run_full, run_lim = preset_run("G2,TM", "full"), preset_run("G2,TM", "limited")
+    grid = run_full.cfg.grid()
+    samples = geometry.sample_points(run_full.crack, 64)
 
     def coverage(image):
         peak = image.values.max()
         vals = np.array([image.values[grid.index_nearest(s.point)] for s in samples])
         return float(np.mean(vals >= 0.5 * peak))
 
-    assert coverage(img_lim) <= coverage(img_full)
+    assert coverage(run_lim.image) <= coverage(run_full.image)

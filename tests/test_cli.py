@@ -235,6 +235,24 @@ def test_run_experiment_deterministic(small_run, tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
 
+def test_pipeline_record_matches_the_artifacts(small_run, tmp_path):
+    # run_pipeline holds in memory what run_experiment writes
+    cfg, out, _ = small_run
+    run = cli.run_pipeline(cfg)
+    assert run.stages_completed == ["forward", "svd", "imaging", "metrics"]
+    imaging.save_map(run.image, tmp_path / "map.csv")
+    assert (tmp_path / "map.csv").read_bytes() == (out / "map.csv").read_bytes()
+    assert len(run.matrices) == cfg.freq_count
+    for f_idx, matrix in enumerate(run.matrices):
+        back = msr.load_msr(out / f"msr_{f_idx:03d}.msr")
+        assert np.array_equal(matrix.entries, back.entries)
+    imaging.save_metadata(run.metrics, tmp_path / "metrics.txt")
+    assert (tmp_path / "metrics.txt").read_bytes() == (out / "metrics.txt").read_bytes()
+    forward = cli.run_pipeline(cfg, stop_after="forward")
+    assert forward.stages_completed == ["forward"] and len(forward.matrices) == cfg.freq_count
+    assert forward.subspaces is None and forward.image is None and forward.metrics is None
+
+
 def test_saved_msr_files_load(small_run):
     cfg, out, _ = small_run
     back = msr.load_msr(out / "msr_000.msr")
@@ -271,6 +289,10 @@ def test_stage_failure_still_writes_manifest(tmp_path, monkeypatch):
         cli.run_experiment(cfg, tmp_path)
     meta = imaging.load_metadata(tmp_path / "manifest.txt")
     assert meta["stages"] == "forward"
+    # the forward stage's MSR files are written and hashed, no map
+    assert sorted(p.name for p in tmp_path.glob("msr_*.msr")) == ["msr_000.msr", "msr_001.msr"]
+    assert cli.verify_manifest(tmp_path / "manifest.txt") == []
+    assert not (tmp_path / "map.csv").exists()
 
 
 def test_cli_forward_and_render(tmp_path):
@@ -327,6 +349,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,map\n")
     assert cli.main(["render", "--in", str(bad), "--out", str(tmp_path / "x.pgm")]) == 2
+
+
+def test_out_that_names_a_file_exits_2(tmp_path, capsys):
+    # a file where the output directory, or one of its parents, should go
+    # is a config error for every command that makes the directory
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    for argv in (["image", "--preset", "G1,TM", "--out", str(taken)],
+                 ["forward", "--preset", "G1,TM", "--out", str(taken)],
+                 ["refine", "--out", str(taken)],
+                 ["image", "--preset", "G1,TM", "--out", str(taken / "run")]):
+        assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(line.startswith("config error:") for line in lines)
+    assert taken.read_text() == ""
 
 
 def test_cli_image_from_config_file(tmp_path):

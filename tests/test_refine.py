@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcmig import forward, msr, refine
+from arcmig import cli, forward, msr, refine
 from arcmig.errors import DomainError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig, PlaneWave, solve_density
@@ -211,24 +211,11 @@ def test_catalog_gamma2_close_to_reference_expansion():
 
 def test_initial_guess_from_map():
     # scripted convenience: fit the ridge of an imaging map; useful when
-    # the map itself is clean (alias-free direction count)
-    import arcmig.imaging as imaging
-    from arcmig.forward import BoundaryCondition as BC
-
-    crack = catalog("G2")
-    dirs = msr.DirectionSet.full_view(96)
-    subs = []
-    for f, k in enumerate(
-        imaging.FrequencySet.from_wavelengths(0.6, 0.3, 12).wavenumbers()
-    ):
-        m = msr.assemble(crack, k, dirs, BC.DIRICHLET, NystromConfig(nodes_per_arc=128))
-        m = msr.add_noise(m, msr.NoiseSpec(15.0, 5 + f))
-        subs.append(msr.svd_threshold(m, 0.01))
-    grid = imaging.SearchGrid(-2.0, 2.0, -2.0, 2.0, 0.02)
-    image = imaging.image_subspace(
-        subs, grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
-    )
-    guess = refine.initial_guess_from_map(image, degree=5)
+    # the map itself is clean (alias-free direction count): the G2,TM
+    # preset at 96 directions in place of 28
+    cfg = cli.preset_config("G2,TM", seed=5, snr_db=15.0)
+    cfg.count = 96
+    guess = refine.initial_guess_from_map(cli.run_pipeline(cfg).image, degree=5)
     s_axis = np.linspace(-1.0, 1.0, 401)
     true_prof = chebyshev_value(np.array(refine.REFERENCE_TRUE), s_axis)
     assert np.max(np.abs(guess.profile(s_axis) - true_prof)) < 0.1
