@@ -86,20 +86,22 @@ _CHEB_FIT[0] *= 0.5
 
 
 class _RadialTable:
-    """g(r) for 0 <= r <= r_max from a table of Chebyshev interpolants
+    """g(r) for r_min <= r <= r_max from a table of Chebyshev interpolants
     (above), within 5e-13 max|g| for the Bessel kernels of
     `kernel_predict_grid`.
 
     A panel's nodes, values and coefficients are elementwise in its index
     (the fit is a sum over the nodes in a fixed order, not a GEMM), so they
-    depend only on g, w and the index: a table to a larger r_max agrees
-    bit for bit with a shorter one where both are defined."""
+    depend only on g, w and the index: tables over different ranges agree
+    bit for bit where both are defined."""
 
-    def __init__(self, g, k_max, r_max):
+    def __init__(self, g, k_max, r_min, r_max):
         self.width = 0.5 / k_max
-        panels = int(r_max / self.width) + 1
-        values = g(self.width * (np.arange(panels)[:, None] + _CHEB_NODES))
-        coefficients = np.zeros((_CHEB_POINTS, panels))
+        # a few ulps below r_min, where no rounded distance falls
+        self.first = int(r_min * (1.0 - 1e-15) / self.width)
+        indices = np.arange(self.first, int(r_max / self.width) + 1)
+        values = g(self.width * (indices[:, None] + _CHEB_NODES))
+        coefficients = np.zeros((_CHEB_POINTS, indices.size))
         for column, fit in zip(values.T, _CHEB_FIT.T):
             coefficients += fit[:, None] * column
         self.coefficients = coefficients
@@ -110,6 +112,7 @@ class _RadialTable:
         scaled = r / self.width
         panel = scaled.astype(np.intp)
         t2 = 4.0 * (scaled - panel) - 2.0      # 2 t, t in [-1, 1) on the panel
+        panel -= self.first
         rows = self.coefficients
         b1, b2 = rows[-1].take(panel), 0.0
         for row in rows[-2:0:-1]:
@@ -119,8 +122,8 @@ class _RadialTable:
 
 def _radial_table(kind, x, points, k, k_first, k_last):
     """The `_RadialTable` of g for the regimes that sum g(|x - y_m|) over
-    the samples (TM_BAND before its remainder), out to the largest distance
-    from ``x`` to the samples' bounding box; None for the other regimes."""
+    the samples (TM_BAND before its remainder), over the range of distances
+    between the bounding boxes of ``x`` and of the samples; None otherwise."""
     if kind == "TM_SINGLE":
         def g(r):
             return _j01(k * r)[0] ** 2
@@ -139,7 +142,9 @@ def _radial_table(kind, x, points, k, k_first, k_last):
         return None
     lo, hi = points.min(axis=0), points.max(axis=0)
     far = np.maximum(np.abs(x - lo), np.abs(x - hi))
-    return _RadialTable(g, k_max, float(np.max(np.hypot(far[:, 0], far[:, 1]))))
+    gap = np.maximum(0.0, np.maximum(lo - x.max(axis=0), x.min(axis=0) - hi))
+    return _RadialTable(g, k_max, float(np.hypot(*gap)),
+                        float(np.max(np.hypot(far[:, 0], far[:, 1]))))
 
 
 def adaptive_quad(f, a, b, tol=1e-10):
@@ -537,6 +542,23 @@ def _on_off_means(image: ImageMap, grid_points, pts, on_idx):
     }
 
 
+def _endpoint_top_fractions(image: ImageMap, crack: Crack, grid_points):
+    """Per arc endpoint, whether the map's largest value within two grid
+    steps of it reaches the map's 95th percentile (False when no grid point
+    is that close)."""
+    top = np.quantile(image.values, 0.95)
+    out = {}
+    for c_idx, arc in enumerate(crack.components):
+        for label, t_end in (("lo", -1.0), ("hi", 1.0)):
+            endpoint = np.atleast_2d(arc.points(np.array([t_end])))[0]
+            dist = np.hypot(grid_points[:, 0] - endpoint[0], grid_points[:, 1] - endpoint[1])
+            near = dist <= 2.0 * image.grid.h + 1e-12
+            out[f"endpoint_{c_idx}_{label}_top5"] = bool(
+                near.any() and np.max(image.values[near]) >= top
+            )
+    return out
+
+
 def validate_map(image: ImageMap, crack: Crack, kind, params, m_samples=32):
     """Compare a computed map against a kernel prediction and report
     localization metrics.
@@ -558,9 +580,11 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, m_samples=32):
 
 
 def localization_metrics(image: ImageMap, crack: Crack):
-    """Contrast-style metrics without a kernel prediction."""
+    """Contrast-style metrics without a kernel prediction, with the
+    `_endpoint_top_fractions` flags: every key of a run's metrics."""
+    grid_points = image.grid.points()
     pts, _, on_idx = crack_samples_on_grid(crack, image.grid)
-    means = _on_off_means(image, image.grid.points(), pts, on_idx)
+    means = _on_off_means(image, grid_points, pts, on_idx)
     argmax = image.argmax_point()
     return {
         "argmax_x": float(argmax[0]),
@@ -570,4 +594,5 @@ def localization_metrics(image: ImageMap, crack: Crack):
             np.min(np.hypot(pts[:, 0] - argmax[0], pts[:, 1] - argmax[1]))
         ),
         **means,
+        **_endpoint_top_fractions(image, crack, grid_points),
     }

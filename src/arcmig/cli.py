@@ -297,30 +297,6 @@ def preset_config(spec, aperture="full", seed=ExperimentConfig.seed,
 
 # ------------------------------------------------------------- experiment
 
-@dataclass
-class RunManifest:
-    config_tables: dict
-    artifacts: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    stages_completed: list = field(default_factory=list)
-    seed: int = 0
-    verify: dict = field(default_factory=dict)
-
-    def write(self, path):
-        meta = {"seed": self.seed, "backend": BACKEND, "version": __version__}
-        for section, table in self.config_tables.items():
-            for key, value in table.items():
-                meta[f"config.{section}.{key}"] = _format_value(value)
-        for name, digest in self.artifacts.items():
-            meta[f"artifact.{name}.sha256"] = digest
-        for stage, seconds in self.timings.items():
-            meta[f"timing.{stage}_s"] = float(seconds)
-        for check, value in self.verify.items():
-            meta[f"verify.{check}"] = float(value)
-        meta["stages"] = ",".join(self.stages_completed)
-        imaging.save_metadata(meta, path)
-
-
 def verify_manifest(path):
     """Re-hash the artifacts recorded in a manifest; returns mismatches."""
     meta = imaging.load_metadata(path)
@@ -418,7 +394,6 @@ class PipelineRun:
 
         t0 = time.perf_counter()
         self.metrics = analysis.localization_metrics(self.image, crack)
-        self.metrics.update(_endpoint_top_fractions(self.image, crack))
         self._completed("metrics", t0)
         return self
 
@@ -433,11 +408,11 @@ def run_pipeline(cfg: ExperimentConfig, stop_after=None):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
-    """The pipeline with artifact persistence; returns the RunManifest.
+    """The pipeline with artifact persistence; returns the executed
+    PipelineRun, its writing and hashing timed as `timings["write"]`.
 
     A failed stage raises after writing the artifacts of the stages already
-    completed and a manifest that records them. The manifest times the
-    writing and hashing as `timing.write_s`."""
+    completed and a manifest that records them."""
     run = PipelineRun(cfg, stop_after)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -445,14 +420,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir, stop_after=None):
         run.execute()
     finally:
         t0 = time.perf_counter()
-        manifest = RunManifest(
-            config_tables=cfg.to_tables(), artifacts=_save_artifacts(run, out),
-            timings=dict(run.timings), stages_completed=list(run.stages_completed),
-            seed=cfg.seed, verify=dict(run.verify),
-        )
-        manifest.timings["write"] = time.perf_counter() - t0
-        manifest.write(out / "manifest.txt")
-    return manifest
+        artifacts = _save_artifacts(run, out)
+        run.timings["write"] = time.perf_counter() - t0
+        _write_manifest(run, artifacts, out / "manifest.txt")
+    return run
+
+
+def _write_manifest(run, artifacts, path):
+    """Write `manifest.txt` from the run record and its artifacts' sha256."""
+    meta = {"seed": run.cfg.seed, "backend": BACKEND, "version": __version__}
+    for section, table in run.cfg.to_tables().items():
+        for key, value in table.items():
+            meta[f"config.{section}.{key}"] = _format_value(value)
+    for name, digest in artifacts.items():
+        meta[f"artifact.{name}.sha256"] = digest
+    for stage, seconds in run.timings.items():
+        meta[f"timing.{stage}_s"] = float(seconds)
+    for check, value in run.verify.items():
+        meta[f"verify.{check}"] = float(value)
+    meta["stages"] = ",".join(run.stages_completed)
+    imaging.save_metadata(meta, path)
 
 
 def _save_artifacts(run, out):
@@ -476,25 +463,6 @@ def _save_artifacts(run, out):
     if run.metrics is not None:
         save(imaging.save_metadata, run.metrics, "metrics.txt")
     return digests
-
-
-def _endpoint_top_fractions(image, crack):
-    """Per arc endpoint, whether the map's largest value within two grid
-    steps of it reaches the map's 95th percentile (False when no grid point
-    is that close).  The grid points and the percentile are taken once."""
-    grid = image.grid
-    pts = grid.points()
-    top = np.quantile(image.values, 0.95)
-    out = {}
-    for c_idx, arc in enumerate(crack.components):
-        for label, t_end in (("lo", -1.0), ("hi", 1.0)):
-            endpoint = np.atleast_2d(arc.points(np.array([t_end])))[0]
-            dist = np.hypot(pts[:, 0] - endpoint[0], pts[:, 1] - endpoint[1])
-            near = dist <= 2.0 * grid.h + 1e-12
-            out[f"endpoint_{c_idx}_{label}_top5"] = bool(
-                near.any() and np.max(image.values[near]) >= top
-            )
-    return out
 
 
 # ----------------------------------------------------------------- render
@@ -668,14 +636,14 @@ def main(argv=None):
 def _dispatch(args):
     if args.command == "forward":
         cfg = _config_from_args(args)
-        manifest = run_experiment(cfg, args.out, stop_after="forward")
-        print(f"wrote {len(manifest.artifacts)} MSR files to {args.out}")
+        run = run_experiment(cfg, args.out, stop_after="forward")
+        print(f"wrote {len(run.matrices)} MSR files to {args.out}")
         return EXIT_OK
 
     if args.command == "image":
         cfg = _config_from_args(args)
-        manifest = run_experiment(cfg, args.out)
-        print(f"stages: {', '.join(manifest.stages_completed)}; artifacts in {args.out}")
+        run = run_experiment(cfg, args.out)
+        print(f"stages: {', '.join(run.stages_completed)}; artifacts in {args.out}")
         return EXIT_OK
 
     if args.command == "verify":
@@ -693,11 +661,11 @@ def _dispatch(args):
         return EXIT_OK if ok else EXIT_NUMERIC
 
     if args.command == "refine":
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         noise = None if args.snr is None else (args.snr, args.seed)
         initial, truth, data = refine.reference_scenario(noise=noise)
         trajectory = refine.newton_refine(initial, data)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         refine.save_trajectory(trajectory, out / "trajectory.csv")
         for state in trajectory:
             coeffs = " ".join(format(a, "+.4f") for a in state.coefficients)

@@ -86,10 +86,6 @@ class PlaneWave:
         if not (self.k > 0.0 and math.isfinite(self.k)):
             raise DomainError(f"wavenumber must be positive and finite, got {self.k}")
 
-    def field(self, points):
-        points = np.atleast_2d(points)
-        return np.exp(1j * self.k * (points @ self.direction))
-
 
 @dataclass(frozen=True)
 class NystromConfig:

@@ -66,8 +66,6 @@ class FrequencySet:
             raise ConfigError("wavenumbers must be positive")
 
     def wavenumbers(self):
-        if self.count == 1:
-            return np.array([self.k_first])
         return np.linspace(self.k_first, self.k_last, self.count)
 
     @classmethod
@@ -571,8 +569,15 @@ def load_map(path) -> ImageMap:
         x_lo=float(ux[0]), x_hi=float(ux[-1]), y_lo=float(uy[0]), y_hi=float(uy[-1]),
         h=_saved_step(ux, uy),
     )
-    if grid.nx != ux.size or grid.ny != uy.size:
+    # every row holds the grid point of its index in row-major order
+    points = grid.points()
+    if points.shape[0] != vals.size:
         raise MapParseError(f"{path}: inconsistent grid step", line=1)
+    wrong = np.flatnonzero((xs != points[:, 0]) | (ys != points[:, 1]))
+    if wrong.size:
+        (x, y), line = points[wrong[0]], int(wrong[0]) + 2
+        raise MapParseError(f"{path}: line {line} is not the grid's point "
+                            f"({x:.17g}, {y:.17g}) in row-major order", line=line)
     return ImageMap(grid=grid, values=vals)
 
 

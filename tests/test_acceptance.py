@@ -38,6 +38,15 @@ def preset_run(preset, aperture="full", **changes):
 
 
 @pytest.fixture(scope="module")
+def g2_tm_runs():
+    """The G2,TM full- and limited-view runs of criterion 8 and the
+    coverage test, built once, and the seconds they took."""
+    start = time.perf_counter()
+    runs = preset_run("G2,TM", "full"), preset_run("G2,TM", "limited")
+    return runs, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
 def micro_pipeline():
     """Alias-free micro-segment data used by criteria 5 and 10."""
     center = np.array([0.1, -0.15])
@@ -257,14 +266,15 @@ def test_criterion_07_te_two_curve_signature():
     assert report(7, ok, f"two-curve signature at {fraction:.0%} of sample points, {elapsed:.0f}s")
 
 
-def test_criterion_08_limited_view():
+def test_criterion_08_limited_view(g2_tm_runs):
     # Gamma2 TM, alpha = pi/6, beta = 5 pi/6 versus the matched full-view
     # pipeline.  The endpoint clause holds; the contrast-ordering clause is
     # inverted at every measured configuration because the limited-aperture
     # correlation decays faster than J_0 off the illuminated sector (see
     # the N-sweep in ROADMAP item 3 and the supplementary coverage test).
+    # The elapsed time includes the seconds the fixture took for the runs.
     start = time.perf_counter()
-    run_full, run_lim = preset_run("G2,TM", "full"), preset_run("G2,TM", "limited")
+    (run_full, run_lim), run_seconds = g2_tm_runs
     img_lim = run_lim.image
     contrast_full = run_full.metrics["contrast"]
     contrast_lim = run_lim.metrics["contrast"]
@@ -277,7 +287,7 @@ def test_criterion_08_limited_view():
         >= threshold
         for ep in endpoints
     )
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start + run_seconds
     part_a = contrast_lim <= contrast_full
     ok = part_a and endpoint_ok and elapsed < 300.0
     report(
@@ -353,10 +363,10 @@ def test_supplementary_localization_alias_free_regime():
     assert 0.5 <= metrics["argmax_value"] <= 1.3
 
 
-def test_supplementary_limited_view_coverage_degrades():
+def test_supplementary_limited_view_coverage_degrades(g2_tm_runs):
     """The attainable form of the aperture-degradation claim: the limited
     aperture images a smaller fraction of the crack than full view."""
-    run_full, run_lim = preset_run("G2,TM", "full"), preset_run("G2,TM", "limited")
+    (run_full, run_lim), _ = g2_tm_runs
     grid = run_full.cfg.grid()
     samples = geometry.sample_points(run_full.crack, 64)
 

@@ -2,11 +2,12 @@
 manifest verification and exit codes."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from arcmig import cli, imaging, msr
+from arcmig import analysis, cli, imaging, msr
 from arcmig.errors import ConfigError, LookupNameError, SolverError
 from arcmig.forward import NystromConfig
 
@@ -159,19 +160,19 @@ def small_run(tmp_path_factory):
     cfg = cli.preset_config("G1,TM", seed=5, snr_db=15.0)
     cfg.step = 0.1           # coarse grid keeps the smoke test quick
     cfg.freq_count = 3
-    manifest = cli.run_experiment(cfg, out)
-    return cfg, out, manifest
+    run = cli.run_experiment(cfg, out)
+    return cfg, out, run
 
 
 def test_run_experiment_artifacts(small_run):
-    cfg, out, manifest = small_run
+    cfg, out, run = small_run
     assert (out / "manifest.txt").exists()
     assert (out / "map.csv").exists()
     assert (out / "map.meta").exists()
     assert (out / "metrics.txt").exists()
     for f_idx in range(cfg.freq_count):
         assert (out / f"msr_{f_idx:03d}.msr").exists()
-    assert manifest.stages_completed == ["forward", "svd", "imaging", "metrics"]
+    assert run.stages_completed == ["forward", "svd", "imaging", "metrics"]
     metrics = imaging.load_metadata(out / "metrics.txt")
     assert "contrast" in metrics and "argmax_x" in metrics
     meta = imaging.load_metadata(out / "map.meta")
@@ -186,9 +187,9 @@ def test_te_run_records_symmetry_defect(tmp_path):
     # symmetry and record the largest defect over the frequencies
     cfg = cli.preset_config("G1,TE", seed=5, snr_db=15.0)
     cfg.freq_count = 3
-    manifest = cli.run_experiment(cfg, tmp_path, stop_after="forward")
+    run = cli.run_experiment(cfg, tmp_path, stop_after="forward")
     recorded = float(imaging.load_metadata(tmp_path / "manifest.txt")["verify.symmetry_defect"])
-    assert recorded == manifest.verify["symmetry_defect"]
+    assert recorded == run.verify["symmetry_defect"]
     assert recorded < 1e-6
     nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
     defects = [
@@ -204,9 +205,9 @@ def test_every_run_checks_reciprocity(preset, aperture, tmp_path):
     # symmetric for any direction set and both boundary conditions
     cfg = cli.preset_config(preset, aperture=aperture, seed=5, snr_db=15.0)
     cfg.freq_count = 3
-    manifest = cli.run_experiment(cfg, tmp_path, stop_after="forward")
+    run = cli.run_experiment(cfg, tmp_path, stop_after="forward")
     recorded = float(imaging.load_metadata(tmp_path / "manifest.txt")["verify.symmetry_defect"])
-    assert recorded == manifest.verify["symmetry_defect"]
+    assert recorded == run.verify["symmetry_defect"]
     nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
     defects = [
         msr.assemble(cfg.crack(), k, cfg.direction_set(), cfg.bc, nystrom).symmetry_defect()
@@ -351,9 +352,14 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["render", "--in", str(bad), "--out", str(tmp_path / "x.pgm")]) == 2
 
 
-def test_out_that_names_a_file_exits_2(tmp_path, capsys):
+def test_out_that_names_a_file_exits_2(tmp_path, capsys, monkeypatch):
     # a file where the output directory, or one of its parents, should go
-    # is a config error for every command that makes the directory
+    # is a config error for every command that makes the directory, before
+    # any of its work
+    def no_work(*args, **kwargs):
+        raise AssertionError("refine started its work before making --out")
+
+    monkeypatch.setattr(cli.refine, "reference_scenario", no_work)
     taken = tmp_path / "taken"
     taken.write_text("")
     capsys.readouterr()
@@ -450,7 +456,7 @@ def test_cli_seed_zero_overrides_config(tmp_path, monkeypatch):
 
     def record(cfg, out_dir, stop_after=None):
         seeds.append(cfg.seed)
-        return cli.RunManifest(config_tables={})
+        return cli.PipelineRun(cfg, stop_after)
 
     monkeypatch.setattr(cli, "run_experiment", record)
     path = tmp_path / "exp.cfg"
@@ -467,7 +473,7 @@ def test_cli_aperture_and_mode_apply_to_either_source(tmp_path, monkeypatch, cap
 
     def record(cfg, out_dir, stop_after=None):
         runs.append((cfg.alpha, cfg.beta, cfg.bc, cfg.mode))
-        return cli.RunManifest(config_tables={})
+        return cli.PipelineRun(cfg, stop_after)
 
     monkeypatch.setattr(cli, "run_experiment", record)
     path = tmp_path / "exp.cfg"
@@ -499,7 +505,7 @@ def test_bc_follows_the_imaging_mode(tmp_path, monkeypatch):
 
     def record(cfg, out_dir, stop_after=None):
         runs.append((cfg.mode, cfg.bc))
-        return cli.RunManifest(config_tables={})
+        return cli.PipelineRun(cfg, stop_after)
 
     monkeypatch.setattr(cli, "run_experiment", record)
     expected = [("tm", "dirichlet"), ("te-search", "neumann"), ("te-plain", "neumann")]
@@ -518,6 +524,25 @@ def test_bc_follows_the_imaging_mode(tmp_path, monkeypatch):
 
 def test_cli_verify_fast():
     assert cli.main(["verify", "--fast"]) == 0
+
+
+def test_cli_verify_manifest(small_run, tmp_path, capsys):
+    # a copy of the run, so that editing its artifacts leaves the fixture's
+    _, out, _ = small_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    argv = ["verify", "--manifest", str(run / "manifest.txt"), "--fast"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "PASS manifest: all artifact hashes match"
+    original = (run / "map.csv").read_bytes()
+    (run / "map.csv").write_bytes(original + b"0,0,0\n")
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out.splitlines() == ["FAIL manifest: map.csv: hash mismatch"]
+    (run / "map.csv").write_bytes(original)
+    (run / "msr_000.msr").unlink()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out.splitlines() == ["FAIL manifest: msr_000.msr: missing"]
 
 
 def test_cli_refine(tmp_path):
@@ -549,6 +574,6 @@ def test_endpoint_top_fractions_match_per_endpoint_rule():
                 expected[f"endpoint_{c_idx}_{label}_top5"] = bool(
                     near.any() and np.max(values[near]) >= np.quantile(values, 0.95)
                 )
-        assert cli._endpoint_top_fractions(image, crack) == expected
+        assert analysis._endpoint_top_fractions(image, crack, grid.points()) == expected
         assert expected["endpoint_2_hi_top5"] is False
     assert list(expected.values()) == [True] * 5 + [False]

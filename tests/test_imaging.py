@@ -576,11 +576,24 @@ def test_grid_with_one_row_or_column_is_refused():
 
 
 def test_map_csv_parse_error_carries_line(tmp_path):
+    def rows(points):
+        return "".join(f"{x},{y},1\n" for x, y in points)
+
+    cases = [
+        ("0,0,1\n0.1,0,oops\n", 3),
+        # (0, 1) twice and no (1, 1): the point count of a 2 x 2 grid
+        (rows([(0, 0), (1, 0), (0, 1), (0, 1)]), 5),
+        # the 2 x 2 grid in column-major order
+        (rows([(0, 0), (0, 1), (1, 0), (1, 1)]), 3),
+        # x = 0.1 is no multiple of the step 0.15 the other coordinates share
+        (rows([(x, y) for y in (0, 0.15, 0.3) for x in (0, 0.1, 0.3)]), 3),
+    ]
     path = tmp_path / "bad.csv"
-    path.write_text("x,y,value\n0,0,1\n0.1,0,oops\n")
-    with pytest.raises(MapParseError) as err:
-        imaging.load_map(path)
-    assert err.value.line == 3
+    for body, line in cases:
+        path.write_text("x,y,value\n" + body)
+        with pytest.raises(MapParseError) as err:
+            imaging.load_map(path)
+        assert err.value.line == line
 
 
 def test_metadata_round_trip(tmp_path):

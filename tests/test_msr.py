@@ -263,6 +263,17 @@ def test_msr_entry_index_above_n_is_rejected(tmp_path):
     assert err.line == 10
 
 
+@pytest.mark.parametrize("lineno, edit, message", [
+    (1, lambda f: ["MRS", *f[1:]], "missing MSR header"),
+    (1, lambda f: f[:-1], "malformed MSR header"),
+    (7, lambda f: f[:3], "malformed entry line"),
+])
+def test_msr_malformed_line_is_rejected(tmp_path, lineno, edit, message):
+    # a misspelt header tag, a header short of a field, a 3-field entry
+    err = _load_edited(tmp_path, lineno, edit)
+    assert err.line == lineno and message in str(err)
+
+
 def test_msr_non_numeric_entry_field_is_rejected(tmp_path):
     err = _load_edited(tmp_path, 6, lambda f: [*f[:3], "1.0j"])
     assert err.line == 6
