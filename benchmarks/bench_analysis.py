@@ -10,9 +10,6 @@ It times, as the median over ``--calls`` calls (one warm-up call first):
   ``validate_map`` is also given per point-sample pair (grid points times
   its 32 crack samples per crack component), in ns; ``localization_metrics``
   includes the endpoint flags;
-* ``kernel_predict("TM_BAND", ...)`` at the far point (30, 0) against the
-  same 32 crack samples, with each preset's band, whose radial table
-  starts at the point's distance from the samples;
 * one scalar ``ring_integrals`` call on the limited aperture
   [pi/6, 5 pi/6] at k = 15;
 * ``kernel_predict("LV_TM_BAND" / "LV_TE_BAND", include_remainder=True)``
@@ -63,12 +60,10 @@ def main():
         name = f"validate_map TM_BAND {preset}"
         results[name] = _ms_per_call(
             lambda: analysis.validate_map(image, crack, "TM_BAND", params), args.calls)
-        pts = analysis.crack_samples_on_grid(crack, grid, 32)[0]
-        ns_per_pair[name] = round(1e6 * results[name] / (grid.nx * grid.ny * pts.shape[0]), 2)
+        samples = analysis.crack_samples_on_grid(crack, grid, 32)[0].shape[0]
+        ns_per_pair[name] = round(1e6 * results[name] / (grid.nx * grid.ny * samples), 2)
         results[f"localization_metrics {preset}"] = _ms_per_call(
             lambda: analysis.localization_metrics(image, crack), args.calls)
-        results[f"kernel_predict TM_BAND far point {preset}"] = _ms_per_call(
-            lambda: analysis.kernel_predict("TM_BAND", [30.0, 0.0], pts, **params), args.calls)
 
     x, xi = np.array([0.3, -0.6]), np.array([math.sin(0.3), math.cos(0.3)])
     results["ring_integrals scalar k"] = _ms_per_call(

@@ -86,22 +86,20 @@ _CHEB_FIT[0] *= 0.5
 
 
 class _RadialTable:
-    """g(r) for r_min <= r <= r_max from a table of Chebyshev interpolants
+    """g(r) for 0 <= r <= r_max from a table of Chebyshev interpolants
     (above), within 5e-13 max|g| for the Bessel kernels of
     `kernel_predict_grid`.
 
     A panel's nodes, values and coefficients are elementwise in its index
     (the fit is a sum over the nodes in a fixed order, not a GEMM), so they
-    depend only on g, w and the index: tables over different ranges agree
-    bit for bit where both are defined."""
+    depend only on g, w and the index: a table to a larger r_max agrees
+    bit for bit with a shorter one where both are defined."""
 
-    def __init__(self, g, k_max, r_min, r_max):
+    def __init__(self, g, k_max, r_max):
         self.width = 0.5 / k_max
-        # a few ulps below r_min, where no rounded distance falls
-        self.first = int(r_min * (1.0 - 1e-15) / self.width)
-        indices = np.arange(self.first, int(r_max / self.width) + 1)
-        values = g(self.width * (indices[:, None] + _CHEB_NODES))
-        coefficients = np.zeros((_CHEB_POINTS, indices.size))
+        panels = int(r_max / self.width) + 1
+        values = g(self.width * (np.arange(panels)[:, None] + _CHEB_NODES))
+        coefficients = np.zeros((_CHEB_POINTS, panels))
         for column, fit in zip(values.T, _CHEB_FIT.T):
             coefficients += fit[:, None] * column
         self.coefficients = coefficients
@@ -112,7 +110,6 @@ class _RadialTable:
         scaled = r / self.width
         panel = scaled.astype(np.intp)
         t2 = 4.0 * (scaled - panel) - 2.0      # 2 t, t in [-1, 1) on the panel
-        panel -= self.first
         rows = self.coefficients
         b1, b2 = rows[-1].take(panel), 0.0
         for row in rows[-2:0:-1]:
@@ -122,8 +119,8 @@ class _RadialTable:
 
 def _radial_table(kind, x, points, k, k_first, k_last):
     """The `_RadialTable` of g for the regimes that sum g(|x - y_m|) over
-    the samples (TM_BAND before its remainder), over the range of distances
-    between the bounding boxes of ``x`` and of the samples; None otherwise."""
+    the samples (TM_BAND before its remainder), out to the largest distance
+    from ``x`` to the samples' bounding box; None for the other regimes."""
     if kind == "TM_SINGLE":
         def g(r):
             return _j01(k * r)[0] ** 2
@@ -142,9 +139,7 @@ def _radial_table(kind, x, points, k, k_first, k_last):
         return None
     lo, hi = points.min(axis=0), points.max(axis=0)
     far = np.maximum(np.abs(x - lo), np.abs(x - hi))
-    gap = np.maximum(0.0, np.maximum(lo - x.max(axis=0), x.min(axis=0) - hi))
-    return _RadialTable(g, k_max, float(np.hypot(*gap)),
-                        float(np.max(np.hypot(far[:, 0], far[:, 1]))))
+    return _RadialTable(g, k_max, float(np.max(np.hypot(far[:, 0], far[:, 1]))))
 
 
 def adaptive_quad(f, a, b, tol=1e-10):

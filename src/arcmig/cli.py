@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -661,9 +661,10 @@ def _dispatch(args):
         return EXIT_OK if ok else EXIT_NUMERIC
 
     if args.command == "refine":
+        # --snr and --seed are checked, then --out made, before any work
+        noise = None if args.snr is None else astuple(msr.NoiseSpec(args.snr, args.seed))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        noise = None if args.snr is None else (args.snr, args.seed)
         initial, truth, data = refine.reference_scenario(noise=noise)
         trajectory = refine.newton_refine(initial, data)
         refine.save_trajectory(trajectory, out / "trajectory.csv")

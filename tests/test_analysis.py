@@ -417,9 +417,9 @@ def test_validate_map_blocked_prediction_is_exact():
             pred = analysis.kernel_predict_grid(kind, grid_points, pts, **params)
             assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
             assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
-            # each call builds its radial table over its own range of
-            # distances; tables agree where both are defined, so row
-            # subsets of one block each agree bit for bit
+            # each call builds its radial table to its own largest distance;
+            # a shorter table is a prefix of a longer one, so row subsets
+            # of one block each agree bit for bit
             for rows in (slice(0, 7), slice(1200, 1201), slice(2000, None)):
                 part = analysis.kernel_predict_grid(kind, grid_points[rows], pts, **params)
                 assert np.array_equal(part, pred[rows])
@@ -427,34 +427,6 @@ def test_validate_map_blocked_prediction_is_exact():
         pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
         loc = analysis.localization_metrics(image, crack)
         assert loc["off_crack_mean"] == unblocked_mean_off(pts64)
-
-
-@pytest.mark.parametrize("preset", ["G3", "G4"])
-def test_far_point_table_starts_at_its_nearest_distance(preset, monkeypatch):
-    # the table of a one-point call far from the crack fits no panel wholly
-    # below the point's nearest sample, and the call equals, bit for bit,
-    # its row of a call whose table starts at r = 0; the point lies level
-    # with the rightmost sample, so its nearest distance is the gap between
-    # it and the samples' bounding box
-    ks = cli.preset_config(f"{preset},TM").frequency_set().wavenumbers()
-    params = {"k_first": ks[0], "k_last": ks[-1]}
-    pts = np.array([s.point for s in geometry.sample_points(geometry.catalog(preset), 32)])
-    far = np.array([30.0, pts[np.argmax(pts[:, 0]), 1]])
-    tables = []
-
-    class Recorded(analysis._RadialTable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
-    monkeypatch.setattr(analysis, "_RadialTable", Recorded)
-    alone = analysis.kernel_predict("TM_BAND", far, pts, **params)
-    nearest = float(np.min(np.hypot(far[0] - pts[:, 0], far[1] - pts[:, 1])))
-    table = tables[0]
-    assert table.first * table.width <= nearest < (table.first + 1) * table.width
-    rows = analysis.kernel_predict_grid("TM_BAND", np.array([far, pts[5]]), pts, **params)
-    assert tables[1].first == 0
-    assert alone == rows[0]
 
 
 @pytest.mark.parametrize("preset", ["G1", "G2", "G3", "G4"])

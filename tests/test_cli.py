@@ -371,6 +371,12 @@ def test_out_that_names_a_file_exits_2(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 4 and all(line.startswith("config error:") for line in lines)
     assert taken.read_text() == ""
+    # refine checks --snr and --seed before it makes --out
+    fresh = tmp_path / "fresh"
+    for noise in (["--snr", "nan"], ["--snr", "15", "--seed", "-1"]):
+        assert cli.main(["refine", *noise, "--out", str(fresh)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not fresh.exists()
 
 
 def test_cli_image_from_config_file(tmp_path):
