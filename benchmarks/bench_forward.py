@@ -16,13 +16,14 @@ It reports, as medians over repeats:
   initial guess.
 
 The split comes from timing wrappers placed around `forward._hankel0`,
-the wavenumber-independent build (`forward._discretize`), the system
-builders (`forward._slp_system`, and `forward._build_neumann` around it),
-`forward._solve_linear` and `forward.far_field_matrix` for the duration
-of the measurement; a call nested in another of its stage is not counted
-twice.  What is left of the total is "other" (right-hand sides, density
-scaling).  The results and their provenance go to ``BENCH_forward.json``
-(see ``_record.py``) and, as one JSON line, to the end of the output.
+the wavenumber-independent build (`discretize`, in `forward` and in `msr`,
+which imports the name), the system builders (`forward._slp_system`, and
+`forward._build_neumann` around it), `forward._solve_linear` and
+`forward.far_field_matrix` for the duration of the measurement; a call
+nested in another of its stage is not counted twice.  What is left of the
+total is "other" (right-hand sides, density scaling).  The results and
+their provenance go to ``BENCH_forward.json`` (see ``_record.py``) and, as
+one JSON line, to the end of the output.
 
 Run:  python benchmarks/bench_forward.py [--repeats 20]
 """
@@ -36,12 +37,12 @@ import numpy as np
 from _record import record
 
 from arcmig import cli, forward, geometry, msr, refine
-from arcmig.forward import NystromConfig, PlaneWave
+from arcmig.forward import NystromConfig
 
 # stage -> the functions whose time it collects; build excludes the kernel
 STAGES = {
     "kernel": [(forward, "_hankel0")],
-    "discretize": [(forward, "_discretize")],
+    "discretize": [(forward, "discretize"), (msr, "discretize")],
     "build": [(forward, "_slp_system"), (forward, "_build_neumann")],
     "solve": [(forward, "_solve_linear")],
     "far_field": [(forward, "far_field_matrix")],
@@ -108,15 +109,18 @@ def fd_cracks():
 
 def jacobian_ms(repeats):
     cracks, data = fd_cracks()
-    wave = PlaneWave(data.theta, data.k)
     cfg = NystromConfig(nodes_per_arc=64)
 
+    def residual_fields(stack):
+        disc = forward.discretize(stack, "dirichlet", cfg)
+        forward.far_fields(disc, data.k, data.theta[None, :], data.observation_dirs)
+
     def stacked():
-        forward.dirichlet_far_fields(cracks, wave, data.observation_dirs, cfg)
+        residual_fields(cracks)
 
     def one_by_one():
         for crack in cracks:
-            forward.dirichlet_far_fields([crack], wave, data.observation_dirs, cfg)
+            residual_fields([crack])
 
     return {"cracks": len(cracks), "stack": split_ms(stacked, repeats),
             "stacks_of_one": split_ms(one_by_one, repeats)}
@@ -129,7 +133,7 @@ def assemble_ms(preset, repeats):
     crack, dirs = cfg.crack(), cfg.direction_set()
     nystrom = NystromConfig(nodes_per_arc=cfg.nodes_data)
     ks = cfg.frequency_set().wavenumbers()
-    disc = forward.discretize(crack, cfg.bc, nystrom)
+    disc = forward.discretize([crack], cfg.bc, nystrom)
     state = {"f": 0}
 
     def frequency(shared):
@@ -146,7 +150,7 @@ def assemble_ms(preset, repeats):
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        forward.discretize(crack, cfg.bc, nystrom)
+        forward.discretize([crack], cfg.bc, nystrom)
         samples.append(time.perf_counter() - t0)
     out.update(discretize=round(1e3 * statistics.median(samples), 3),
                nodes=cfg.nodes_data, directions=dirs.count, frequencies=len(ks))

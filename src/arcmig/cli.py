@@ -43,10 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_ERRORS = (
-    ConfigError, LookupNameError, MapParseError, DomainError, KeyError, FileNotFoundError,
-    FileExistsError, NotADirectoryError,
-)
+_CONFIG_ERRORS = (ConfigError, LookupNameError, MapParseError, DomainError, KeyError, OSError)
 _NUMERIC_ERRORS = (
     SolverError,
     IterationError,
@@ -361,7 +358,7 @@ class PipelineRun:
         dirs = cfg.direction_set()
         data_cfg = NystromConfig(nodes_per_arc=cfg.nodes_data)
         # one discretization serves every wavenumber of the sweep
-        disc = discretize(crack, bc, data_cfg)
+        disc = discretize([crack], bc, data_cfg)
         for f_idx, k in enumerate(wavenumbers):
             matrix = msr.assemble(crack, k, dirs, bc, data_cfg, disc)
             # entry (j, l) observes incidence theta_l at -theta_j, so

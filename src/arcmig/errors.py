@@ -48,8 +48,9 @@ class IterationError(ArcmigError, RuntimeError):
 
 
 class MapParseError(ArcmigError, ValueError):
-    """A persisted artifact could not be parsed."""
+    """A persisted artifact could not be parsed; the message names the line
+    when one is known."""
 
     def __init__(self, message, line=None):
-        super().__init__(message)
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line

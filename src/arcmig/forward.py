@@ -41,7 +41,6 @@ __all__ = [
     "discretize",
     "DensitySolution",
     "solve_density",
-    "dirichlet_far_fields",
     "far_fields",
     "far_field",
     "far_field_matrix",
@@ -286,14 +285,9 @@ class Discretization:
     interior_normals: np.ndarray = None
 
 
-def discretize(crack: Crack, bc, cfg: NystromConfig = NystromConfig()) -> Discretization:
-    """The wavenumber-independent tables of one crack's system, to be
-    shared by the `msr.assemble` calls of a frequency sweep."""
-    return _discretize([crack], bc, cfg)
-
-
-def _discretize(cracks, bc, cfg: NystromConfig) -> Discretization:
-    """`Discretization` of a stack of cracks; Neumann takes a stack of one."""
+def discretize(cracks, bc, cfg: NystromConfig = NystromConfig()) -> Discretization:
+    """The wavenumber-independent tables of a stack of cracks, to be shared
+    by every wavenumber of a frequency sweep; Neumann takes a stack of one."""
     bc = BoundaryCondition.parse(bc)
     if len({len(crack) for crack in cracks}) != 1:
         raise DomainError("a crack stack needs one shared, nonzero component count")
@@ -417,22 +411,17 @@ class DensitySolution:
     """Layer density for one crack, wavenumber and incident direction.
 
     ``values`` holds the physical density (phi for Dirichlet, psi for
-    Neumann) at the quadrature nodes of all components, ``quad_weights``
-    the matching arc-length quadrature weights, so that integrals over the
-    crack are plain weighted sums.  The node fields are views of the
-    crack's `Discretization`.
+    Neumann) at the quadrature nodes of all components of ``disc``, a stack
+    of one crack, so that integrals over the crack are plain sums weighted
+    by ``disc.quad_weights[0]``.  ``flat`` holds the solver unknowns: the
+    transformed even/odd density samples.
     """
 
-    bc: BoundaryCondition
+    disc: Discretization
     k: float
     theta: np.ndarray
-    points: np.ndarray
-    normals: np.ndarray
-    quad_weights: np.ndarray
     values: np.ndarray
-    component_slices: tuple
-    _disc: Discretization
-    _flat: np.ndarray  # transformed even/odd density samples (solver unknowns)
+    flat: np.ndarray
 
 
 def _solve_many(disc: Discretization, k: float, thetas: np.ndarray):
@@ -466,19 +455,10 @@ def _solve_many(disc: Discretization, k: float, thetas: np.ndarray):
 
 def solve_density(crack: Crack, wave: PlaneWave, bc, cfg: NystromConfig = NystromConfig()):
     """Solve the boundary integral equation for one incident plane wave."""
-    disc = discretize(crack, bc, cfg)
+    disc = discretize([crack], bc, cfg)
     values, flat = _solve_many(disc, wave.k, wave.direction[None, :])
     return DensitySolution(
-        bc=disc.bc,
-        k=wave.k,
-        theta=wave.direction,
-        points=disc.points[0],
-        normals=disc.normals[0],
-        quad_weights=disc.quad_weights[0],
-        values=values[0, :, 0],
-        component_slices=disc.component_slices,
-        _disc=disc,
-        _flat=flat[0, :, 0],
+        disc=disc, k=wave.k, theta=wave.direction, values=values[0, :, 0], flat=flat[0, :, 0]
     )
 
 
@@ -487,16 +467,6 @@ def far_fields(disc: Discretization, k, thetas, obs_dirs):
     incident directions: (B, observation directions, incidences)."""
     values, _ = _solve_many(disc, k, thetas)
     return far_field_matrix(values, disc, k, obs_dirs)
-
-
-def dirichlet_far_fields(cracks, wave: PlaneWave, obs_dirs, cfg: NystromConfig = NystromConfig()):
-    """Dirichlet far fields of a stack of cracks with one component count,
-    for one incident wave: rows = cracks, cols = observation directions.
-
-    One system build, one batched solve and one batched far-field product;
-    each row equals, bit for bit, the crack solved on its own."""
-    disc = _discretize(cracks, BoundaryCondition.DIRICHLET, cfg)
-    return far_fields(disc, wave.k, wave.direction[None, :], obs_dirs)[..., 0]
 
 
 def _check_unit(obs):
@@ -510,52 +480,51 @@ def far_field(density: DensitySolution, obs) -> complex:
     """Far-field pattern u_inf at one unit observation direction."""
     obs = _check_unit(obs)
     values = density.values[:, None]
-    return complex(far_field_matrix(values, density, density.k, obs[None, :])[0, 0])
+    return complex(far_field_matrix(values, density.disc, density.k, obs[None, :])[0, 0, 0])
 
 
-def far_field_matrix(batch_values, nodes, k, obs_dirs):
-    """Far field for a batch solve: rows = observation dirs, cols = incidences.
-
-    ``nodes`` carries bc, points, normals and quad_weights: a
-    `Discretization`, whose stack axis gives one such matrix per crack, or a
-    `DensitySolution`, whose one density is the batch ``values[:, None]``."""
+def far_field_matrix(batch_values, disc: Discretization, k, obs_dirs):
+    """Far fields of a batch solve on the nodes of ``disc``: one matrix per
+    crack of the stack, rows = observation dirs, cols = incidences."""
     obs_dirs = np.atleast_2d(np.asarray(obs_dirs, dtype=np.float64))
-    phases = np.exp(-1j * k * (obs_dirs @ np.swapaxes(nodes.points, -1, -2)))
-    wq = nodes.quad_weights
-    if nodes.bc is BoundaryCondition.DIRICHLET:
+    phases = np.exp(-1j * k * (obs_dirs @ np.swapaxes(disc.points, -1, -2)))
+    wq = disc.quad_weights
+    if disc.bc is BoundaryCondition.DIRICHLET:
         pref = np.exp(1j * np.pi / 4.0) / math.sqrt(8.0 * np.pi * k)
         return pref * phases @ (wq[..., None] * batch_values)
     pref = -math.sqrt(k / (8.0 * np.pi)) * np.exp(-1j * np.pi / 4.0)
-    proj = obs_dirs @ np.swapaxes(nodes.normals, -1, -2)
+    proj = obs_dirs @ np.swapaxes(disc.normals, -1, -2)
     return pref * (proj * phases) @ (wq[..., None] * batch_values)
 
 
 def scattered_field(density: DensitySolution, x) -> complex:
     """Layer potential evaluated at an exterior point."""
     x = np.asarray(x, dtype=np.float64)
-    diff = x[None, :] - density.points
+    disc = density.disc
+    diff = x[None, :] - disc.points[0]
     r = np.hypot(diff[:, 0], diff[:, 1])
     if np.min(r) <= 1e-12:
         raise DomainError("evaluation point lies on the crack")
     k = density.k
-    if density.bc is BoundaryCondition.DIRICHLET:
+    if disc.bc is BoundaryCondition.DIRICHLET:
         kernel = 0.25j * _hankel0(k * r)
     else:
         # u_scat = DLP[mu] with mu = -psi (stored values follow the jump
         # convention -psi = u_+ - u_-)
-        cosang = (diff[:, 0] * density.normals[:, 0] + diff[:, 1] * density.normals[:, 1]) / r
+        normals = disc.normals[0]
+        cosang = (diff[:, 0] * normals[:, 0] + diff[:, 1] * normals[:, 1]) / r
         kernel = -0.25j * k * _hankel1v(k * r) * cosang
-    return complex(np.sum(kernel * density.quad_weights * density.values))
+    return complex(np.sum(kernel * disc.quad_weights[0] * density.values))
 
 
 def boundary_residual(density: DensitySolution) -> float:
     """Max Dirichlet boundary-condition defect |u_inc + SLP[phi]| at
     `_RESIDUAL_POINTS` off-node collocation points per arc (independent of
     the solve's own nodes)."""
-    if density.bc is not BoundaryCondition.DIRICHLET:
+    disc = density.disc
+    if disc.bc is not BoundaryCondition.DIRICHLET:
         raise DomainError("boundary residual check is defined for the Dirichlet case")
     k = density.k
-    disc = density._disc
     tau_star = (np.arange(_RESIDUAL_POINTS) + 0.37) * np.pi / _RESIDUAL_POINTS
     t_star = np.cos(tau_star)
     worst = 0.0
@@ -564,10 +533,10 @@ def boundary_residual(density: DensitySolution) -> float:
         total = np.zeros(_RESIDUAL_POINTS, dtype=np.complex128)
         for other_slice in disc.component_slices:
             q = _slp_quad_matrix(
-                k, tau_star, pts, disc.grid, density.points[other_slice],
+                k, tau_star, pts, disc.grid, disc.points[0, other_slice],
                 same_arc=other_slice == arc_slice,
             )
-            total += q @ density._flat[other_slice]
+            total += q @ density.flat[other_slice]
         u_inc = np.exp(1j * k * (pts @ density.theta))
         worst = max(worst, float(np.max(np.abs(total + u_inc))))
     return worst

@@ -575,9 +575,9 @@ def load_map(path) -> ImageMap:
         raise MapParseError(f"{path}: inconsistent grid step", line=1)
     wrong = np.flatnonzero((xs != points[:, 0]) | (ys != points[:, 1]))
     if wrong.size:
-        (x, y), line = points[wrong[0]], int(wrong[0]) + 2
-        raise MapParseError(f"{path}: line {line} is not the grid's point "
-                            f"({x:.17g}, {y:.17g}) in row-major order", line=line)
+        x, y = points[wrong[0]]
+        raise MapParseError(f"{path}: expected the grid's point ({x:.17g}, {y:.17g}) "
+                            "in row-major order", line=int(wrong[0]) + 2)
     return ImageMap(grid=grid, values=vals)
 
 

@@ -130,12 +130,12 @@ def assemble(
 ) -> MsrMatrix:
     """Solve N incident problems and evaluate at the N reversed directions.
 
-    ``discretization`` is `forward.discretize(crack, bc, cfg)`, built once
+    ``discretization`` is `forward.discretize([crack], bc, cfg)`, built once
     and passed to every call of a frequency sweep; without it the call
     builds its own."""
     bc = BoundaryCondition.parse(bc)
     if discretization is None:
-        discretization = discretize(crack, bc, cfg)
+        discretization = discretize([crack], bc, cfg)
     elif (
         discretization.cracks != (crack,)
         or discretization.bc is not bc

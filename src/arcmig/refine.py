@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, IterationError
-from .forward import NystromConfig, PlaneWave, dirichlet_far_fields
+from .forward import NystromConfig, PlaneWave, discretize, far_fields
 from .geometry import chebyshev_graph_arc, chebyshev_value, validate_crack
 from .msr import DirectionSet, NoiseSpec, noisy_values
 
@@ -61,7 +61,8 @@ class ChebyshevCrack:
 
 @dataclass(frozen=True)
 class FarFieldData:
-    """Observed far-field values u_inf(x_hat_j; theta) at one wavenumber."""
+    """Observed far-field values u_inf(x_hat_j; theta) at one wavenumber;
+    theta and k are checked as a `PlaneWave` when the data is built."""
 
     k: float
     theta: np.ndarray
@@ -76,6 +77,7 @@ class FarFieldData:
         object.__setattr__(self, "observation_dirs", obs)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
+        PlaneWave(self.theta, self.k)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,8 @@ def synthesize_data(
     """Forward-solve a truth crack and record far-field data; optional
     (snr_db, seed) noise with the Frobenius-calibrated convention."""
     wave = PlaneWave(np.asarray(theta), k)
-    values = dirichlet_far_fields([crack], wave, observation_dirs, cfg)[0]
+    disc = discretize([crack], "dirichlet", cfg)
+    values = far_fields(disc, wave.k, wave.direction[None, :], observation_dirs)[0, :, 0]
     if noise is not None:
         values = noisy_values(values, NoiseSpec(*noise))
     return FarFieldData(k=k, theta=np.asarray(theta), observation_dirs=observation_dirs, values=values)
@@ -118,10 +121,9 @@ def _residual_vectors(coeff_rows, data: FarFieldData, cfg: NystromConfig):
     """Stacked real/imaginary residuals, one row per coefficient vector; the
     cracks are solved as one stack."""
     cracks = [chebyshev_graph_arc(np.asarray(c, dtype=np.float64)) for c in coeff_rows]
-    computed = dirichlet_far_fields(
-        cracks, PlaneWave(data.theta, data.k), data.observation_dirs, cfg
-    )
-    diff = data.values - computed
+    disc = discretize(cracks, "dirichlet", cfg)
+    computed = far_fields(disc, data.k, data.theta[None, :], data.observation_dirs)
+    diff = data.values - computed[..., 0]
     return np.concatenate([diff.real, diff.imag], axis=-1)
 
 

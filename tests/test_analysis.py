@@ -374,6 +374,31 @@ def test_no_off_crack_point_is_a_config_error():
             analysis.validate_map(image, crack, "TM_SINGLE", {"k": K1})
 
 
+def test_validate_map_hands_te_regimes_the_sample_normals():
+    # TE predictions need the crack's normals: validate_map passes those of
+    # its 32 crack samples unless params name their own
+    grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
+    grid_points = grid.points()
+    values = np.random.default_rng(5).uniform(0.0, 1.0, grid_points.shape[0])
+    image = imaging.ImageMap(grid=grid, values=values)
+    crack = geometry.line_segment([-0.3, 0.1], [0.4, -0.2])
+    samples = geometry.sample_points(crack, 32)
+    pts = np.array([s.point for s in samples])
+    normals = np.array([s.normal for s in samples])
+    tangents = np.stack([normals[:, 1], -normals[:, 0]], axis=1)
+    params = {"k_first": K1, "k_last": KF}
+    sups = []
+    for given in (None, tangents):
+        extra = {} if given is None else {"normals": given}
+        metrics = analysis.validate_map(image, crack, "TE_FULL_NEAR", {**params, **extra})
+        pred = analysis.kernel_predict_grid(
+            "TE_FULL_NEAR", grid_points, pts, normals=normals if given is None else given, **params
+        )
+        sups.append(float(np.max(np.abs(values - pred))))
+        assert metrics["sup_deviation"] == sups[-1]
+    assert sups[0] != sups[1]
+
+
 def test_first_sidelobe_ratio_ordering():
     rr = np.arange(0.0, 3.0, 1e-3)
     pts = np.stack([rr, np.zeros_like(rr)], axis=1)

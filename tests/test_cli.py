@@ -338,8 +338,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["image", "--config", missing, "--out", str(tmp_path)]) == 2
     assert cli.main(["render", "--in", missing, "--out", str(tmp_path / "x.pgm")]) == 2
     assert cli.main(["verify", "--manifest", missing]) == 2
+    # a directory where a file should be
+    ok_map = tmp_path / "ok.csv"
+    ok_map.write_text("x,y,value\n0,0,1\n1,0,1\n0,1,1\n1,1,1\n")
+    assert cli.main(["image", "--config", str(tmp_path), "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d").exists()
+    assert cli.main(["verify", "--manifest", str(tmp_path)]) == 2
+    assert cli.main(["render", "--in", str(ok_map), "--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 6 and all(line.startswith("config error: ") for line in lines)
+    assert len(lines) == 9 and all(line.startswith("config error: ") for line in lines)
     # numeric failure surfaces as exit code 3
     def boom(*args, **kwargs):
         raise SolverError("synthetic blow-up", condition=1e99)
@@ -350,6 +357,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,map\n")
     assert cli.main(["render", "--in", str(bad), "--out", str(tmp_path / "x.pgm")]) == 2
+    # the error names the line that breaks the map, once
+    bad.write_text("x,y,value\n0,0,1\n1,0\n")
+    capsys.readouterr()
+    assert cli.main(["render", "--in", str(bad), "--out", str(tmp_path / "x.pgm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("line 3") == 1
 
 
 def test_out_that_names_a_file_exits_2(tmp_path, capsys, monkeypatch):

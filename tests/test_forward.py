@@ -99,7 +99,7 @@ def test_energy_sanity_bounded_far_field():
     sol = forward.solve_density(crack, wave, BC.DIRICHLET, CFG64)
     angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     obs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    vals = forward.far_field_matrix(sol.values[:, None], sol, sol.k, obs)[:, 0]
+    vals = forward.far_field_matrix(sol.values[:, None], sol.disc, sol.k, obs)[0, :, 0]
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 50.0
 
@@ -107,16 +107,17 @@ def test_energy_sanity_bounded_far_field():
 def far_field_direct_sums(sol, obs):
     """u_inf of one density at each observation direction as a plain
     weighted sum over the quadrature nodes, one direction at a time."""
-    weighted = sol.quad_weights * sol.values
+    disc = sol.disc
+    weighted = disc.quad_weights[0] * sol.values
     out = []
     for xhat in obs:
-        phases = np.exp(-1j * sol.k * (sol.points @ xhat))
-        if sol.bc is BC.DIRICHLET:
+        phases = np.exp(-1j * sol.k * (disc.points[0] @ xhat))
+        if disc.bc is BC.DIRICHLET:
             pref = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * sol.k)
             out.append(pref * np.sum(phases * weighted))
         else:
             pref = -np.sqrt(sol.k / (8.0 * np.pi)) * np.exp(-1j * np.pi / 4.0)
-            out.append(pref * np.sum((sol.normals @ xhat) * phases * weighted))
+            out.append(pref * np.sum((disc.normals[0] @ xhat) * phases * weighted))
     return np.array(out)
 
 
@@ -131,7 +132,7 @@ def test_single_density_far_field_matches_direct_sums(bc):
     obs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     ref = far_field_direct_sums(sol, obs)
     tol = 1e-13 * np.max(np.abs(ref))
-    batch = forward.far_field_matrix(sol.values[:, None], sol, sol.k, obs)[:, 0]
+    batch = forward.far_field_matrix(sol.values[:, None], sol.disc, sol.k, obs)[0, :, 0]
     assert np.max(np.abs(batch - ref)) <= tol
     single = np.array([forward.far_field(sol, xhat) for xhat in obs])
     assert np.max(np.abs(single - ref)) <= tol
@@ -143,8 +144,8 @@ def test_multi_component_coupling():
     crack = geometry.catalog("G4")
     wave = PlaneWave(np.array([0.0, -1.0]), 2.0 * np.pi / 0.4)
     sol = forward.solve_density(crack, wave, BC.DIRICHLET, CFG64)
-    assert len(sol.component_slices) == 2
-    for sl in sol.component_slices:
+    assert len(sol.disc.component_slices) == 2
+    for sl in sol.disc.component_slices:
         assert np.max(np.abs(sol.values[sl])) > 1e-3
 
 
@@ -161,7 +162,7 @@ def test_multi_component_neumann_reciprocity():
     u1 = forward.far_field(s1, xhat)
     u2 = forward.far_field(s2, -theta)
     assert abs(u1 - u2) / abs(u1) < 1e-6
-    for sl in s1.component_slices:
+    for sl in s1.disc.component_slices:
         assert np.max(np.abs(s1.values[sl])) > 1e-4
 
 
@@ -174,11 +175,11 @@ def test_stacked_two_component_build_equals_single_builds():
     )
     cracks = [geometry.catalog("G4"), segments]
     thetas = np.array([[0.6, -0.8], [-1.0, 0.0]])
-    disc = forward._discretize(cracks, BC.DIRICHLET, CFG64)
+    disc = forward.discretize(cracks, BC.DIRICHLET, CFG64)
     values, flat = forward._solve_many(disc, K_HALF, thetas)
     for b, crack in enumerate(cracks):
         one_values, one_flat = forward._solve_many(
-            forward.discretize(crack, BC.DIRICHLET, CFG64), K_HALF, thetas
+            forward.discretize([crack], BC.DIRICHLET, CFG64), K_HALF, thetas
         )
         assert np.array_equal(values[b], one_values[0])
         assert np.array_equal(flat[b], one_flat[0])
@@ -187,7 +188,7 @@ def test_stacked_two_component_build_equals_single_builds():
 def test_neumann_system_takes_one_crack():
     cracks = [geometry.catalog("G1"), geometry.line_segment([-0.3, -0.6], [0.6, -0.2])]
     with pytest.raises(DomainError):
-        forward._discretize(cracks, BC.NEUMANN, CFG64)
+        forward.discretize(cracks, BC.NEUMANN, CFG64)
 
 
 def test_grazing_neumann_segment_is_silent():
@@ -265,7 +266,7 @@ def test_on_grid_build_matches_general_path(name, bc, monkeypatch):
     cfg = NystromConfig(nodes_per_arc=32)
     k = 2.0 * np.pi / 0.4
 
-    disc = forward.discretize(crack, bc, cfg)
+    disc = forward.discretize([crack], bc, cfg)
     assert len(disc.component_slices) == len(crack.components)
 
     def build():
@@ -285,7 +286,7 @@ def test_two_component_neumann_operator_matches_reference():
     # the target component; here each is formed afresh from the arcs
     crack = geometry.catalog("G4")
     k = 2.0 * np.pi / 0.4
-    disc = forward.discretize(crack, BC.NEUMANN, NystromConfig(nodes_per_arc=32))
+    disc = forward.discretize([crack], BC.NEUMANN, NystromConfig(nodes_per_arc=32))
     q_mat = forward._slp_system(k, disc)[0]
     grid = disc.grid
     blocks = []

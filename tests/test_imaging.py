@@ -587,6 +587,14 @@ def test_map_csv_parse_error_carries_line(tmp_path):
         (rows([(0, 0), (0, 1), (1, 0), (1, 1)]), 3),
         # x = 0.1 is no multiple of the step 0.15 the other coordinates share
         (rows([(x, y) for y in (0, 0.15, 0.3) for x in (0, 0.1, 0.3)]), 3),
+        # a row of two fields
+        ("0,0,1\n1,0\n", 3),
+        # three points: no full grid
+        (rows([(0, 0), (1, 0), (0, 1)]), 4),
+        # a full grid of one row
+        (rows([(0, 0), (1, 0)]), 3),
+        # a full 3 x 2 grid whose x step 0.9, 0.1 is no one step
+        (rows([(x, y) for y in (0, 1) for x in (0, 0.9, 1)]), 1),
     ]
     path = tmp_path / "bad.csv"
     for body, line in cases:
@@ -594,6 +602,12 @@ def test_map_csv_parse_error_carries_line(tmp_path):
         with pytest.raises(MapParseError) as err:
             imaging.load_map(path)
         assert err.value.line == line
+        assert str(err.value).count(f"line {line}") == 1
+    meta = tmp_path / "bad.meta"
+    meta.write_text("a = 1\nbroken\n")
+    with pytest.raises(MapParseError, match="line 2") as err:
+        imaging.load_metadata(meta)
+    assert err.value.line == 2
 
 
 def test_metadata_round_trip(tmp_path):

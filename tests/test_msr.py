@@ -318,7 +318,7 @@ def test_sweep_on_one_discretization_equals_one_build_per_frequency(name, bc):
     # the shared tables carry no state from one wavenumber to the next
     crack = geometry.catalog(name)
     dirs = msr.DirectionSet.full_view(12)
-    disc = forward.discretize(crack, bc, CFG)
+    disc = forward.discretize([crack], bc, CFG)
     for k in (2.0 * np.pi / 0.6, K_HALF, 2.0 * np.pi / 0.3, K_HALF):
         swept = msr.assemble(crack, k, dirs, bc, CFG, disc)
         alone = msr.assemble(crack, k, dirs, bc, CFG)
@@ -328,7 +328,7 @@ def test_sweep_on_one_discretization_equals_one_build_per_frequency(name, bc):
 def test_assemble_refuses_a_discretization_of_another_problem():
     crack = geometry.catalog("G1")
     dirs = msr.DirectionSet.full_view(8)
-    disc = forward.discretize(crack, BC.DIRICHLET, CFG)
+    disc = forward.discretize([crack], BC.DIRICHLET, CFG)
     for other_crack, bc, cfg in (
         (geometry.catalog("G1"), BC.DIRICHLET, CFG),
         (crack, BC.NEUMANN, CFG),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcmig import cli, forward, msr, refine
-from arcmig.errors import DomainError
+from arcmig.errors import DomainError, IterationError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig, PlaneWave, solve_density
 from arcmig.geometry import catalog, chebyshev_graph_arc, chebyshev_value
@@ -39,9 +39,10 @@ def dirichlet_far_field_sums(sol, obs):
     """u_inf of one Dirichlet density per observation direction, as a plain
     weighted sum over the quadrature nodes."""
     pref = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * sol.k)
-    weighted = sol.quad_weights * sol.values
+    weighted = sol.disc.quad_weights[0] * sol.values
+    points = sol.disc.points[0]
     return np.array(
-        [pref * np.sum(np.exp(-1j * sol.k * (sol.points @ xhat)) * weighted) for xhat in obs]
+        [pref * np.sum(np.exp(-1j * sol.k * (points @ xhat)) * weighted) for xhat in obs]
     )
 
 
@@ -120,27 +121,111 @@ def test_stacked_solve_equals_stacks_of_one(scenario):
     cfg = NystromConfig(nodes_per_arc=64)
     cracks = [chebyshev_graph_arc(c) for c in fd_rows(initial.coefficients, 1e-6)]
     wave = PlaneWave(data.theta, data.k)
-    disc = forward._discretize(cracks, BC.DIRICHLET, cfg)
-    values, flat = forward._solve_many(disc, data.k, data.theta)
-    fields = forward.dirichlet_far_fields(cracks, wave, data.observation_dirs, cfg)
+    obs, thetas = data.observation_dirs, data.theta[None, :]
+    disc = forward.discretize(cracks, BC.DIRICHLET, cfg)
+    values, flat = forward._solve_many(disc, data.k, thetas)
+    fields = forward.far_fields(disc, data.k, thetas, obs)[..., 0]
     assert values.shape == (12, 64, 1) and fields.shape == (12, 8)
     for b, crack in enumerate(cracks):
         single = solve_density(crack, wave, BC.DIRICHLET, cfg)
         assert np.array_equal(values[b, :, 0], single.values)
-        assert np.array_equal(flat[b, :, 0], single._flat)
-        one = forward.dirichlet_far_fields([crack], wave, data.observation_dirs, cfg)[0]
+        assert np.array_equal(flat[b, :, 0], single.flat)
+        one_disc = forward.discretize([crack], BC.DIRICHLET, cfg)
+        one = forward.far_fields(one_disc, data.k, thetas, obs)[0, :, 0]
         assert np.array_equal(fields[b], one)
         by_density = forward.far_field_matrix(
-            single.values[:, None], single, single.k, data.observation_dirs
-        )[:, 0]
+            single.values[:, None], single.disc, single.k, obs
+        )[0, :, 0]
         assert np.array_equal(fields[b], by_density)
 
 
 def test_stack_needs_one_component_count():
     with pytest.raises(DomainError):
-        forward.dirichlet_far_fields(
-            [catalog("G1"), catalog("G4")], PlaneWave(np.array([0.0, -1.0]), 10.0), [[1.0, 0.0]]
-        )
+        forward.discretize([catalog("G1"), catalog("G4")], BC.DIRICHLET)
+
+
+def test_far_field_data_rejects_a_non_unit_direction():
+    with pytest.raises(DomainError, match="unit vector"):
+        refine.FarFieldData(k=10.0, theta=[1.0, 1.0], observation_dirs=[[1.0, 0.0]], values=[1.0])
+
+
+def _analytic_residuals(monkeypatch, residual_of, calls=None):
+    """Replace the far-field residual rows by ``residual_of`` applied to
+    each coefficient row; each call's rows are appended to ``calls``."""
+
+    def rows_residual(coeff_rows, data, cfg):
+        rows = np.asarray(coeff_rows, dtype=np.float64)
+        if calls is not None:
+            calls.append(rows.copy())
+        return np.array([residual_of(row) for row in rows])
+
+    monkeypatch.setattr(refine, "_residual_vectors", rows_residual)
+
+
+def _half_square(vec):
+    return 0.5 * float(vec @ vec)
+
+
+def test_rejected_step_escalates_the_damping(monkeypatch, scenario):
+    # Rosenbrock residuals: from (-1.2, 1) the undamped Gauss-Newton step
+    # raises R from 12.1 to ~1171, so it is retried with more damping
+    def rosenbrock(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    calls = []
+    _analytic_residuals(monkeypatch, rosenbrock, calls)
+    start = np.array([-1.2, 1.0])
+    traj = refine.newton_refine(start, scenario[2], refine.RefineConfig(max_iters=4))
+    # calls: the start, the Jacobian stack, then the damped trials of step 1
+    trials = []
+    for rows in calls[2:]:
+        if len(rows) != 1:
+            break
+        trials.append(_half_square(rosenbrock(rows[0])))
+    assert len(trials) >= 2
+    assert trials[0] > traj[0].residual_value
+    assert np.array_equal(traj[1].coefficients, calls[1 + len(trials)][0])
+    assert trials[-1] == traj[1].residual_value <= traj[0].residual_value
+    residuals = [s.residual_value for s in traj]
+    assert len(traj) > 2
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_no_damping_level_lowers_the_residual(monkeypatch, scenario):
+    # a kink at the start point: every step along the FD gradient raises
+    # R, at every damping level, so the trajectory ends at iteration 0
+    start = np.array(refine.REFERENCE_INITIAL)
+
+    def kinked(x):
+        t = x[0] - start[0]
+        return np.array([1.0 + (t if t >= 0.0 else -2.0 * t), 0.5])
+
+    _analytic_residuals(monkeypatch, kinked)
+    traj = refine.newton_refine(start, scenario[2])
+    assert [s.iteration for s in traj] == [0]
+    assert traj[0].residual_value == _half_square(kinked(start))
+
+
+def test_non_finite_residual_raises_with_the_last_state(monkeypatch, scenario):
+    # linear residuals that turn NaN on the second Jacobian stack: one
+    # Gauss-Newton step is taken, then the refinement stops with its state
+    target = np.array([0.5, -0.25])
+    jacobians = []
+
+    def rows_residual(coeff_rows, data, cfg):
+        rows = np.asarray(coeff_rows, dtype=np.float64)
+        if len(rows) > 1:
+            jacobians.append(rows)
+        vecs = rows - target
+        return np.full_like(vecs, np.nan) if len(jacobians) == 2 else vecs
+
+    monkeypatch.setattr(refine, "_residual_vectors", rows_residual)
+    with pytest.raises(IterationError, match="non-finite") as info:
+        refine.newton_refine(np.array([3.0, 2.0]), scenario[2])
+    state = info.value.last_state
+    assert isinstance(state, refine.NewtonState) and state.iteration == 1
+    assert np.allclose(state.coefficients, target)
+    assert state.residual_value < 1e-12
 
 
 def test_stacked_jacobian_equals_column_loop(scenario):
