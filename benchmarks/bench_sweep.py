@@ -11,12 +11,15 @@ run:
 * the sha256 of every artifact but ``manifest.txt``, which records
   timings; two checkouts whose digests agree wrote the same bytes.
 
-The results and their provenance go to ``BENCH_sweep.json`` (see
-``_record.py``) and, as one JSON line, to the end of the output.
+Before it overwrites ``BENCH_sweep.json`` with the results and their
+provenance (see ``_record.py``; they also end the output as one JSON
+line), it compares every digest with the committed record and prints how
+many are equal and which files differ.
 
 Run:  python benchmarks/bench_sweep.py
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -50,7 +53,15 @@ def run(preset, aperture, out):
     return {"wall_s": round(wall, 4), "stages_s": stages, "sha256": digests}
 
 
+def all_digests(runs):
+    """Every artifact digest of a sweep, keyed by (run label, file name)."""
+    return {(label, name): digest
+            for label, run in runs.items() for name, digest in run["sha256"].items()}
+
+
 def main():
+    path = ROOT / "BENCH_sweep.json"
+    committed = all_digests(json.loads(path.read_text())["runs"]) if path.exists() else {}
     runs = {}
     with tempfile.TemporaryDirectory() as scratch:
         for preset in PRESETS:
@@ -61,6 +72,12 @@ def main():
                 print(f"{label}: wall {runs[label]['wall_s']} s; {stages}")
     total = sum(r["wall_s"] for r in runs.values())
     print(f"sweep wall {total:.2f} s over {len(runs)} runs")
+    fresh = all_digests(runs)
+    equal = sum(fresh.get(key) == digest for key, digest in committed.items())
+    print(f"{equal} of {len(committed)} digests equal the committed record")
+    for label, name in sorted(key for key in committed.keys() | fresh.keys()
+                              if committed.get(key) != fresh.get(key)):
+        print(f"differs: {label} {name}")
     record("sweep", {"argv": "image --snr 15 --seed 7", "wall_s": round(total, 4),
                      "runs": runs})
 

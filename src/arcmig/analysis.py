@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, SingularityError
-from .geometry import Crack, sample_points
+from .geometry import Crack, check_unit_vector, sample_points
 from .imaging import ImageMap
 
 __all__ = [
@@ -257,9 +257,7 @@ def ring_integrals(alpha, beta, k, x, xi):
     complex scalars.
     """
     x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    if abs(np.hypot(xi[0], xi[1]) - 1.0) > 1e-9:
-        raise DomainError(f"xi must be a unit vector, got {xi}")
+    xi = check_unit_vector(xi, "xi")
     span = beta - alpha
     if not (0.0 < span <= 2.0 * np.pi + _FULL_VIEW_TOL):
         raise DomainError(f"aperture span must lie in (0, 2*pi], got {span}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, SolverError
-from .geometry import Crack
+from .geometry import Crack, check_unit_vector
 
 __all__ = [
     "BoundaryCondition",
@@ -78,10 +78,8 @@ class PlaneWave:
     k: float
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=np.float64)
+        d = check_unit_vector(self.direction, "incident direction")
         object.__setattr__(self, "direction", d)
-        if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-9:
-            raise DomainError(f"incident direction must be a unit vector, got {d}")
         if not (self.k > 0.0 and math.isfinite(self.k)):
             raise DomainError(f"wavenumber must be positive and finite, got {self.k}")
 
@@ -469,16 +467,9 @@ def far_fields(disc: Discretization, k, thetas, obs_dirs):
     return far_field_matrix(values, disc, k, obs_dirs)
 
 
-def _check_unit(obs):
-    obs = np.asarray(obs, dtype=np.float64)
-    if abs(np.hypot(obs[0], obs[1]) - 1.0) > 1e-9:
-        raise DomainError(f"observation direction must be a unit vector, got {obs}")
-    return obs
-
-
 def far_field(density: DensitySolution, obs) -> complex:
     """Far-field pattern u_inf at one unit observation direction."""
-    obs = _check_unit(obs)
+    obs = check_unit_vector(obs, "observation direction")
     values = density.values[:, None]
     return complex(far_field_matrix(values, density.disc, density.k, obs[None, :])[0, 0, 0])
 

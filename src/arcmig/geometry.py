@@ -1,9 +1,9 @@
 """Crack geometry: parametric open arcs, the four-crack catalog, tangents,
 unit normals, and point sampling.
 
-Every arc is exposed through one internal parameter t in [-1, 1]; catalog
-arcs with a different native range are mapped onto it affinely so all
-quadrature downstream shares a single convention.
+Every arc is exposed through one internal parameter t in [-1, 1]: one
+builder maps each arc's native range onto it affinely, so all quadrature
+downstream shares a single convention.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ __all__ = [
     "Crack",
     "UnitNormal",
     "evaluate",
+    "check_unit_vector",
     "catalog",
     "catalog_key",
     "catalog_names",
@@ -49,12 +50,12 @@ class ParametricArc:
         return np.asarray(self.derivative(t), dtype=np.float64)
 
     def normals(self, t):
-        """Unit normals: the unit tangent rotated by +90 degrees."""
+        """Unit normals: the unit tangent, by np.hypot as in the solver's
+        node tables, rotated by +90 degrees."""
         tan = np.atleast_2d(self.tangents(t))
-        norm = np.linalg.norm(tan, axis=1, keepdims=True)
-        unit = tan / norm
+        unit = tan / np.hypot(tan[:, 0], tan[:, 1])[:, None]
         out = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        return out[0] if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -85,107 +86,62 @@ def evaluate(arc: ParametricArc, t: float):
         raise DomainError(f"parameter must lie in [-1, 1], got {t}")
     point = arc.points(t)
     tangent = arc.tangents(t)
-    speed = float(np.hypot(tangent[0], tangent[1]))
-    if speed == 0.0:
+    if np.hypot(tangent[0], tangent[1]) == 0.0:
         raise DomainError(f"vanishing tangent on arc {arc.name!r} at t={t}")
-    unit = tangent / speed
-    normal = np.array([-unit[1], unit[0]])
-    return point, tangent, normal
+    return point, tangent, arc.normals(t)
 
 
-def _affine(lo, hi):
+def check_unit_vector(v, what):
+    """``v`` as a float64 vector, or DomainError naming ``what`` unless
+    |v| is 1 within 1e-9."""
+    v = np.asarray(v, dtype=np.float64)
+    if abs(np.hypot(v[0], v[1]) - 1.0) > 1e-9:
+        raise DomainError(f"{what} must be a unit vector, got {v}")
+    return v
+
+
+def _arc(name, lo, hi, curve, slope):
+    """The arc s -> curve(s), s in [lo, hi], on t in [-1, 1] by
+    s = mid + half t, so its t-derivative is half slope(s)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return lambda t: mid + half * np.asarray(t, dtype=np.float64), half
+
+    def native(t):
+        return mid + half * np.asarray(t, dtype=np.float64)
+
+    return ParametricArc(name, lambda t: curve(native(t)), lambda t: half * slope(native(t)))
 
 
-def _gamma1():
-    # straight segment (s, 0.3), s in [-0.5, 0.5]
-    to_s, ds = _affine(-0.5, 0.5)
-
-    def pos(t):
-        s = to_s(t)
-        return np.stack([s, np.full_like(s, 0.3)], axis=-1)
-
-    def der(t):
-        s = to_s(t)
-        return np.stack([np.full_like(s, ds), np.zeros_like(s)], axis=-1)
-
-    return ParametricArc("Gamma1", pos, der)
-
-
-def _gamma2():
-    # graph of 1/2 cos(s pi/2) + 1/5 sin(s pi/2) - 1/10 cos(3 s pi/2), s in [-1, 1]
-    def pos(t):
-        s = np.asarray(t, dtype=np.float64)
-        y = (
-            0.5 * np.cos(s * np.pi / 2.0)
-            + 0.2 * np.sin(s * np.pi / 2.0)
-            - 0.1 * np.cos(3.0 * s * np.pi / 2.0)
-        )
-        return np.stack([s, y], axis=-1)
-
-    def der(t):
-        s = np.asarray(t, dtype=np.float64)
-        dy = (
-            -0.25 * np.pi * np.sin(s * np.pi / 2.0)
-            + 0.1 * np.pi * np.cos(s * np.pi / 2.0)
-            + 0.15 * np.pi * np.sin(3.0 * s * np.pi / 2.0)
-        )
-        return np.stack([np.ones_like(s), dy], axis=-1)
-
-    return ParametricArc("Gamma2", pos, der)
-
-
-def _gamma3():
-    # (2 sin(s/2), sin s), s in [pi/4, 7 pi/4]
-    to_s, ds = _affine(np.pi / 4.0, 7.0 * np.pi / 4.0)
-
-    def pos(t):
-        s = to_s(t)
-        return np.stack([2.0 * np.sin(s / 2.0), np.sin(s)], axis=-1)
-
-    def der(t):
-        s = to_s(t)
-        return np.stack([ds * np.cos(s / 2.0), ds * np.cos(s)], axis=-1)
-
-    return ParametricArc("Gamma3", pos, der)
-
-
-def _gamma4_1():
-    to_s, ds = _affine(-0.5, 0.5)
-
-    def pos(t):
-        s = to_s(t)
-        return np.stack([s - 0.2, -0.5 * s * s + 0.6], axis=-1)
-
-    def der(t):
-        s = to_s(t)
-        return np.stack([np.full_like(s, ds), -ds * s], axis=-1)
-
-    return ParametricArc("Gamma4_1", pos, der)
-
-
-def _gamma4_2():
-    to_s, ds = _affine(-0.5, 0.5)
-
-    def pos(t):
-        s = to_s(t)
-        return np.stack([s + 0.2, s**3 + s * s - 0.6], axis=-1)
-
-    def der(t):
-        s = to_s(t)
-        return np.stack([np.full_like(s, ds), ds * (3.0 * s * s + 2.0 * s)], axis=-1)
-
-    return ParametricArc("Gamma4_2", pos, der)
-
-
+# label, then per component: name, native range lo..hi, curve z(s), slope dz/ds
 _CATALOG = {
-    "G1": lambda: Crack([_gamma1()], "Gamma1"),
-    "G2": lambda: Crack([_gamma2()], "Gamma2"),
-    "G3": lambda: Crack([_gamma3()], "Gamma3"),
-    "G4": lambda: Crack([_gamma4_1(), _gamma4_2()], "Gamma4"),
+    "G1": ("Gamma1", [  # straight segment (s, 0.3)
+        ("Gamma1", -0.5, 0.5,
+         lambda s: np.stack([s, np.full_like(s, 0.3)], axis=-1),
+         lambda s: np.stack([np.ones_like(s), np.zeros_like(s)], axis=-1)),
+    ]),
+    "G2": ("Gamma2", [  # graph of 1/2 cos(s pi/2) + 1/5 sin(s pi/2) - 1/10 cos(3 s pi/2)
+        ("Gamma2", -1.0, 1.0,
+         lambda s: np.stack([s, 0.5 * np.cos(s * np.pi / 2.0) + 0.2 * np.sin(s * np.pi / 2.0)
+                             - 0.1 * np.cos(3.0 * s * np.pi / 2.0)], axis=-1),
+         lambda s: np.stack([np.ones_like(s), -0.25 * np.pi * np.sin(s * np.pi / 2.0)
+                             + 0.1 * np.pi * np.cos(s * np.pi / 2.0)
+                             + 0.15 * np.pi * np.sin(3.0 * s * np.pi / 2.0)], axis=-1)),
+    ]),
+    "G3": ("Gamma3", [  # (2 sin(s/2), sin s)
+        ("Gamma3", np.pi / 4.0, 7.0 * np.pi / 4.0,
+         lambda s: np.stack([2.0 * np.sin(s / 2.0), np.sin(s)], axis=-1),
+         lambda s: np.stack([np.cos(s / 2.0), np.cos(s)], axis=-1)),
+    ]),
+    "G4": ("Gamma4", [
+        ("Gamma4_1", -0.5, 0.5,
+         lambda s: np.stack([s - 0.2, -0.5 * s * s + 0.6], axis=-1),
+         lambda s: np.stack([np.ones_like(s), -s], axis=-1)),
+        ("Gamma4_2", -0.5, 0.5,
+         lambda s: np.stack([s + 0.2, s**3 + s * s - 0.6], axis=-1),
+         lambda s: np.stack([np.ones_like(s), 3.0 * s * s + 2.0 * s], axis=-1)),
+    ]),
 }
+
 
 def catalog_names():
     return sorted(_CATALOG)
@@ -201,7 +157,8 @@ def catalog_key(name) -> str:
 
 def catalog(name: str) -> Crack:
     """The four illustration cracks, by name (see catalog_key)."""
-    crack = _CATALOG[catalog_key(name)]()
+    label, components = _CATALOG[catalog_key(name)]
+    crack = Crack([_arc(*component) for component in components], label)
     validate_crack(crack)
     return crack
 
@@ -214,16 +171,9 @@ def line_segment(p0, p1, name="segment") -> Crack:
     half = 0.5 * (p1 - p0)
     if np.hypot(*half) == 0.0:
         raise DomainError("segment endpoints coincide")
-
-    def pos(t):
-        s = np.asarray(t, dtype=np.float64)[..., None]
-        return mid + s * half
-
-    def der(t):
-        s = np.asarray(t, dtype=np.float64)
-        return np.broadcast_to(half, np.shape(s) + (2,)).copy()
-
-    return Crack([ParametricArc(name, pos, der)], name)
+    arc = _arc(name, -1.0, 1.0, lambda s: mid + s[..., None] * half,
+               lambda s: np.broadcast_to(half, np.shape(s) + (2,)).copy())
+    return Crack([arc], name)
 
 
 def chebyshev_graph_arc(coefficients, name="chebyshev") -> Crack:
@@ -231,16 +181,9 @@ def chebyshev_graph_arc(coefficients, name="chebyshev") -> Crack:
     coeffs = np.asarray(coefficients, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size < 1:
         raise DomainError("coefficient list must be a nonempty vector")
-
-    def pos(t):
-        s = np.asarray(t, dtype=np.float64)
-        return np.stack([s, chebyshev_value(coeffs, s)], axis=-1)
-
-    def der(t):
-        s = np.asarray(t, dtype=np.float64)
-        return np.stack([np.ones_like(s), chebyshev_derivative(coeffs, s)], axis=-1)
-
-    return Crack([ParametricArc(name, pos, der)], name)
+    arc = _arc(name, -1.0, 1.0, lambda s: np.stack([s, chebyshev_value(coeffs, s)], axis=-1),
+               lambda s: np.stack([np.ones_like(s), chebyshev_derivative(coeffs, s)], axis=-1))
+    return Crack([arc], name)
 
 
 def chebyshev_value(coeffs, s):
@@ -302,13 +245,8 @@ def sample_points(crack: Crack, m: int):
     if m < 1:
         raise DomainError(f"sample count must be >= 1, got {m}")
     ts = np.array([0.0]) if m == 1 else np.linspace(-1.0, 1.0, m)
-    out = []
-    for arc in crack.components:
-        pts = np.atleast_2d(arc.points(ts))
-        nrm = np.atleast_2d(arc.normals(ts))
-        for p, n in zip(pts, nrm):
-            out.append(UnitNormal(point=p, normal=n))
-    return out
+    return [UnitNormal(point=p, normal=n) for arc in crack.components
+            for p, n in zip(arc.points(ts), arc.normals(ts))]
 
 
 _BAND = 4                          # sample offsets |i - j| <= _BAND are legitimately close

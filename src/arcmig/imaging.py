@@ -20,13 +20,15 @@ import hashlib
 import math
 import os
 import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import _blas
-from .errors import ConfigError, DegenerateSteeringError, DomainError, MapParseError
+from .errors import ConfigError, DegenerateSteeringError, MapParseError
+from .geometry import check_unit_vector
 from .msr import DirectionSet, MsrMatrix, SignalSubspace
 
 __all__ = [
@@ -205,9 +207,7 @@ def steering_tm(x, k, dirs: DirectionSet):
 
 def steering_te(x, k, dirs: DirectionSet, nu):
     """Normal-weighted steering: theta_n . nu exp(i k theta_n . x), normalized."""
-    nu = np.asarray(nu, dtype=np.float64)
-    if abs(np.hypot(nu[0], nu[1]) - 1.0) > 1e-9:
-        raise DomainError(f"candidate normal must be a unit vector, got {nu}")
+    nu = check_unit_vector(nu, "candidate normal")
     x = np.asarray(x, dtype=np.float64)
     d = dirs.directions()
     v = (d @ nu) * np.exp(1j * k * (d @ x))
@@ -544,27 +544,26 @@ def _saved_step(ux, uy):
 
 
 def load_map(path) -> ImageMap:
+    """Read a map CSV line by line into one flat float64 buffer."""
+    flat = array("d")
     with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != "x,y,value":
-        raise MapParseError(f"{path}: missing x,y,value header", line=1)
-    xs, ys, vals = [], [], []
-    for lineno, line in enumerate(raw[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MapParseError(f"{path}: expected 3 fields", line=lineno)
-        try:
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-            vals.append(float(parts[2]))
-        except ValueError as exc:
-            raise MapParseError(f"{path}: {exc}", line=lineno) from exc
-    xs, ys, vals = np.array(xs), np.array(ys), np.array(vals)
+        if fh.readline().rstrip("\n") != "x,y,value":
+            raise MapParseError(f"{path}: missing x,y,value header", line=1)
+        lineno = 1
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 3:
+                raise MapParseError(f"{path}: expected 3 fields", line=lineno)
+            try:
+                flat.extend(map(float, parts))
+            except ValueError as exc:
+                raise MapParseError(f"{path}: {exc}", line=lineno) from exc
+    xs, ys, vals = np.frombuffer(flat, dtype=np.float64).reshape(-1, 3).T
     ux, uy = np.unique(xs), np.unique(ys)
     if ux.size * uy.size != vals.size:
-        raise MapParseError(f"{path}: points do not form a full grid", line=len(raw))
+        raise MapParseError(f"{path}: points do not form a full grid", line=lineno)
     if ux.size < 2 or uy.size < 2:
-        raise MapParseError(f"{path}: a map needs two rows and two columns", line=len(raw))
+        raise MapParseError(f"{path}: a map needs two rows and two columns", line=lineno)
     grid = SearchGrid(
         x_lo=float(ux[0]), x_hi=float(ux[-1]), y_lo=float(uy[0]), y_hi=float(uy[-1]),
         h=_saved_step(ux, uy),

@@ -9,6 +9,8 @@ from arcmig.errors import ConfigError, DomainError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig, PlaneWave
 
+from _oracles import far_field_direct_sums
+
 K_HALF = 2.0 * np.pi / 0.5
 CFG64 = NystromConfig(nodes_per_arc=64)
 
@@ -102,23 +104,6 @@ def test_energy_sanity_bounded_far_field():
     vals = forward.far_field_matrix(sol.values[:, None], sol.disc, sol.k, obs)[0, :, 0]
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 50.0
-
-
-def far_field_direct_sums(sol, obs):
-    """u_inf of one density at each observation direction as a plain
-    weighted sum over the quadrature nodes, one direction at a time."""
-    disc = sol.disc
-    weighted = disc.quad_weights[0] * sol.values
-    out = []
-    for xhat in obs:
-        phases = np.exp(-1j * sol.k * (disc.points[0] @ xhat))
-        if disc.bc is BC.DIRICHLET:
-            pref = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * sol.k)
-            out.append(pref * np.sum(phases * weighted))
-        else:
-            pref = -np.sqrt(sol.k / (8.0 * np.pi)) * np.exp(-1j * np.pi / 4.0)
-            out.append(pref * np.sum((disc.normals[0] @ xhat) * phases * weighted))
-    return np.array(out)
 
 
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.NEUMANN])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from arcmig import geometry
+from arcmig import analysis, forward, geometry, imaging, msr
 from arcmig.errors import DomainError, LookupNameError
 
 
@@ -29,14 +29,79 @@ def test_gamma3_lower_endpoint():
     assert np.allclose(point, expected, atol=1e-14)
 
 
-def test_gamma1_endpoints():
-    crack = geometry.catalog("G1")
-    p_lo, _, _ = geometry.evaluate(crack.components[0], -1.0)
-    p_hi, _, _ = geometry.evaluate(crack.components[0], 1.0)
-    assert np.allclose(p_lo, [-0.5, 0.3], atol=1e-15)
-    assert np.allclose(p_hi, [0.5, 0.3], atol=1e-15)
+def _gamma2_y(s):
+    return (0.5 * math.cos(s * math.pi / 2.0) + 0.2 * math.sin(s * math.pi / 2.0)
+            - 0.1 * math.cos(3.0 * s * math.pi / 2.0))
 
 
+# catalog key, label, component index and name, native curve at both ends
+CATALOG_ENDS = [
+    ("G1", "Gamma1", 0, "Gamma1", (-0.5, 0.3), (0.5, 0.3)),
+    ("G2", "Gamma2", 0, "Gamma2", (-1.0, _gamma2_y(-1.0)), (1.0, _gamma2_y(1.0))),
+    ("G3", "Gamma3", 0, "Gamma3",
+     (2.0 * math.sin(math.pi / 8.0), math.sin(math.pi / 4.0)),
+     (2.0 * math.sin(7.0 * math.pi / 8.0), math.sin(7.0 * math.pi / 4.0))),
+    ("G4", "Gamma4", 0, "Gamma4_1", (-0.7, 0.475), (0.3, 0.475)),
+    ("G4", "Gamma4", 1, "Gamma4_2", (-0.3, -0.475), (0.7, -0.225)),
+]
+
+
+@pytest.mark.parametrize("key, label, index, name, lo, hi", CATALOG_ENDS,
+                         ids=[row[3] for row in CATALOG_ENDS])
+def test_catalog_endpoints(key, label, index, name, lo, hi):
+    # t = -1 and t = 1 give the native curve's ends, names and labels as published
+    crack = geometry.catalog(key)
+    arc = crack.components[index]
+    assert crack.label == label and arc.name == name
+    p_lo, _, _ = geometry.evaluate(arc, -1.0)
+    p_hi, _, _ = geometry.evaluate(arc, 1.0)
+    assert np.allclose(p_lo, lo, rtol=0.0, atol=1e-15)
+    assert np.allclose(p_hi, hi, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_sample_normals_equal_solver_node_normals(bc):
+    # one tangent-to-normal rule: the arcs' normals at the solver's nodes
+    # are its node normals bit for bit
+    cfg = forward.NystromConfig(nodes_per_arc=128)
+    for name in geometry.catalog_names():
+        crack = geometry.catalog(name)
+        disc = forward.discretize([crack], bc, cfg)
+        normals = np.concatenate([arc.normals(disc.grid.t) for arc in crack.components])
+        assert normals.tobytes() == disc.normals[0].tobytes(), name
+
+
+def test_evaluate_normal_is_the_arc_normal():
+    ts = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(5).uniform(-1.0, 1.0, 64)])
+    cracks = [geometry.catalog(name) for name in geometry.catalog_names()]
+    cracks += [geometry.line_segment([0.1, -0.2], [0.4, 0.35]),
+               geometry.chebyshev_graph_arc([0.26, 0.23, -0.22, -0.03, -0.06])]
+    for crack in cracks:
+        for arc in crack.components:
+            for t in ts:
+                assert geometry.evaluate(arc, t)[2].tobytes() == arc.normals(t).tobytes()
+
+
+def _far_field_at(obs):
+    wave = forward.PlaneWave(np.array([0.0, -1.0]), 4.0)
+    sol = forward.solve_density(geometry.catalog("G1"), wave, "dirichlet",
+                                forward.NystromConfig(nodes_per_arc=16))
+    return forward.far_field(sol, obs)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("incident direction", lambda v: forward.PlaneWave(v, 4.0)),
+    ("observation direction", _far_field_at),
+    ("candidate normal",
+     lambda v: imaging.steering_te([0.0, 0.0], 4.0, msr.DirectionSet(0.0, np.pi, 8), v)),
+    ("xi", lambda v: analysis.ring_integrals(0.0, np.pi, 4.0, [0.1, 0.2], v)),
+])
+def test_unit_vector_checks_share_one_rule(what, call):
+    # every caller rejects a non-unit vector in the same words, and takes
+    # one within 1e-9 of unit length
+    with pytest.raises(DomainError, match=rf"^{what} must be a unit vector, got \[1\. 1\.\]$"):
+        call((1, 1))
+    call((0.6, 0.8 + 5e-10))
 def test_gamma4_two_components():
     crack = geometry.catalog("G4")
     assert len(crack) == 2

@@ -536,6 +536,20 @@ def test_map_csv_round_trip(tmp_path, micro_subspaces):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_map_csv_with_crlf_line_ends_loads_alike(tmp_path, micro_subspaces):
+    center, _, sub, _ = micro_subspaces
+    grid = imaging.SearchGrid(-0.5, 0.5, -0.5, 0.5, 0.1)
+    img = imaging.image_subspace(
+        [sub], grid, imaging.SteeringMode("tm"), imaging.WeightScheme("unit")
+    )
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    imaging.save_map(img, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = imaging.load_map(lf), imaging.load_map(crlf)
+    assert a.grid == b.grid
+    assert a.values.tobytes() == b.values.tobytes()
+
+
 def _reference_save_map(image, path):
     """The per-point formatter of NumPy scalars that save_map replaced,
     kept as the byte reference."""

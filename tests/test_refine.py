@@ -9,6 +9,8 @@ from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig, PlaneWave, solve_density
 from arcmig.geometry import catalog, chebyshev_graph_arc, chebyshev_value
 
+from _oracles import far_field_direct_sums
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -35,17 +37,6 @@ def test_truth_residual_vanishes_with_matched_nodes(scenario):
     assert refine.residual(truth, data_matched) <= 1e-10
 
 
-def dirichlet_far_field_sums(sol, obs):
-    """u_inf of one Dirichlet density per observation direction, as a plain
-    weighted sum over the quadrature nodes."""
-    pref = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * np.pi * sol.k)
-    weighted = sol.disc.quad_weights[0] * sol.values
-    points = sol.disc.points[0]
-    return np.array(
-        [pref * np.sum(np.exp(-1j * sol.k * (points @ xhat)) * weighted) for xhat in obs]
-    )
-
-
 def test_data_and_residual_match_direct_far_field_sums(scenario):
     # refinement data and residuals come from the batch far-field formula;
     # they agree with per-direction sums within 1e-13 relative
@@ -53,10 +44,10 @@ def test_data_and_residual_match_direct_far_field_sums(scenario):
     k, theta, obs = data.k, data.theta, data.observation_dirs
     wave = PlaneWave(theta, k)
     truth_sol = solve_density(truth.crack(), wave, BC.DIRICHLET, NystromConfig(nodes_per_arc=128))
-    ref_values = dirichlet_far_field_sums(truth_sol, obs)
+    ref_values = far_field_direct_sums(truth_sol, obs)
     assert np.max(np.abs(data.values - ref_values)) <= 1e-13 * np.max(np.abs(ref_values))
     guess_sol = solve_density(initial.crack(), wave, BC.DIRICHLET, NystromConfig(nodes_per_arc=64))
-    diff = data.values - dirichlet_far_field_sums(guess_sol, obs)
+    diff = data.values - far_field_direct_sums(guess_sol, obs)
     ref_residual = 0.5 * float(np.vdot(diff, diff).real)
     assert refine.residual(initial, data) == pytest.approx(ref_residual, rel=1e-13)
 
