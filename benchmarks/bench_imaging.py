@@ -6,13 +6,14 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
 
 * the steering basis of each preset: paired (the phase tables keep N/2
   directions and the real steering block has R = N columns) or unpaired
-  (N directions, R = 2N; the TE search always runs unpaired);
+  (N directions, R = 2N);
 * per block of ``imaging._BLOCK`` grid points and frequency, in ms (median
   over repeats and frequencies): the conjugate phase block gathered from
   the factored phase tables, the same full block from direct complex exps
-  for comparison, the GEMM (real for the quadratic form, complex for the
-  TE search), and the reduction (two row dots for the TM quadratic form,
-  the normal search for TE);
+  for comparison, the real GEMM (against [Re C_f | Im C_f] for the
+  quadratic form, against the four planes of G_f for the TE search), and
+  the reduction (two row dots for the TM quadratic form, the normal
+  search for TE);
 * the peak bytes one ``product`` + ``reduce`` call on a full block
   allocates, measured with `tracemalloc`, the largest over the
   frequencies: each walker holds this much while it works on a block;
@@ -28,7 +29,7 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
 The results and their provenance go to ``BENCH_imaging.json`` (see
 ``_record.py``) and, as one JSON line, to the end of the output.
 
-Run:  python benchmarks/bench_imaging.py [--block 256] [--repeats 20] [--calls 3]
+Run:  python benchmarks/bench_imaging.py [--block 320] [--repeats 20] [--calls 3]
 """
 
 import argparse
@@ -58,10 +59,10 @@ def layer_ms(cfg, dirs, subspaces, repeats):
     """Median ms per block and frequency of each engine stage, on the first
     block of the preset grid, and the steering basis."""
     grid = cfg.grid()
-    kept, expand = imaging._steering_basis(dirs, pair=cfg.mode != "te-search")
+    kept, expand = imaging._steering_basis(dirs)
     if cfg.mode == "te-search":
         product, reduce = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates,
-                                             dirs)
+                                             dirs, expand)
     else:
         product, reduce = imaging._quadratic_form(
             [sub.retained_left() @ sub.retained_right().conj().T for sub in subspaces], expand

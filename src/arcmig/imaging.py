@@ -6,14 +6,15 @@ Every functional is a conjugate plane-wave phase block, held as a real
 matrix, times a small per-frequency factor matrix, followed by a reduction:
 TM, the TE alternative and Kirchhoff are one quadratic form per frequency,
 and the TE search reduces over the subspace index. When the direction set
-holds the opposite of each direction, the phase block keeps only half of
-them. One engine walks the row-major grid in fixed row blocks, which
-bounds memory; a block's phases are gathered from per-frequency x and y
-phase tables, and its temporaries stay on the heap through `_heap`. The
-TE search deals its blocks to one walker per CPU; BLAS runs on one thread
-for the whole process (`_blas`). The reduction order over frequencies and
-factor rows is fixed and independent of the block and the walker, so maps
-are bitwise reproducible.
+holds the opposite of each direction, the phase block of every functional
+keeps only half of them. One engine walks the row-major grid in fixed row
+blocks, which bounds memory, and pads a short last block to full size; a
+block's phases are gathered from per-frequency x and y phase tables, and
+its temporaries stay on the heap through `_heap`. The TE search deals its
+blocks to one walker per CPU; BLAS runs on one thread for the whole
+process (`_blas`). The reduction order over frequencies and factor rows is
+fixed and independent of the block and the walker, so maps are bitwise
+reproducible.
 """
 
 import hashlib
@@ -219,7 +220,7 @@ def steering_te(x, k, dirs: DirectionSet, nu):
     return v / norm
 
 
-_BLOCK = 256                       # grid points per row block of the imaging engine
+_BLOCK = 320                       # grid points per row block of the imaging engine
 
 
 def candidate_normals(count):
@@ -228,18 +229,18 @@ def candidate_normals(count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _steering_basis(dirs, pair=True):
+def _steering_basis(dirs):
     """Real steering basis of a direction set: the number N' of directions
     kept in the phase tables and the complex (R x N) map E with s = S E,
     where S is the real (P x R) view of the (P x N') conjugate steering
     block over the kept directions and s the full (P x N) one.
 
     When the set holds the opposite of each of its directions (full view
-    with even N: theta_{n+N/2} = -theta_n) and pair is true, the tables keep
-    the first N/2 directions, the other half of s is the conjugate of the
-    first, and R = N. Otherwise N' = N and R = 2N."""
+    with even N: theta_{n+N/2} = -theta_n), the tables keep the first N/2
+    directions, the other half of s is the conjugate of the first, and
+    R = N. Otherwise N' = N and R = 2N."""
     n = dirs.count
-    paired = pair and dirs.is_full_view and n % 2 == 0
+    paired = dirs.is_full_view and n % 2 == 0
     kept = n // 2 if paired else n
     idx = np.arange(kept)
     expand = np.zeros((2 * kept, n), dtype=np.complex128)
@@ -291,9 +292,13 @@ def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
 
     The row-major grid is walked in fixed blocks of _BLOCK points by W
     walkers, walker w taking blocks w, w + W, ...: walker 0 on the calling
-    thread, the others on threads of their own. All walkers share product
-    and reduce, which are reentrant: product returns a fresh GEMM output
-    and reduce works on it and on arrays of its own call.
+    thread, the others on threads of their own. A short last block is
+    padded with copies of the grid's last point, whose results are
+    dropped, so product and reduce always see _BLOCK rows and take one
+    BLAS path (a one-row GEMM runs as a GEMV, which rounds differently).
+    All walkers share product and reduce, which are reentrant: product
+    returns a fresh GEMM output and reduce works on it and on arrays of
+    its own call.
 
     W is 1 unless parallel is true, and then `_search_walkers` picks it.
     The GEMM-bound quadratic form stays serial: on two CPUs a second
@@ -311,11 +316,12 @@ def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
         try:
             for start in starts[w::walkers]:
                 stop = min(start + _BLOCK, count)
-                iy, ix = np.divmod(np.arange(start, stop), grid.nx)
+                index = np.minimum(np.arange(start, start + _BLOCK), count - 1)
+                iy, ix = np.divmod(index, grid.nx)
                 acc = total[start:stop]
                 for f, (tx, ty) in enumerate(tables):
                     real = _steering_block(tx, ty, ix, iy).view(np.float64)
-                    acc += reduce(f, real, product(f, real))
+                    acc += reduce(f, real, product(f, real))[: stop - start]
         except BaseException as exc:
             errors.append(exc)
 
@@ -354,15 +360,18 @@ def _quadratic_form(forms, expand):
     return product, reduce
 
 
-def _te_search(subspaces, weights, candidates, dirs):
-    """Product and reduction of the TE normal search, over the unpaired
-    steering basis (S is the real view of the conjugate steering block s).
+def _te_search(subspaces, weights, candidates, dirs, expand):
+    """Product and reduction of the TE normal search.
 
     With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u]
-    = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one GEMM
-    per frequency serves every candidate: the complex (4M x P) product
-    F_f s^T, whose (4M x N) factor F_f stacks theta_x u, theta_y u,
-    theta_x v and theta_y v. For nu = (cos phi, sin phi),
+    = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one
+    product per frequency serves every candidate: s F_f with the (N x 4M)
+    factor F_f = [theta_x u | theta_y u | theta_x v | theta_y v]. In the
+    steering basis s = S E it is S G_f with G_f = E F_f (R x 4M): one real
+    GEMM of S against the (R x 2M) real view of each of G_f's four (R x M)
+    planes, each writing the real view of a (P x M) complex plane. Paired,
+    R = N and that is half the multiply-adds of the complex GEMM s F_f.
+    For nu = (cos phi, sin phi),
     (nu . A_u)(nu . A_v) = alpha + beta cos 2phi + gamma sin 2phi with
     alpha = (u_0 v_0 + u_1 v_1)/2, beta = (u_0 v_0 - u_1 v_1)/2 and
     gamma = (u_0 v_1 + u_1 v_0)/2. Candidate l's term is w_l times that,
@@ -389,21 +398,25 @@ def _te_search(subspaces, weights, candidates, dirs):
             * w**2).T
     picked = np.stack([0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2])
     dx, dy = d[:, :1], d[:, 1:]
-    factors = []
+    # per frequency the four planes of G_f, (4, R, M) complex held as (4, R, 2M) real
+    planes = []
     for sub in subspaces:
         u, v = sub.retained_left(), sub.retained_right().conj()
-        factors.append(np.concatenate([dx * u, dy * u, dx * v, dy * v], axis=1).T)
+        planes.append((expand @ np.stack([dx * u, dy * u, dx * v, dy * v])).view(np.float64))
 
     def product(f, s):
-        return np.matmul(factors[f], s.view(np.complex128).T)
+        g = planes[f]
+        out = np.empty((4, len(s), g.shape[2] // 2), dtype=np.complex128)
+        np.matmul(s, g, out=out.view(np.float64))
+        return out
 
     def reduce(f, s, prod):
-        m, p = len(prod) // 4, len(s)
+        p, m = prod.shape[1:]
         pm = p * m
         # the GEMM wrote u_0, u_1, v_0 and v_1 into planes 0-3 of prod;
         # alpha, beta and gamma are formed in planes 0-2
-        u0, u1, v0, v1 = prod.reshape(4, m, p)
-        cross0, cross1 = np.empty((2, m, p), dtype=np.complex128)
+        u0, u1, v0, v1 = prod
+        cross0, cross1 = np.empty((2, p, m), dtype=np.complex128)
         np.multiply(u0, v1, out=cross0)
         np.multiply(u1, v0, out=cross1)
         np.multiply(u0, v0, out=v0)
@@ -411,7 +424,8 @@ def _te_search(subspaces, weights, candidates, dirs):
         alpha = np.add(v0, v1, out=u0)
         beta = np.subtract(v0, v1, out=u1)
         gamma = np.add(cross0, cross1, out=v0)
-        z = prod[: 3 * m].reshape(3, pm)
+        del cross0, cross1                         # freed before the scan's buffers
+        z = prod[:3].reshape(3, pm)
         zr, zi = z.real, z.imag
         # the six coefficients Re(z_i conj(z_j)) of the scan, z = (alpha,
         # beta, gamma): rows (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)
@@ -435,7 +449,7 @@ def _te_search(subspaces, weights, candidates, dirs):
         np.multiply(zi, sel, out=zi)
         alpha += beta
         alpha += gamma
-        return np.sum(alpha, axis=0) * weights[f]
+        return np.sum(alpha, axis=1) * weights[f]
 
     return product, reduce
 
@@ -479,11 +493,10 @@ def image_subspace(
     ks, dirs = _wavenumbers(subspaces, "frequency subspace")
     weights = weight.values(ks)
     prov = _provenance(f"subspace-{mode.kind}", weight.describe(), ks, dirs)
-    # the TE search runs its complex GEMM on the unpaired steering block
-    kept, expand = _steering_basis(dirs, pair=mode.kind != "te-search")
+    kept, expand = _steering_basis(dirs)
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
-        engine = _te_search(subspaces, weights, mode.candidates, dirs)
+        engine = _te_search(subspaces, weights, mode.candidates, dirs, expand)
     else:
         engine = _quadratic_form(
             [w * (sub.retained_left() @ sub.retained_right().conj().T)

@@ -33,7 +33,7 @@ print(_heap.applied, faults() - before)
 """
 
 
-# in a fresh interpreter, page faults of a second TE-search map over 18
+# in a fresh interpreter, page faults of a second TE-search map over 15
 # row blocks; the engine allocates each block's temporaries (0.1-1 MB
 # here) per call, so under glibc's default policy the blocks fault them in
 # again, ~20 k faults against a handful

@@ -1,5 +1,6 @@
 """Imaging functionals: steering identities, map properties, persistence."""
 
+import math
 import sys
 import threading
 
@@ -293,6 +294,26 @@ def test_te_search_limited_aperture_odd_candidates_matches_oracle():
     assert np.allclose(img.values, expected, atol=1e-12)
 
 
+def test_te_search_full_view_odd_directions_matches_oracle():
+    # full view with odd N holds no -theta: the search runs on the
+    # unpaired basis, R = 2N
+    crack = geometry.catalog("G1")
+    dirs = msr.DirectionSet.full_view(15)
+    kept, expand = imaging._steering_basis(dirs)
+    assert (kept, expand.shape) == (15, (30, 15))
+    freqs = imaging.FrequencySet.from_wavelengths(0.5, 0.4, 2)
+    subs = []
+    for kf in freqs.wavenumbers():
+        m = msr.assemble(crack, kf, dirs, BC.NEUMANN, NystromConfig(nodes_per_arc=64))
+        subs.append(msr.svd_threshold(m, 0.01))
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.1, 0.7, 0.2)
+    img = imaging.image_subspace(
+        subs, grid, imaging.SteeringMode("te-search", 8), imaging.WeightScheme("unit")
+    )
+    expected = _te_search_oracle(subs, grid, dirs, 8)
+    assert np.allclose(img.values, expected, atol=1e-12)
+
+
 def test_factored_phase_block_matches_direct_exponentials():
     # phases k theta . x reach ~75 rad on this grid; the product of the x
     # and y tables agrees with the direct exponentials within 1e-13
@@ -342,9 +363,9 @@ def _engine_maps(matrices, grid, dirs):
 )
 def test_quadratic_form_maps_match_direct_formula(dirs):
     # the real-arithmetic form S C_f S^T against per-point steering vectors;
-    # 625 points span three row blocks
+    # 806 points span three row blocks
     ks = [9.0, 11.5]
-    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.05)
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.6, 0.04)
     matrices = _random_msr(dirs, ks, seed=11)
     subs, maps = _engine_maps(matrices, grid, dirs)
     expected = {"tm": [], "te-plain": [], "kirchhoff": []}
@@ -364,23 +385,61 @@ def test_quadratic_form_maps_match_direct_formula(dirs):
         assert np.max(np.abs(values - expected[key])) <= 1e-12 * peak, key
 
 
+def _unpaired_basis(dirs):
+    """The steering basis that keeps every direction: s_n = S_2n + i S_2n+1."""
+    return dirs.count, np.kron(np.eye(dirs.count), [[1.0], [1j]])
+
+
 def test_paired_basis_matches_unpaired_basis(monkeypatch):
     # full view with even N holds -theta for every theta: the phase tables
     # keep N/2 directions and S has N columns, against 2N unpaired
     dirs = msr.DirectionSet.full_view(24)
     kept, expand = imaging._steering_basis(dirs)
     assert (kept, expand.shape) == (12, (24, 24))
-    kept, expand = imaging._steering_basis(dirs, pair=False)
-    assert (kept, expand.shape) == (24, (48, 24))
+    limited = imaging._steering_basis(msr.DirectionSet(0.0, np.pi, 24))
+    assert limited[0] == 24 and np.array_equal(limited[1], _unpaired_basis(dirs)[1])
     ks = [8.0, 10.0, 12.0]
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
     matrices = _random_msr(dirs, ks, seed=12)
-    _, paired = _engine_maps(matrices, grid, dirs)
-    basis = imaging._steering_basis
-    monkeypatch.setattr(imaging, "_steering_basis", lambda d, pair=True: basis(d, pair=False))
-    _, unpaired = _engine_maps(matrices, grid, dirs)
+
+    def maps():
+        subs, out = _engine_maps(matrices, grid, dirs)
+        out["te-search"] = _te_search_map(subs, grid, dirs)
+        return out
+
+    paired = maps()
+    monkeypatch.setattr(imaging, "_steering_basis", _unpaired_basis)
+    unpaired = maps()
     for key, values in paired.items():
         assert np.max(np.abs(values - unpaired[key])) <= 1e-13 * np.max(unpaired[key]), key
+
+
+def test_one_point_last_block_matches_a_full_block():
+    # q _BLOCK + 1 points leave one point in the last block; it gets the
+    # same bits as in a grid of the last two rows, where it shares a block
+    # with 2 nx - 1 others. A dyadic step makes the shared points bitwise equal.
+    block, h = imaging._BLOCK, 0.0625
+    for count in range(block + 1, 100 * block, block):
+        nx = next((d for d in range(2, math.isqrt(count) + 1) if count % d == 0), 0)
+        if nx:
+            break
+    ny = count // nx
+    full_grid = imaging.SearchGrid(-1.0, -1.0 + (nx - 1) * h, -2.0, -2.0 + (ny - 1) * h, h)
+    rows_grid = imaging.SearchGrid(-1.0, -1.0 + (nx - 1) * h, -2.0 + (ny - 2) * h,
+                                   -2.0 + (ny - 1) * h, h)
+    assert full_grid.nx * full_grid.ny % block == 1
+    assert np.array_equal(rows_grid.points(), full_grid.points()[-2 * nx:])
+    dirs = msr.DirectionSet.full_view(16)
+    matrices = _random_msr(dirs, [9.0, 11.5], seed=13)
+
+    def maps(grid):
+        subs, out = _engine_maps(matrices, grid, dirs)
+        out["te-search"] = _te_search_map(subs, grid, dirs)
+        return out
+
+    full, rows = maps(full_grid), maps(rows_grid)
+    for key, values in rows.items():
+        assert np.array_equal(values, full[key][-2 * nx:]), key
 
 
 def _te_search_map(subs, grid, dirs):
@@ -414,11 +473,11 @@ def _spy_reduce(monkeypatch, check=lambda: None):
     return threads
 
 
-@pytest.mark.parametrize("bounds, walking", [((-0.6, 0.6, -0.4, 0.8, 0.05), 2),
+@pytest.mark.parametrize("bounds, walking", [((-0.6, 0.6, -0.4, 0.6, 0.04), 2),
                                              ((-0.3, 0.3, -0.2, 0.2, 0.1), 1)],
                          ids=["ragged-last-block", "under-one-block"])
 def test_te_search_walkers_give_the_serial_map(monkeypatch, bounds, walking):
-    # 625 points are two full blocks and a ragged one, split 2 + 1 between
+    # 806 points are two full blocks and a ragged one, split 2 + 1 between
     # two walkers; 35 points are one block, and the second walker gets none
     grid = imaging.SearchGrid(*bounds)
     subs, dirs = _te_subspaces(seed=21)
@@ -436,7 +495,7 @@ def test_te_search_walkers_give_the_serial_map(monkeypatch, bounds, walking):
 def test_te_search_walkers_outnumbering_cores_give_the_serial_map(monkeypatch):
     # five walkers share ten blocks of one sum while the interpreter switches
     # threads every microsecond; each walker writes only its own blocks
-    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.8, 0.025)
+    grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 1.1, 0.025)
     assert grid.nx * grid.ny > 9 * imaging._BLOCK
     subs, dirs = _te_subspaces(seed=24)
     monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 1)
