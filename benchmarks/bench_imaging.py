@@ -29,7 +29,7 @@ It builds the signal subspaces that ``arcmig image --preset P --snr 15
 The results and their provenance go to ``BENCH_imaging.json`` (see
 ``_record.py``) and, as one JSON line, to the end of the output.
 
-Run:  python benchmarks/bench_imaging.py [--block 320] [--repeats 20] [--calls 3]
+Run:  python benchmarks/bench_imaging.py [--block 304] [--repeats 20] [--calls 3]
 """
 
 import argparse

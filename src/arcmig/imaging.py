@@ -220,7 +220,12 @@ def steering_te(x, k, dirs: DirectionSet, nu):
     return v / norm
 
 
-_BLOCK = 320                       # grid points per row block of the imaging engine
+# grid points per row block of the imaging engine: larger blocks cut the
+# TE search's per-call reduce cost, and up to 312 points the (P x 40) x
+# (40 x 80) GEMM of a 40-direction TM form stays on OpenBLAS's
+# small-matrix kernel (M N K <= 1e6); at 320 points G3,TM imaging took
+# 13 % longer
+_BLOCK = 304
 
 
 def candidate_normals(count):
