@@ -320,13 +320,12 @@ def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
     def walk(w):
         try:
             for start in starts[w::walkers]:
-                stop = min(start + _BLOCK, count)
                 index = np.minimum(np.arange(start, start + _BLOCK), count - 1)
                 iy, ix = np.divmod(index, grid.nx)
-                acc = total[start:stop]
+                acc = total[start : start + _BLOCK]
                 for f, (tx, ty) in enumerate(tables):
                     real = _steering_block(tx, ty, ix, iy).view(np.float64)
-                    acc += reduce(f, real, product(f, real))[: stop - start]
+                    acc += reduce(f, real, product(f, real))[: len(acc)]
         except BaseException as exc:
             errors.append(exc)
 
