@@ -2,21 +2,24 @@
 """Benchmark: the imaging engine, layer by layer.
 
 It builds the signal subspaces that ``arcmig image --preset P --snr 15
---seed 7`` builds for P = G3,TM, G4,TM, G2,TE and G3,TE, then reports:
+--seed 7`` builds for P = G3,TM, G4,TM, G2,TE and G3,TE, and for G3,TM on
+the limited aperture (``--aperture limited``), then reports, in ns per
+grid point and frequency (median over repeats and frequencies):
 
-* the steering basis of each preset: paired (the phase tables keep N/2
-  directions and the real steering block has R = N columns) or unpaired
-  (N directions, R = 2N);
-* per block of ``imaging._BLOCK`` grid points and frequency, in ms (median
-  over repeats and frequencies): the conjugate phase block gathered from
-  the factored phase tables, the same full block from direct complex exps
-  for comparison, the real GEMM (against [Re C_f | Im C_f] for the
-  quadratic form, against the four planes of G_f for the TE search), and
-  the reduction (two row dots for the TM quadratic form, the normal
-  search for TE);
-* the peak bytes one ``product`` + ``reduce`` call on a full block
-  allocates, measured with `tracemalloc`, the largest over the
-  frequencies: each walker holds this much while it works on a block;
+* for the TM presets, the two stages of the separable quadratic form over
+  the whole grid: the direction-pair tables (``_pair_factors``, which
+  include the phase tables) and the GEMMs of those tables with the sum of
+  their products; and the basis (paired: N^2/4 orbits in a real GEMM, or
+  unpaired: N(N+1)/2 pairs in a complex one), the term count, and the
+  `tracemalloc` peak bytes of one frequency's ``_separable_sum``;
+* for the TE presets, on the first block of ``imaging._BLOCK`` grid points:
+  the conjugate phase block gathered from the factored phase tables, the
+  same block from direct complex exps for comparison, the real GEMM
+  against the four planes of G_f, and the normal search; the steering
+  basis (paired, R = N real columns, or unpaired, R = 2N); and the peak
+  bytes one ``product`` + ``reduce`` call on the block allocates, the
+  largest over the frequencies: each walker holds this much while it
+  works on a block;
 * for one whole ``image_subspace`` call on G2,TE: wall seconds, minor page
   faults (``ru_minflt``) and system seconds (``ru_stime``), both in the
   first call of the process and again after a call on a coarser grid;
@@ -45,28 +48,60 @@ from _record import record
 
 from arcmig import cli, imaging, msr
 
-PRESETS = ("G3,TM", "G4,TM", "G2,TE", "G3,TE")
+PRESETS = ("G3,TM", "G4,TM", "G3,TM limited", "G2,TE", "G3,TE")
 
 
-def preset_inputs(preset):
-    """Config, direction set and thresholded subspaces of a preset run."""
-    cfg = cli.preset_config(preset, seed=7, snr_db=15.0)
+def preset_inputs(label):
+    """Config, direction set and thresholded subspaces of a preset run;
+    the label is the preset, then the aperture when it is not full."""
+    preset, _, aperture = label.partition(" ")
+    cfg = cli.preset_config(preset, aperture=aperture or "full", seed=7, snr_db=15.0)
     run = cli.run_pipeline(cfg, stop_after="forward")
     return cfg, cfg.direction_set(), [msr.svd_threshold(m, cfg.threshold) for m in run.matrices]
 
 
-def layer_ms(cfg, dirs, subspaces, repeats):
-    """Median ms per block and frequency of each engine stage, on the first
-    block of the preset grid, and the steering basis."""
+def _ns_per_point(samples, points):
+    return {key: round(1e9 * statistics.median(vals) / points, 2) for key, vals in samples.items()}
+
+
+def separable_ns(cfg, dirs, subspaces, repeats):
+    """Median ns per point and frequency of the pair tables and of the
+    GEMMs of the separable form, over the whole preset grid."""
+    grid = cfg.grid()
+    forms = [sub.retained_left() @ sub.retained_right().conj().T for sub in subspaces]
+    out = np.empty((grid.ny, imaging._padded_width(grid)), dtype=np.complex128)
+    total = np.zeros_like(out)
+    samples = {"pair_tables": [], "gemm": []}
+    for sub, form in zip(subspaces, forms):
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            factors = list(imaging._pair_factors(grid, sub.k, dirs, form))
+            t1 = time.perf_counter()
+            for left, right in factors:
+                np.matmul(left, right, out=out.view(left.dtype))
+                total += out
+            t2 = time.perf_counter()
+            samples["pair_tables"].append(t1 - t0)
+            samples["gemm"].append(t2 - t1)
+    tracemalloc.start()
+    imaging._separable_sum(grid, [subspaces[0].k], dirs, forms[:1])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out = _ns_per_point(samples, grid.nx * grid.ny)
+    out.update(basis="paired" if imaging._paired(dirs) else "unpaired",
+               terms=len(imaging._pair_orbits(dirs)[0]), points=grid.nx * grid.ny,
+               directions=dirs.count, frequencies=len(subspaces),
+               max_cut=max(sub.cut_index for sub in subspaces), frequency_peak_bytes=peak)
+    return out
+
+
+def search_ns(cfg, dirs, subspaces, repeats):
+    """Median ns per point and frequency of each TE search stage, on the
+    first block of the preset grid, and the steering basis."""
     grid = cfg.grid()
     kept, expand = imaging._steering_basis(dirs)
-    if cfg.mode == "te-search":
-        product, reduce = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates,
-                                             dirs, expand)
-    else:
-        product, reduce = imaging._quadratic_form(
-            [sub.retained_left() @ sub.retained_right().conj().T for sub in subspaces], expand
-        )
+    product, reduce = imaging._te_search(subspaces, np.ones(len(subspaces)), cfg.candidates,
+                                         dirs, expand)
     rows = min(imaging._BLOCK, grid.nx * grid.ny)
     iy, ix = np.divmod(np.arange(rows), grid.nx)
     points = grid.points()[:rows]
@@ -90,8 +125,8 @@ def layer_ms(cfg, dirs, subspaces, repeats):
             reduce(f, real, prod)
             t4 = time.perf_counter()
             for key, dt in zip(samples, (t2 - t1, t1 - t0, t3 - t2, t4 - t3)):
-                samples[key].append(1e3 * dt)
-    out = {key: round(statistics.median(vals), 4) for key, vals in samples.items()}
+                samples[key].append(dt)
+    out = _ns_per_point(samples, rows)
     out.update(basis="paired" if kept < dirs.count else "unpaired", real_columns=len(expand),
                block=rows, directions=dirs.count, frequencies=len(subspaces),
                max_cut=max(sub.cut_index for sub in subspaces),
@@ -136,7 +171,7 @@ def walker_calls(cfg, subspaces, calls):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--block", type=int, default=imaging._BLOCK,
-                        help="grid points per engine block (default: the module's)")
+                        help="grid points per TE search block (default: the module's)")
     parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--calls", type=int, default=3,
                         help="image_subspace calls per walker count (default: 3)")
@@ -151,10 +186,11 @@ def main():
     image_call(cfg, subspaces, coarse)
     calls["after_coarse"] = image_call(cfg, subspaces, grid)
 
-    print(f"imaging engine, block {args.block} points; ms per block and frequency, median")
+    print(f"imaging engine, TE block {args.block} points; ns per point and frequency, median")
     layers = {}
     for preset, (pcfg, pdirs, psubs) in inputs.items():
-        layers[preset] = layer_ms(pcfg, pdirs, psubs, args.repeats)
+        stages = search_ns if pcfg.mode == "te-search" else separable_ns
+        layers[preset] = stages(pcfg, pdirs, psubs, args.repeats)
         print(f"  {preset}: " + ", ".join(f"{k} {v}" for k, v in layers[preset].items()))
     for label, call in calls.items():
         print(f"image_subspace G2,TE ({label}): " + ", ".join(f"{k} {v}" for k, v in call.items()))
@@ -164,7 +200,8 @@ def main():
         walkers[preset] = walker_calls(pcfg, psubs, args.calls)
         print(f"image_subspace {preset}, median of {args.calls}: "
               + ", ".join(f"{k} {v}" for k, v in walkers[preset].items()))
-    record("imaging", {"block": args.block, "layers": layers, "image_subspace_G2_TE": calls,
+    record("imaging", {"block": args.block, "layer_unit": "ns per point and frequency",
+                       "layers": layers, "image_subspace_G2_TE": calls,
                        "walkers": walkers})
 
 

@@ -157,7 +157,7 @@ def _grid_log_weights(grid: _NodeGrid):
 
 
 def _hankel0(z):
-    j0, _, y0, _ = kernels.jy01v(z)
+    j0, y0 = kernels.jy0v(z)
     return j0 + 1j * y0
 
 

@@ -2,19 +2,22 @@
 normal search, the TE alternative, frequency-weighted and log-weighted
 variants, and Kirchhoff migration, all evaluated over a rectangular grid.
 
-Every functional is a conjugate plane-wave phase block, held as a real
-matrix, times a small per-frequency factor matrix, followed by a reduction:
-TM, the TE alternative and Kirchhoff are one quadratic form per frequency,
-and the TE search reduces over the subspace index. When the direction set
-holds the opposite of each direction, the phase block of every functional
-keeps only half of them. One engine walks the row-major grid in fixed row
-blocks, which bounds memory, and pads a short last block to full size; a
-block's phases are gathered from per-frequency x and y phase tables, and
-its temporaries stay on the heap through `_heap`. The TE search deals its
-blocks to one walker per CPU; BLAS runs on one thread for the whole
-process (`_blas`). The reduction order over frequencies and factor rows is
-fixed and independent of the block and the walker, so maps are bitwise
-reproducible.
+The conjugate plane-wave steering vector of a grid point is the product of
+a per-frequency x phase table row and y phase table row. TM, the TE
+alternative and Kirchhoff are one quadratic form s B_f s^T per frequency,
+which separates over the two axes: per frequency it is one GEMM of y-side
+direction-pair tables against x-side ones, in fixed chunks of pairs, and
+gives the map's rows directly. The TE search, which picks a normal per
+point, frequency and subspace index, multiplies a real view of the
+conjugate phase block by a per-frequency factor matrix and reduces over
+the subspace index; it walks the row-major grid in fixed row blocks, which
+bounds memory, pads a short last block to full size, and deals its blocks
+to one walker per CPU. When the direction set holds the opposite of each
+direction, both engines keep only half of the directions in the phase
+tables. Temporaries stay on the heap through `_heap`, and BLAS runs on one
+thread for the whole process (`_blas`). The summation order over
+frequencies, pairs and factor rows is fixed and independent of the grid's
+shape, the block and the walker, so maps are bitwise reproducible.
 """
 
 import hashlib
@@ -220,12 +223,14 @@ def steering_te(x, k, dirs: DirectionSet, nu):
     return v / norm
 
 
-# grid points per row block of the imaging engine: larger blocks cut the
-# TE search's per-call reduce cost, and up to 312 points the (P x 40) x
-# (40 x 80) GEMM of a 40-direction TM form stays on OpenBLAS's
-# small-matrix kernel (M N K <= 1e6); at 320 points G3,TM imaging took
-# 13 % longer
+# grid points per row block of the TE search: larger blocks cut its
+# per-call reduce cost
 _BLOCK = 304
+
+# direction pairs per chunk of the separable quadratic form: a chunk's pair
+# tables stay near 0.4 MB on the preset grids, and a count that does not
+# depend on the grid keeps every map value independent of the grid's shape
+_PAIRS = 64
 
 
 def candidate_normals(count):
@@ -234,18 +239,23 @@ def candidate_normals(count):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
+def _paired(dirs):
+    """Whether the set holds the opposite of each of its directions: full
+    view with even N, theta_{n+N/2} = -theta_n. The conjugate steering
+    vector's second half is then the conjugate of its first."""
+    return dirs.is_full_view and dirs.count % 2 == 0
+
+
 def _steering_basis(dirs):
     """Real steering basis of a direction set: the number N' of directions
     kept in the phase tables and the complex (R x N) map E with s = S E,
     where S is the real (P x R) view of the (P x N') conjugate steering
     block over the kept directions and s the full (P x N) one.
 
-    When the set holds the opposite of each of its directions (full view
-    with even N: theta_{n+N/2} = -theta_n), the tables keep the first N/2
-    directions, the other half of s is the conjugate of the first, and
-    R = N. Otherwise N' = N and R = 2N."""
+    A paired set (`_paired`) keeps its first N/2 directions in the tables,
+    and R = N. Otherwise N' = N and R = 2N."""
     n = dirs.count
-    paired = dirs.is_full_view and n % 2 == 0
+    paired = _paired(dirs)
     kept = n // 2 if paired else n
     idx = np.arange(kept)
     expand = np.zeros((2 * kept, n), dtype=np.complex128)
@@ -289,32 +299,31 @@ def _search_walkers(blocks):
     return min(os.cpu_count() or 1, blocks)
 
 
-def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
+def _blocked_sum(grid, ks, dirs, kept, product, reduce):
     """Per-point sum over f of reduce(f, S, product(f, S)), with S the real
     (P, 2N') view of the (P, N') conjugate TM steering block
     conj(exp(i k_f theta_n . x)) / sqrt(N) of the points over the first
-    N' = kept directions, gathered from the frequency's phase tables.
+    N' = kept directions, gathered from the frequency's phase tables. The
+    TE search is its one caller.
 
-    The row-major grid is walked in fixed blocks of _BLOCK points by W
-    walkers, walker w taking blocks w, w + W, ...: walker 0 on the calling
-    thread, the others on threads of their own. A short last block is
-    padded with copies of the grid's last point, whose results are
-    dropped, so product and reduce always see _BLOCK rows and take one
-    BLAS path (a one-row GEMM runs as a GEMV, which rounds differently).
-    All walkers share product and reduce, which are reentrant: product
-    returns a fresh GEMM output and reduce works on it and on arrays of
-    its own call.
+    The row-major grid is walked in fixed blocks of _BLOCK points by the W
+    walkers `_search_walkers` picks, walker w taking blocks w, w + W, ...:
+    walker 0 on the calling thread, the others on threads of their own. A
+    short last block is padded with copies of the grid's last point, whose
+    results are dropped, so product and reduce always see _BLOCK rows and
+    take one BLAS path (a one-row GEMM runs as a GEMV, which rounds
+    differently). All walkers share product and reduce, which are
+    reentrant: product returns a fresh GEMM output and reduce works on it
+    and on arrays of its own call.
 
-    W is 1 unless parallel is true, and then `_search_walkers` picks it.
-    The GEMM-bound quadratic form stays serial: on two CPUs a second
-    walker did not speed it up. No per-point result depends on its block
-    or its walker, so the map is the same for every W. An exception in a
-    walker is raised here once every walker has stopped."""
+    No per-point result depends on its block or its walker, so the map is
+    the same for every W. An exception in a walker is raised here once
+    every walker has stopped."""
     tables = [_phase_tables(grid, k, dirs, kept) for k in ks]
     count = grid.nx * grid.ny
     starts = range(0, count, _BLOCK)
     total = np.zeros(count, dtype=np.complex128)
-    walkers = _search_walkers(len(starts)) if parallel else 1
+    walkers = _search_walkers(len(starts))
     errors = []
 
     def walk(w):
@@ -340,28 +349,118 @@ def _blocked_sum(grid, ks, dirs, kept, product, reduce, parallel=False):
     return total
 
 
-def _quadratic_form(forms, expand):
-    """Product and reduction of the per-point form s B_f s^T, for complex
-    (N x N) matrices B_f and the conjugate steering block s = S E.
+def _pair_orbits(dirs):
+    """First and second direction of each pair term of the separable form,
+    first <= second, in the form's fixed order.
 
-    With C_f = E B_f E^T the form is S C_f S^T: one real GEMM of S against
-    [Re C_f | Im C_f] (R x 2R), then the dots of each point's two output
-    rows with its row of S give the real and imaginary parts."""
-    factors = []
-    for b in forms:
-        c = expand @ b @ expand.T
-        factors.append(np.concatenate([c.real, c.imag], axis=1))
-    r = len(expand)
+    An unpaired set has one term per pair a <= b. A paired set (`_paired`,
+    h = N/2) has one term per orbit of the swap n -> n + h mod N: {a, b}
+    with a <= b < h, whose partner {a + h, b + h} carries the conjugate
+    phase, and {a, b + h} with a < b < h, whose partner is {b, a + h}. The
+    remaining pairs {a, a + h} are constants."""
+    n = dirs.count
+    if not _paired(dirs):
+        return np.triu_indices(n)
+    h = n // 2
+    same, mixed = np.triu_indices(h), np.triu_indices(h, 1)
+    return np.concatenate([same[0], mixed[0]]), np.concatenate([same[1], mixed[1] + h])
 
-    def product(f, s):
-        return np.matmul(s, factors[f])
 
-    def reduce(f, s, prod):
-        p = len(s)
-        rows = np.einsum("pkr,pr->pk", prod.reshape(p, 2, r), s, out=np.empty((p, 2)))
-        return rows.view(np.complex128)[:, 0]
+def _padded_width(grid):
+    """The x side of the separable form: nx padded with zero columns to a
+    multiple of 4. OpenBLAS rounds the last columns of a real GEMM whose
+    row length is no multiple of 8 differently at different row counts."""
+    return -(-grid.nx // 4) * 4
 
-    return product, reduce
+
+def _pair_factors(grid, k, dirs, b):
+    """The GEMM factors of s B s^T at wavenumber k, one (left, right) per
+    chunk of _PAIRS `_pair_orbits` terms, made as they are asked for: the
+    product left @ right, viewed as complex, is the chunk's part of the
+    (ny x `_padded_width`) map rows. The constant of a paired form is
+    `_form_constant`'s."""
+    n, width = dirs.count, _padded_width(grid)
+    paired = _paired(dirs)
+    first, second = _pair_orbits(dirs)
+    tx, ty = _phase_tables(grid, k, dirs, n // 2 if paired else n)
+    if paired:                                # s_{n+h} = conj(s_n)
+        tx = np.concatenate([tx, tx.conj()], axis=1)
+        ty = np.concatenate([ty, ty.conj()], axis=1)
+    # (N x width): the pair rows gather contiguously
+    tx = np.concatenate([tx.T, np.zeros((n, width - grid.nx))], axis=1)
+    c = _symmetric_coefficients(b)
+    coef = c[first, second]
+    if paired:
+        partner = c[(first + n // 2) % n, (second + n // 2) % n]
+        u, v = coef + partner, 1j * (coef - partner)
+        # per term, the real map from (Xr, Xi) to (Re, Im) of the rows
+        # u Xr + v Xi and v Xr - u Xi of the right factor
+        mix = np.stack([u.real, v.real, u.imag, v.imag, v.real, -u.real, v.imag, -u.imag],
+                       axis=1).reshape(-1, 2, 2, 2)
+    for start in range(0, len(first), _PAIRS):
+        chunk = slice(start, start + _PAIRS)
+        a, z = first[chunk], second[chunk]
+        yt = np.take(ty, a, axis=1) * np.take(ty, z, axis=1)
+        xt = tx[a] * tx[z]
+        if paired:
+            # (terms, 2, width) complex, held as (terms, 2, width, 2) real
+            right = np.empty((len(a), 2, width, 2))
+            np.matmul(mix[chunk], np.stack([xt.real, xt.imag], axis=1)[:, None],
+                      out=right.transpose(0, 1, 3, 2))
+            yield yt.view(np.float64), right.reshape(2 * len(a), 2 * width)
+        else:
+            xt *= coef[chunk, None]
+            yield yt, xt
+
+
+def _symmetric_coefficients(b):
+    """c = B + B^T with its diagonal halved: s B s^T = sum_{a <= b} c_ab s_a s_b."""
+    c = b + b.T
+    c[np.diag_indices(len(b))] = np.diag(b)
+    return c
+
+
+def _form_constant(dirs, b):
+    """The part of s B s^T that is the same at every point: for a paired
+    set sum_a c_{a, a+h} / N over the pairs {a, a + h}, whose s_a s_{a+h}
+    is |s_a|^2 = 1/N; 0 otherwise."""
+    if not _paired(dirs):
+        return 0.0
+    n = dirs.count
+    h = np.arange(n // 2)
+    return np.sum(_symmetric_coefficients(b)[h, h + n // 2]) / n
+
+
+def _separable_sum(grid, ks, dirs, forms):
+    """Per-point sum over f of the quadratic form s B_f s^T, for complex
+    (N x N) matrices B_f and the conjugate TM steering vector s of the
+    point, as a flat row-major array.
+
+    s_n = tx_n(x) ty_n(y) factors over the grid's axes (`_phase_tables`),
+    so with c = B_f + B_f^T, its diagonal halved, the form is
+    sum_{a <= b} c_ab X_ab(x) Y_ab(y), X_ab = tx_a tx_b and Y_ab = ty_a ty_b:
+    per frequency one (ny x K)(K x nx) complex GEMM over the K = N(N+1)/2
+    pairs, whose output is the map's rows.
+
+    Paired, s_{n+h} = conj(s_n), so the pair {a, a + h} is a constant
+    (`_form_constant`), and each `_pair_orbits` term with partner
+    coefficient d adds c P + d conj(P), P = X Y, which is
+    Yr (u Xr + v Xi) + Yi (v Xr - u Xi) with u = c + d and v = i (c - d):
+    the real (ny x 2K) view of the Y table times a (2K x nx) complex
+    factor, a real GEMM over K = N^2/4 orbits, N^2 multiply-adds per point
+    against the ~2N^2 of the complex GEMM.
+
+    The terms are walked in chunks of _PAIRS (`_pair_factors`), and every
+    chunk's product is added to the map in a fixed order over frequencies
+    and chunks, so no value depends on the grid's shape."""
+    total = np.zeros((grid.ny, _padded_width(grid)), dtype=np.complex128)
+    out = np.empty_like(total)
+    for k, b in zip(ks, forms):
+        for left, right in _pair_factors(grid, k, dirs, b):
+            np.matmul(left, right, out=out.view(left.dtype))
+            total += out
+    total += sum(_form_constant(dirs, b) for b in forms)
+    return total[:, : grid.nx].ravel()
 
 
 def _te_search(subspaces, weights, candidates, dirs, expand):
@@ -497,17 +596,15 @@ def image_subspace(
     ks, dirs = _wavenumbers(subspaces, "frequency subspace")
     weights = weight.values(ks)
     prov = _provenance(f"subspace-{mode.kind}", weight.describe(), ks, dirs)
-    kept, expand = _steering_basis(dirs)
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
+        kept, expand = _steering_basis(dirs)
         engine = _te_search(subspaces, weights, mode.candidates, dirs, expand)
+        acc = _blocked_sum(grid, ks, dirs, kept, *engine)
     else:
-        engine = _quadratic_form(
-            [w * (sub.retained_left() @ sub.retained_right().conj().T)
-             for w, sub in zip(weights, subspaces)],
-            expand,
-        )
-    acc = _blocked_sum(grid, ks, dirs, kept, *engine, parallel=mode.kind == "te-search")
+        acc = _separable_sum(grid, ks, dirs,
+                             [w * (sub.retained_left() @ sub.retained_right().conj().T)
+                              for w, sub in zip(weights, subspaces)])
     return ImageMap(grid=grid, values=np.abs(acc) / len(subspaces), provenance=prov)
 
 
@@ -518,9 +615,7 @@ def image_kirchhoff(
     """Kirchhoff migration: value(x) = (1/F) |sum_f S*(x) K(k_f) conj(S(x))|,
     over the direction set the matrices were built over."""
     ks, dirs = _wavenumbers(matrices, "MSR matrix")
-    kept, expand = _steering_basis(dirs)
-    engine = _quadratic_form([m.entries for m in matrices], expand)
-    acc = _blocked_sum(grid, ks, dirs, kept, *engine)
+    acc = _separable_sum(grid, ks, dirs, [m.entries for m in matrices])
     prov = _provenance("kirchhoff", "unit", ks, dirs)
     return ImageMap(grid=grid, values=np.abs(acc) / len(matrices), provenance=prov)
 
@@ -528,13 +623,16 @@ def image_kirchhoff(
 def save_map(image: ImageMap, path):
     """CSV persistence: header `x,y,value`, row-major rows, 17 digits."""
     g = image.grid
-    xs = [format(x, ".17g") for x in g.xs().tolist()]
+    # one template for every row: the x text is fixed, and the row's y text,
+    # formatted once, and its values fill it interleaved
+    template = "".join([f"{x:.17g},%s,%.17g\n" for x in g.xs().tolist()])
+    fields = [None] * (2 * g.nx)
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
         for iy, y in enumerate(g.ys().tolist()):
-            mid = f",{y:.17g},"
-            row = image.values[iy * g.nx : (iy + 1) * g.nx].tolist()
-            fh.write("".join([f"{x}{mid}{v:.17g}\n" for x, v in zip(xs, row)]))
+            fields[::2] = [format(y, ".17g")] * g.nx
+            fields[1::2] = image.values[iy * g.nx : (iy + 1) * g.nx].tolist()
+            fh.write(template % tuple(fields))
 
 
 def _saved_step(ux, uy):
@@ -560,22 +658,55 @@ def _saved_step(ux, uy):
     return float(np.int64(high).view(np.float64))
 
 
-def load_map(path) -> ImageMap:
-    """Read a map CSV line by line into one flat float64 buffer."""
+def _count_lines(fh):
+    """Lines from a text file's position to its end, an unterminated last
+    line included, and whether any of them holds more than its line end."""
+    ends = chars = 0
+    last = "\n"
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        ends += chunk.count("\n")
+        chars += len(chunk)
+        last = chunk[-1]
+    return ends + (last != "\n"), chars > ends
+
+
+def _parse_rows(path, lines):
+    """The (rows x 3) values of a map's lines after its header, line by
+    line: a line without three fields, or with a field `float` rejects,
+    raises MapParseError with its line number."""
     flat = array("d")
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != 3:
+            raise MapParseError(f"{path}: expected 3 fields", line=lineno)
+        try:
+            flat.extend(map(float, parts))
+        except ValueError as exc:
+            raise MapParseError(f"{path}: {exc}", line=lineno) from exc
+    return np.frombuffer(flat, dtype=np.float64).reshape(-1, 3)
+
+
+def load_map(path) -> ImageMap:
+    """Read a map CSV: the lines after the header go through NumPy's C
+    reader, and when it fails, or skips a blank line, through the line rule
+    of `_parse_rows`, which names the first bad line."""
     with open(path) as fh:
         if fh.readline().rstrip("\n") != "x,y,value":
             raise MapParseError(f"{path}: missing x,y,value header", line=1)
-        lineno = 1
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 3:
-                raise MapParseError(f"{path}: expected 3 fields", line=lineno)
+        start = fh.tell()
+        count, filled = _count_lines(fh)
+        rows = None
+        if filled:                            # else NumPy warns of no data
+            fh.seek(start)
             try:
-                flat.extend(map(float, parts))
-            except ValueError as exc:
-                raise MapParseError(f"{path}: {exc}", line=lineno) from exc
-    xs, ys, vals = np.frombuffer(flat, dtype=np.float64).reshape(-1, 3).T
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if rows is None or rows.shape != (count, 3):
+            fh.seek(start)
+            rows = _parse_rows(path, fh)
+    lineno = 1 + len(rows)
+    xs, ys, vals = rows.T
     ux, uy = np.unique(xs), np.unique(ys)
     if ux.size * uy.size != vals.size:
         raise MapParseError(f"{path}: points do not form a full grid", line=lineno)

@@ -1,9 +1,12 @@
 """Pure-NumPy Bessel-family kernels, float64 throughout.
 
 Orders 0 and 1 come from one fused kernel, `jy01v`, which returns J_0 and
-J_1, and optionally Y_0 and Y_1, in one pass per argument range.  Every
-range uses a fixed amount of work per argument, chosen so that the first
-neglected term is below 1e-16 at the range's worst end:
+J_1, and optionally Y_0 and Y_1, in one pass per argument range; `jy0v`
+returns J_0 and Y_0 alone, for the Nystrom fill's H_0.  Both go through one
+dispatch, and each range computes only the rows asked for, so an order-0
+value has the same bits from either.  Every range uses a fixed amount of
+work per argument, chosen so that the first neglected term is below 1e-16
+at the range's worst end:
 
 * ``x < 9``: the ascending series, Horner in q = x^2/4 over 26 fixed
   coefficients (powers q^0..q^25; the first neglected term is 6e-20 at
@@ -17,9 +20,9 @@ neglected term is below 1e-16 at the range's worst end:
   3e-17 of the amplitude there), Horner in 1/x^2, with one cos x and one
   sin x shared by both orders.
 
-`j0v`, `j1v`, `y0v` and `y1v` are views of `jy01v`.  Higher orders use the
-series below ``x = 9`` and a normalized downward recurrence from an
-argument-dependent start above.
+`j0v` is the J_0 row alone, and `j1v`, `y0v` and `y1v` are views of
+`jy01v`.  Higher orders use the series below ``x = 9`` and a normalized
+downward recurrence from an argument-dependent start above.
 
 All functions take finite ``x >= 0`` (``x > 0`` for Y) and do not check
 it; the callers in the package pass distances and products k|x|.
@@ -77,6 +80,9 @@ def _descending(rows):
 
 
 _SERIES_COLUMNS = _descending(_series_coefficients())
+# the series rows each output needs, keyed by (order 1 wanted, Y wanted)
+_SERIES_ROWS = {(True, True): [0, 1, 2, 3], (True, False): [0, 1],
+                (False, True): [0, 2], (False, False): [0]}
 _ASYMPTOTIC_COLUMNS = _descending(_asymptotic_coefficients())
 
 
@@ -107,33 +113,40 @@ def _horner(columns, t):
     return acc
 
 
-def _series_01(x, want_y):
-    """J_0, J_1 (and Y_0, Y_1) from the ascending series, Horner in q."""
+def _series_01(x, one, want_y):
+    """J_0 (J_1) (and Y_0 (Y_1)) from the ascending series, Horner in q
+    over the coefficient rows those need only."""
     half = 0.5 * x
     q = half * half
-    out = _horner(_SERIES_COLUMNS[:, : 4 if want_y else 2], q)
-    out[1] *= half
+    out = _horner(_SERIES_COLUMNS[:, _SERIES_ROWS[one, want_y]], q)
+    if one:
+        out[1] *= half
     if want_y:
         with np.errstate(divide="ignore"):
             log_term = np.log(half) + _EULER_GAMMA
-            inv_x = 1.0 / x
-        out[2] *= q
-        out[2] += log_term * out[0]
-        out[2] *= 2.0 / np.pi
-        out[3] *= x / (-2.0 * np.pi)
-        out[3] += (2.0 / np.pi) * (log_term * out[1] - inv_x)
+        y0 = out[1 + one]
+        y0 *= q
+        y0 += log_term * out[0]
+        y0 *= 2.0 / np.pi
+        if one:
+            with np.errstate(divide="ignore"):
+                inv_x = 1.0 / x
+            out[3] *= x / (-2.0 * np.pi)
+            out[3] += (2.0 / np.pi) * (log_term * out[1] - inv_x)
     return out
 
 
-def _recurrence_01(x, want_y):
-    """J_0, J_1 (and Y_0, Y_1) by downward recurrence from order 66."""
+def _recurrence_01(x, one, want_y):
+    """J_0 (J_1) (and Y_0 (Y_1)) by downward recurrence from order 66; the
+    Neumann sum of Y_1 runs only when Y_1 is asked for."""
     two_over_x = 2.0 / x
     upper = np.zeros_like(x)                  # J_{m+1}
     current = np.ones_like(x)                 # J_m, unnormalized
     evens = np.zeros_like(x)                  # sum of J_2k, k >= 1
     if want_y:
         s0 = np.zeros_like(x)
-        s1 = np.zeros_like(x)
+        if one:
+            s1 = np.zeros_like(x)
     for m in range(_RECURRENCE_START, 0, -1):
         lower = np.multiply(two_over_x, m)
         lower *= current
@@ -145,50 +158,53 @@ def _recurrence_01(x, want_y):
             evens += current
             if want_y:
                 s0 += _Y0_WEIGHTS[m - 1] * current
-        elif want_y:
+        elif want_y and one:
             s1 += _Y1_WEIGHTS[m - 1] * current
     norm = 2.0 * evens + current
-    out = np.empty((4 if want_y else 2, x.size))
+    out = np.empty(((1 + one) * (1 + want_y), x.size))
     np.divide(current, norm, out=out[0])
-    np.divide(upper, norm, out=out[1])
+    if one:
+        np.divide(upper, norm, out=out[1])
     if want_y:
         log_term = np.log(0.5 * x) + _EULER_GAMMA
-        out[2] = (2.0 / np.pi) * (log_term * out[0] - 2.0 * s0 / norm)
-        out[3] = (2.0 / np.pi) * (
-            (log_term - 1.0) * out[1] - out[0] / x - s1 / norm
-        )
+        out[1 + one] = (2.0 / np.pi) * (log_term * out[0] - 2.0 * s0 / norm)
+        if one:
+            out[3] = (2.0 / np.pi) * (
+                (log_term - 1.0) * out[1] - out[0] / x - s1 / norm
+            )
     return out
 
 
-def _asymptotic_01(x, want_y):
-    """Hankel P/Q sums for orders 0 and 1, sharing cos x and sin x."""
+def _asymptotic_01(x, one, want_y):
+    """Hankel P/Q sums for order 0 (and 1), sharing cos x and sin x."""
     inv_x = 1.0 / x
-    p0, q0, p1, q1 = _horner(_ASYMPTOTIC_COLUMNS, inv_x * inv_x)
-    q0 *= inv_x
-    q1 *= inv_x
+    sums = _horner(_ASYMPTOTIC_COLUMNS[:, : 2 + 2 * one], inv_x * inv_x)
+    sums[1::2] *= inv_x                       # Q_0 (and Q_1)
     # sqrt(2/(pi x)) times cos/sin of x - pi/4 and x - 3pi/4
     amp = np.sqrt(inv_x / np.pi)
     cos_x = np.cos(x)
     sin_x = np.sin(x)
     u = (cos_x + sin_x) * amp                 # sqrt(2/(pi x)) cos(x - pi/4)
     v = (sin_x - cos_x) * amp                 # sqrt(2/(pi x)) sin(x - pi/4)
-    out = np.empty((4 if want_y else 2, x.size))
+    p0, q0 = sums[:2]
+    out = np.empty(((1 + one) * (1 + want_y), x.size))
     out[0] = p0 * u - q0 * v
-    out[1] = p1 * v + q1 * u
     if want_y:
-        out[2] = p0 * v + q0 * u
-        out[3] = q1 * v - p1 * u
+        out[1 + one] = p0 * v + q0 * u
+    if one:
+        p1, q1 = sums[2:]
+        out[1] = p1 * v + q1 * u
+        if want_y:
+            out[3] = q1 * v - p1 * u
     return out
 
 
 _RANGES = (_series_01, _recurrence_01, _asymptotic_01)
 
 
-def jy01v(x, want_y=True):
-    """(J_0, J_1, Y_0, Y_1) at ``x``, or (J_0, J_1) when ``want_y`` is false.
-
-    The J values do not depend on ``want_y``.  Y needs ``x > 0``.
-    """
+def _bessel01(x, one, want_y):
+    """Rows J_0, J_1 if one, then Y_0, Y_1 if one, when want_y: each
+    argument range evaluates only those."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     flat = x.ravel()
     lo = flat < SERIES_CUT
@@ -196,18 +212,32 @@ def jy01v(x, want_y=True):
     masks = (lo, ~(lo | hi), hi)
     for mask, evaluate in zip(masks, _RANGES):
         if mask.all():
-            out = evaluate(flat, want_y)
+            out = evaluate(flat, one, want_y)
             break
     else:
-        out = np.empty((4 if want_y else 2, flat.size))
+        out = np.empty(((1 + one) * (1 + want_y), flat.size))
         for mask, evaluate in zip(masks, _RANGES):
             if mask.any():
-                out[:, mask] = evaluate(flat[mask], want_y)
+                out[:, mask] = evaluate(flat[mask], one, want_y)
     return tuple(row.reshape(x.shape) for row in out)
 
 
+def jy01v(x, want_y=True):
+    """(J_0, J_1, Y_0, Y_1) at ``x``, or (J_0, J_1) when ``want_y`` is false.
+
+    The J values do not depend on ``want_y``.  Y needs ``x > 0``.
+    """
+    return _bessel01(x, True, want_y)
+
+
+def jy0v(x):
+    """(J_0, Y_0) at ``x > 0``: the rows of `jy01v`, bit for bit, at about
+    three quarters of its cost."""
+    return _bessel01(x, False, True)
+
+
 def j0v(x):
-    return jy01v(x, want_y=False)[0]
+    return _bessel01(x, False, False)[0]
 
 
 def j1v(x):

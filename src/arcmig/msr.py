@@ -199,14 +199,16 @@ def save_msr(m: MsrMatrix, path):
     n = m.count
     snr = "none" if m.noise is None else format(m.noise.snr_db, ".17g")
     seed = "none" if m.noise is None else str(m.noise.seed)
-    lines = [
-        f"MSR {n} {m.k:.17g} {m.dirs.alpha:.17g} {m.dirs.beta:.17g} "
-        f"{m.bc.value} {snr} {seed}"
-    ]
-    for j, row in enumerate(m.entries.tolist(), start=1):
-        lines.extend([f"{j} {l} {e.real:.17g} {e.imag:.17g}" for l, e in enumerate(row, start=1)])
+    header = (f"MSR {n} {m.k:.17g} {m.dirs.alpha:.17g} {m.dirs.beta:.17g} "
+              f"{m.bc.value} {snr} {seed}\n")
+    # one template for the file: the indices are fixed text, and the real
+    # and imaginary parts fill it interleaved
+    template = "".join([f"{j} {l} %.17g %.17g\n"
+                        for j in range(1, n + 1) for l in range(1, n + 1)])
+    parts = np.ascontiguousarray(m.entries, dtype=np.complex128).view(np.float64)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.write(template % tuple(parts.ravel().tolist()))
 
 
 def load_msr(path) -> MsrMatrix:

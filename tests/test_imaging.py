@@ -387,7 +387,7 @@ def test_quadratic_form_maps_match_direct_formula(dirs):
 
 def _unpaired_basis(dirs):
     """The steering basis that keeps every direction: s_n = S_2n + i S_2n+1."""
-    return dirs.count, np.kron(np.eye(dirs.count), [[1.0], [1j]])
+    return np.kron(np.eye(dirs.count), [[1.0], [1j]])
 
 
 def test_paired_basis_matches_unpaired_basis(monkeypatch):
@@ -397,7 +397,7 @@ def test_paired_basis_matches_unpaired_basis(monkeypatch):
     kept, expand = imaging._steering_basis(dirs)
     assert (kept, expand.shape) == (12, (24, 24))
     limited = imaging._steering_basis(msr.DirectionSet(0.0, np.pi, 24))
-    assert limited[0] == 24 and np.array_equal(limited[1], _unpaired_basis(dirs)[1])
+    assert limited[0] == 24 and np.array_equal(limited[1], _unpaired_basis(dirs))
     ks = [8.0, 10.0, 12.0]
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
     matrices = _random_msr(dirs, ks, seed=12)
@@ -408,10 +408,55 @@ def test_paired_basis_matches_unpaired_basis(monkeypatch):
         return out
 
     paired = maps()
-    monkeypatch.setattr(imaging, "_steering_basis", _unpaired_basis)
+    # the same set treated as holding no opposite directions: every engine
+    # keeps all N directions, the TE search R = 2N columns and the
+    # separable form N(N+1)/2 complex pair terms
+    monkeypatch.setattr(imaging, "_paired", lambda dirs: False)
+    assert imaging._steering_basis(dirs)[0] == 24
+    assert len(imaging._pair_orbits(dirs)[0]) == 24 * 25 // 2
     unpaired = maps()
     for key, values in paired.items():
         assert np.max(np.abs(values - unpaired[key])) <= 1e-13 * np.max(unpaired[key]), key
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 40])
+def test_pair_orbits_cover_every_pair_once(n):
+    # even full view: N^2/4 terms, each with its partner {a + h, b + h},
+    # and the N/2 constant pairs {a, a + h} make up the N(N+1)/2 pairs
+    # a <= b; an unpaired set has one term per pair
+    h = n // 2
+    first, second = imaging._pair_orbits(msr.DirectionSet.full_view(n))
+    assert len(first) == n * n // 4 and np.all(first <= second)
+    partner = np.sort([(first + h) % n, (second + h) % n], axis=0)
+    pairs = np.concatenate([np.stack([first, second]), partner,
+                            np.stack([np.arange(h), np.arange(h) + h])], axis=1)
+    assert sorted(map(tuple, pairs.T)) == list(zip(*np.triu_indices(n)))
+    for dirs in (msr.DirectionSet.full_view(n + 1), msr.DirectionSet(0.0, np.pi, n)):
+        assert np.array_equal(np.stack(imaging._pair_orbits(dirs)),
+                              np.stack(np.triu_indices(dirs.count)))
+
+
+@pytest.mark.parametrize(
+    "dirs", [msr.DirectionSet.full_view(40), msr.DirectionSet(0.3, 2.1, 24)],
+    ids=["paired", "unpaired"],
+)
+def test_separable_form_over_several_pair_chunks_matches_direct_formula(dirs):
+    # 400 orbits and 300 pairs: seven and five chunks of _PAIRS terms; an
+    # odd column count pads the x side
+    terms = len(imaging._pair_orbits(dirs)[0])
+    assert terms > 4 * imaging._PAIRS and terms % imaging._PAIRS
+    ks = [7.0, 9.5, 12.0]
+    grid = imaging.SearchGrid(-0.7, 0.7, -0.5, 0.6, 0.1)
+    assert grid.nx % 4
+    matrices = _random_msr(dirs, ks, seed=14)
+    values = imaging.image_kirchhoff(matrices, grid).values
+    pts = grid.points()
+    acc = 0.0
+    for m in matrices:
+        s = np.exp(-1j * m.k * (pts @ dirs.directions().T)) / np.sqrt(dirs.count)
+        acc = acc + np.einsum("pa,ab,pb->p", s, m.entries, s)
+    expected = np.abs(acc) / len(ks)
+    assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(expected)
 
 
 def test_one_point_last_block_matches_a_full_block():
@@ -680,6 +725,25 @@ def test_map_csv_parse_error_carries_line(tmp_path):
     meta.write_text("a = 1\nbroken\n")
     with pytest.raises(MapParseError, match="line 2") as err:
         imaging.load_metadata(meta)
+    assert err.value.line == 2
+
+
+def test_map_csv_blank_or_comment_line_carries_line(tmp_path):
+    # NumPy's reader skips a blank line and rejects a '#' line; either way
+    # the line rule names the line
+    rows = ["0,0,1", "1,0,1", "0,1,1", "1,1,1"]
+    path = tmp_path / "bad.csv"
+    for bad in ("", "#", "# 0,1,1"):
+        for at in (0, 2, len(rows)):
+            body = rows[:at] + [bad] + rows[at:]
+            path.write_text("x,y,value\n" + "\n".join(body) + "\n")
+            with pytest.raises(MapParseError) as err:
+                imaging.load_map(path)
+            assert err.value.line == at + 2
+    # only blank lines after the header: line 2, as the line rule says
+    path.write_text("x,y,value\n\n\n")
+    with pytest.raises(MapParseError) as err:
+        imaging.load_map(path)
     assert err.value.line == 2
 
 

@@ -221,6 +221,21 @@ def test_order01_views_equal_fused_kernel():
     assert all(v.shape == (3, 5) for v in kernels.jy01v(np.linspace(1.0, 30.0, 15).reshape(3, 5)))
 
 
+def test_order0_rows_equal_fused_kernel():
+    # jy0v and j0v evaluate only the order-0 rows of each range; J_0 and
+    # Y_0 keep the bits of jy01v in the series, the recurrence band and the
+    # asymptotic sums, and at the cuts 9 and 18 themselves
+    ranges = [np.linspace(1e-3, 9.0, 20001, endpoint=False),
+              np.linspace(9.0, 18.0, 20001, endpoint=False),
+              np.linspace(18.0, 400.0, 20001), np.array([9.0, 18.0]), CUT_SAMPLES]
+    for xs in ranges + [np.concatenate(ranges)]:
+        j0, _, y0, _ = kernels.jy01v(xs)
+        order0 = kernels.jy0v(xs)
+        assert np.array_equal(order0[0], j0) and np.array_equal(order0[1], y0)
+        assert np.array_equal(kernels.j0v(xs), j0)
+    assert all(v.shape == (3, 5) for v in kernels.jy0v(np.linspace(1.0, 30.0, 15).reshape(3, 5)))
+
+
 @pytest.mark.parametrize("n", [2, 7, 20, 40])
 def test_single_order_equals_table_row(n):
     # jnv evaluates the series for its own order only; the value is the
