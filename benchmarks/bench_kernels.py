@@ -3,8 +3,9 @@
 
 For each range of the evaluation scheme (series below 9, recurrence band
 [9, 18), asymptotic sums from 18) it times separate calls of the views
-(``j0v`` + ``j1v``, ``j0v`` + ``y0v``) against one fused ``jy01v`` call, in
-nanoseconds per argument (best of five), and reports the largest deviation
+(``j0v`` + ``j1v``, ``j0v`` + ``y0v``) against one fused ``jy01v`` call and
+the order-0 ``jy0v`` call of the Nystrom fill, in nanoseconds per argument
+(best of five), and reports the largest deviation
 from `scipy.special` scaled by max(1, |reference|) when scipy is present.
 The results and their provenance go to ``BENCH_kernels.json`` (see
 ``_record.py``) and, as one JSON line, to the end of the output.
@@ -53,6 +54,7 @@ CASES = (
     ("jy01v J", lambda x: kernels.jy01v(x, want_y=False)),
     ("j0v+y0v", lambda x: (kernels.j0v(x), kernels.y0v(x))),
     ("jy01v JY", kernels.jy01v),
+    ("jy0v", kernels.jy0v),
 )
 
 

@@ -388,7 +388,8 @@ def _pair_factors(grid, k, dirs, b):
         ty = np.concatenate([ty, ty.conj()], axis=1)
     # (N x width): the pair rows gather contiguously
     tx = np.concatenate([tx.T, np.zeros((n, width - grid.nx))], axis=1)
-    c = _symmetric_coefficients(b)
+    c = b + b.T                               # s B s^T = sum_{a <= b} c_ab s_a s_b
+    c[np.diag_indices(n)] = np.diag(b)
     coef = c[first, second]
     if paired:
         partner = c[(first + n // 2) % n, (second + n // 2) % n]
@@ -413,22 +414,15 @@ def _pair_factors(grid, k, dirs, b):
             yield yt, xt
 
 
-def _symmetric_coefficients(b):
-    """c = B + B^T with its diagonal halved: s B s^T = sum_{a <= b} c_ab s_a s_b."""
-    c = b + b.T
-    c[np.diag_indices(len(b))] = np.diag(b)
-    return c
-
-
 def _form_constant(dirs, b):
     """The part of s B s^T that is the same at every point: for a paired
-    set sum_a c_{a, a+h} / N over the pairs {a, a + h}, whose s_a s_{a+h}
-    is |s_a|^2 = 1/N; 0 otherwise."""
+    set the sum over the pairs {a, a + h} of (B_{a, a+h} + B_{a+h, a}) / N,
+    as s_a s_{a+h} = |s_a|^2 = 1/N; 0 otherwise."""
     if not _paired(dirs):
         return 0.0
     n = dirs.count
-    h = np.arange(n // 2)
-    return np.sum(_symmetric_coefficients(b)[h, h + n // 2]) / n
+    a = np.arange(n // 2)
+    return np.sum(b[a, a + n // 2] + b[a + n // 2, a]) / n
 
 
 def _separable_sum(grid, ks, dirs, forms):

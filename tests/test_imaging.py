@@ -362,8 +362,8 @@ def _engine_maps(matrices, grid, dirs):
     ids=["odd-full-view", "limited", "even-full-view"],
 )
 def test_quadratic_form_maps_match_direct_formula(dirs):
-    # the real-arithmetic form S C_f S^T against per-point steering vectors;
-    # 806 points span three row blocks
+    # the separable form against per-point steering vectors; the three sets
+    # have 120 pairs, 136 pairs and 64 orbits: two, three and one chunk
     ks = [9.0, 11.5]
     grid = imaging.SearchGrid(-0.6, 0.6, -0.4, 0.6, 0.04)
     matrices = _random_msr(dirs, ks, seed=11)
