@@ -29,6 +29,7 @@ Run:  python benchmarks/bench_forward.py [--repeats 20]
 """
 
 import argparse
+import inspect
 import statistics
 import time
 from contextlib import contextmanager
@@ -50,11 +51,14 @@ STAGES = {
 
 
 @contextmanager
-def stage_timers():
-    """Accumulate seconds per stage while the block runs; only the
-    outermost of nested calls in one stage is timed."""
-    seconds = dict.fromkeys(STAGES, 0.0)
-    depth = dict.fromkeys(STAGES, 0)
+def stage_timers(stages):
+    """Accumulate seconds per stage while the block runs; stages maps each
+    stage to the (module, name) functions whose time it collects. Only the
+    outermost of nested calls in one stage is timed, and a generator
+    function's time is that of its iteration, not of the call that makes
+    the generator."""
+    seconds = dict.fromkeys(stages, 0.0)
+    depth = dict.fromkeys(stages, 0)
     saved = []
 
     def timed(stage, fn):
@@ -69,9 +73,19 @@ def stage_timers():
                 seconds[stage] += time.perf_counter() - t0
                 depth[stage] -= 1
 
-        return wrapper
+        def iteration(*args, **kwargs):
+            items, done = fn(*args, **kwargs), object()
+            while True:
+                t0 = time.perf_counter()
+                item = next(items, done)
+                seconds[stage] += time.perf_counter() - t0
+                if item is done:
+                    return
+                yield item
 
-    for stage, targets in STAGES.items():
+        return iteration if inspect.isgeneratorfunction(fn) else wrapper
+
+    for stage, targets in stages.items():
         for module, name in targets:
             fn = getattr(module, name)
             saved.append((module, name, fn))
@@ -87,7 +101,7 @@ def split_ms(run, repeats):
     """Median total ms of ``run()`` and the median ms of each stage."""
     samples = []
     for _ in range(repeats):
-        with stage_timers() as seconds:
+        with stage_timers(STAGES) as seconds:
             t0 = time.perf_counter()
             run()
             total = time.perf_counter() - t0

@@ -295,14 +295,20 @@ def preset_config(spec, aperture="full", seed=ExperimentConfig.seed,
 # ------------------------------------------------------------- experiment
 
 def verify_manifest(path):
-    """Re-hash the artifacts recorded in a manifest; returns mismatches."""
+    """Re-hash the artifacts recorded in a manifest; returns mismatches.
+    Every artifact must be a plain file name in the manifest's directory:
+    any other name raises MapParseError before a file is hashed."""
     meta = imaging.load_metadata(path)
     base = Path(path).parent
+    artifacts = {key[len("artifact.") : -len(".sha256")]: recorded
+                 for key, recorded in meta.items()
+                 if key.startswith("artifact.") and key.endswith(".sha256")}
+    for name in artifacts:
+        if Path(name).name != name or name in ("", ".."):
+            raise MapParseError(f"{path}: artifact {name!r} is not a file name "
+                                "in the manifest's directory")
     mismatches = []
-    for key, recorded in meta.items():
-        if not key.startswith("artifact.") or not key.endswith(".sha256"):
-            continue
-        name = key[len("artifact.") : -len(".sha256")]
+    for name, recorded in artifacts.items():
         target = base / name
         if not target.exists():
             mismatches.append(f"{name}: missing")

@@ -9,13 +9,14 @@ which separates over the two axes: per frequency it is one GEMM of y-side
 direction-pair tables against x-side ones, in fixed chunks of pairs, and
 gives the map's rows directly. The TE search, which picks a normal per
 point, frequency and subspace index, multiplies a real view of the
-conjugate phase block by a per-frequency factor matrix and reduces over
-the subspace index; it walks the row-major grid in fixed row blocks, which
-bounds memory, pads a short last block to full size, and deals its blocks
-to one walker per CPU. When the direction set holds the opposite of each
-direction, both engines keep only half of the directions in the phase
-tables. Temporaries stay on the heap through `_heap`, and BLAS runs on one
-thread for the whole process (`_blas`). The summation order over
+conjugate phase block by per-frequency planes folded from the subspace
+vectors and reduces over the subspace index; it walks the row-major grid
+in fixed row blocks, which bounds memory, pads a short last block to full
+size, and deals its blocks to one walker per CPU. When the direction set
+holds the opposite of each direction, both engines keep only half of the
+directions in the phase tables and fold the other half's coefficients into
+them (`_fold`). Temporaries stay on the heap through `_heap`, and BLAS
+runs on one thread for the whole process (`_blas`). The summation order over
 frequencies, pairs and factor rows is fixed and independent of the grid's
 shape, the block and the walker, so maps are bitwise reproducible.
 """
@@ -102,6 +103,8 @@ class SearchGrid:
         if not (-math.inf < self.x_lo < self.x_hi < math.inf
                 and -math.inf < self.y_lo < self.y_hi < math.inf):
             raise ConfigError("grid bounds must be finite and nonempty")
+        if not (math.isfinite(self.x_hi - self.x_lo) and math.isfinite(self.y_hi - self.y_lo)):
+            raise ConfigError("grid extent exceeds the float range")
         # a saved map records its step only through two rows and two columns
         if self.nx < 2 or self.ny < 2:
             raise ConfigError("grid step exceeds the extent: a map needs two rows and two columns")
@@ -246,25 +249,17 @@ def _paired(dirs):
     return dirs.is_full_view and dirs.count % 2 == 0
 
 
-def _steering_basis(dirs):
-    """Real steering basis of a direction set: the number N' of directions
-    kept in the phase tables and the complex (R x N) map E with s = S E,
-    where S is the real (P x R) view of the (P x N') conjugate steering
-    block over the kept directions and s the full (P x N) one.
+def _kept(dirs):
+    """Directions kept in the phase tables: the first N/2 of a paired set
+    (`_paired`), whose other half of s is their conjugate; all N otherwise."""
+    return dirs.count // 2 if _paired(dirs) else dirs.count
 
-    A paired set (`_paired`) keeps its first N/2 directions in the tables,
-    and R = N. Otherwise N' = N and R = 2N."""
-    n = dirs.count
-    paired = _paired(dirs)
-    kept = n // 2 if paired else n
-    idx = np.arange(kept)
-    expand = np.zeros((2 * kept, n), dtype=np.complex128)
-    expand[2 * idx, idx] = 1.0
-    expand[2 * idx + 1, idx] = 1j
-    if paired:
-        expand[2 * idx, idx + kept] = 1.0
-        expand[2 * idx + 1, idx + kept] = -1j
-    return kept, expand
+
+def _fold(top, bottom):
+    """(top + bottom, i (top - bottom)): the coefficients of Re z and Im z
+    in z top + conj(z) bottom. A paired set's s_{n+N/2} = conj(s_n) folds
+    into its kept direction n this way, and bottom = 0 gives z top."""
+    return top + bottom, 1j * (top - bottom)
 
 
 def _phase_tables(grid, k, dirs, kept):
@@ -297,56 +292,6 @@ def _search_walkers(blocks):
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), blocks)
     return min(os.cpu_count() or 1, blocks)
-
-
-def _blocked_sum(grid, ks, dirs, kept, product, reduce):
-    """Per-point sum over f of reduce(f, S, product(f, S)), with S the real
-    (P, 2N') view of the (P, N') conjugate TM steering block
-    conj(exp(i k_f theta_n . x)) / sqrt(N) of the points over the first
-    N' = kept directions, gathered from the frequency's phase tables. The
-    TE search is its one caller.
-
-    The row-major grid is walked in fixed blocks of _BLOCK points by the W
-    walkers `_search_walkers` picks, walker w taking blocks w, w + W, ...:
-    walker 0 on the calling thread, the others on threads of their own. A
-    short last block is padded with copies of the grid's last point, whose
-    results are dropped, so product and reduce always see _BLOCK rows and
-    take one BLAS path (a one-row GEMM runs as a GEMV, which rounds
-    differently). All walkers share product and reduce, which are
-    reentrant: product returns a fresh GEMM output and reduce works on it
-    and on arrays of its own call.
-
-    No per-point result depends on its block or its walker, so the map is
-    the same for every W. An exception in a walker is raised here once
-    every walker has stopped."""
-    tables = [_phase_tables(grid, k, dirs, kept) for k in ks]
-    count = grid.nx * grid.ny
-    starts = range(0, count, _BLOCK)
-    total = np.zeros(count, dtype=np.complex128)
-    walkers = _search_walkers(len(starts))
-    errors = []
-
-    def walk(w):
-        try:
-            for start in starts[w::walkers]:
-                index = np.minimum(np.arange(start, start + _BLOCK), count - 1)
-                iy, ix = np.divmod(index, grid.nx)
-                acc = total[start : start + _BLOCK]
-                for f, (tx, ty) in enumerate(tables):
-                    real = _steering_block(tx, ty, ix, iy).view(np.float64)
-                    acc += reduce(f, real, product(f, real))[: len(acc)]
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
-    for thread in threads:
-        thread.start()
-    walk(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return total
 
 
 def _pair_orbits(dirs):
@@ -382,7 +327,7 @@ def _pair_factors(grid, k, dirs, b):
     n, width = dirs.count, _padded_width(grid)
     paired = _paired(dirs)
     first, second = _pair_orbits(dirs)
-    tx, ty = _phase_tables(grid, k, dirs, n // 2 if paired else n)
+    tx, ty = _phase_tables(grid, k, dirs, _kept(dirs))
     if paired:                                # s_{n+h} = conj(s_n)
         tx = np.concatenate([tx, tx.conj()], axis=1)
         ty = np.concatenate([ty, ty.conj()], axis=1)
@@ -393,7 +338,7 @@ def _pair_factors(grid, k, dirs, b):
     coef = c[first, second]
     if paired:
         partner = c[(first + n // 2) % n, (second + n // 2) % n]
-        u, v = coef + partner, 1j * (coef - partner)
+        u, v = _fold(coef, partner)
         # per term, the real map from (Xr, Xi) to (Re, Im) of the rows
         # u Xr + v Xi and v Xr - u Xi of the right factor
         mix = np.stack([u.real, v.real, u.imag, v.imag, v.real, -u.real, v.imag, -u.imag],
@@ -457,27 +402,31 @@ def _separable_sum(grid, ks, dirs, forms):
     return total[:, : grid.nx].ravel()
 
 
-def _te_search(subspaces, weights, candidates, dirs, expand):
-    """Product and reduction of the TE normal search.
+def _te_search(grid, subspaces, weights, candidates, dirs):
+    """Per-point sum over f of the TE normal search's weighted terms, as a
+    flat row-major array.
 
     With Theta the N x 2 direction matrix and A_u = s @ [theta_x u, theta_y u]
-    = (u_0, u_1), S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one
-    product per frequency serves every candidate: s F_f with the (N x 4M)
-    factor F_f = [theta_x u | theta_y u | theta_x v | theta_y v]. In the
-    steering basis s = S E it is S G_f with G_f = E F_f (R x 4M): one real
-    GEMM of S against the (R x 2M) real view of each of G_f's four (R x M)
-    planes, each writing the real view of a (P x M) complex plane. Paired,
-    R = N and that is half the multiply-adds of the complex GEMM s F_f.
-    For nu = (cos phi, sin phi),
-    (nu . A_u)(nu . A_v) = alpha + beta cos 2phi + gamma sin 2phi with
-    alpha = (u_0 v_0 + u_1 v_1)/2, beta = (u_0 v_0 - u_1 v_1)/2 and
-    gamma = (u_0 v_1 + u_1 v_0)/2. Candidate l's term is w_l times that,
-    w_l = N / ||Theta nu_l||^2, and its squared modulus is one real GEMM
-    of the weights [1, c^2, s^2, 2c, 2s, 2cs] w_l^2 (c = cos 2phi_l,
-    s = sin 2phi_l) against the six coefficients |alpha|^2, |beta|^2,
-    |gamma|^2, Re alpha conj(beta), Re alpha conj(gamma) and
-    Re beta conj(gamma). Each (f, m) term keeps the candidate of largest
-    modulus (ties keep the smallest l), and only that term is formed."""
+    = (u_0, u_1), for s the point's conjugate TM steering vector,
+    S_nu(x)* u = sqrt(N) nu . A_u / ||Theta nu||, so one product per
+    frequency serves every candidate: s F_f with the (N x 4M) factor
+    F_f = [theta_x u | theta_y u | theta_x v | theta_y v]. The real view S
+    (P x R, R = 2N') of a block's conjugate steering vectors over the
+    N' = `_kept` directions gives s F_f = S G_f, G_f's row pair n being the
+    `_fold` of F_f's rows n and n + N/2 (paired) or of row n and 0: one real
+    GEMM of S against the (R x 2M) real view of each of G_f's four planes.
+    Paired, R = N, half the multiply-adds of the complex GEMM s F_f.
+    `_search_reduce` then picks each (f, m) term's normal.
+
+    W = `_search_walkers` walkers walk the row-major grid in fixed blocks of
+    _BLOCK points, walker w taking blocks w, w + W, ...: walker 0 on the
+    calling thread, the others on threads of their own, each writing only
+    its own blocks. A short last block is padded with copies of the grid's
+    last point, whose results are dropped, so the GEMM and the reduce always
+    see _BLOCK rows and take one BLAS path (a one-row GEMM runs as a GEMV,
+    which rounds differently). No per-point result depends on its block or
+    its walker, so the map is the same for every W. An exception in a
+    walker is raised once every walker has stopped."""
     d = dirs.directions()
     normals = candidate_normals(candidates)
     if candidates % 2 == 0:
@@ -488,67 +437,110 @@ def _te_search(subspaces, weights, candidates, dirs, expand):
     w = dirs.count / norms**2
     cos2 = normals[:, 0] ** 2 - normals[:, 1] ** 2
     sin2 = 2.0 * normals[:, 0] * normals[:, 1]
-    # reduce forms 2 alpha, 2 beta and 2 gamma: the common factor 4 of the
+    # the reduce forms 2 alpha, 2 beta and 2 gamma: the common factor 4 of the
     # moduli leaves the pick alone, and halved weights form the picked term.
     # scan is (L', 6) and column-major, which runs the small GEMM twice as fast
     scan = (np.stack([np.ones_like(w), cos2**2, sin2**2, 2 * cos2, 2 * sin2, 2 * cos2 * sin2])
             * w**2).T
     picked = np.stack([0.5 * w, 0.5 * w * cos2, 0.5 * w * sin2])
+    kept, paired = _kept(dirs), _paired(dirs)
     dx, dy = d[:, :1], d[:, 1:]
     # per frequency the four planes of G_f, (4, R, M) complex held as (4, R, 2M) real
     planes = []
     for sub in subspaces:
         u, v = sub.retained_left(), sub.retained_right().conj()
-        planes.append((expand @ np.stack([dx * u, dy * u, dx * v, dy * v])).view(np.float64))
+        factor = np.stack([dx * u, dy * u, dx * v, dy * v])
+        g = np.empty((4, 2 * kept, factor.shape[2]), dtype=np.complex128)
+        g[:, 0::2], g[:, 1::2] = _fold(factor[:, :kept], factor[:, kept:] if paired else 0.0)
+        planes.append(g.view(np.float64))
+    tables = [_phase_tables(grid, sub.k, dirs, kept) for sub in subspaces]
+    count = grid.nx * grid.ny
+    starts = range(0, count, _BLOCK)
+    total = np.zeros(count, dtype=np.complex128)
+    walkers = _search_walkers(len(starts))
+    errors = []
 
-    def product(f, s):
-        g = planes[f]
-        out = np.empty((4, len(s), g.shape[2] // 2), dtype=np.complex128)
-        np.matmul(s, g, out=out.view(np.float64))
-        return out
+    def walk(w):
+        try:
+            for start in starts[w::walkers]:
+                index = np.minimum(np.arange(start, start + _BLOCK), count - 1)
+                iy, ix = np.divmod(index, grid.nx)
+                acc = total[start : start + _BLOCK]
+                for (tx, ty), g, weight in zip(tables, planes, weights):
+                    s = _steering_block(tx, ty, ix, iy).view(np.float64)
+                    prod = np.empty((4, _BLOCK, g.shape[2] // 2), dtype=np.complex128)
+                    np.matmul(s, g, out=prod.view(np.float64))
+                    term = _search_reduce(prod, scan, picked) * weight
+                    del prod                       # freed before the next block's is made
+                    acc += term[: len(acc)]
+        except BaseException as exc:
+            errors.append(exc)
 
-    def reduce(f, s, prod):
-        p, m = prod.shape[1:]
-        pm = p * m
-        # the GEMM wrote u_0, u_1, v_0 and v_1 into planes 0-3 of prod;
-        # alpha, beta and gamma are formed in planes 0-2
-        u0, u1, v0, v1 = prod
-        cross0, cross1 = np.empty((2, p, m), dtype=np.complex128)
-        np.multiply(u0, v1, out=cross0)
-        np.multiply(u1, v0, out=cross1)
-        np.multiply(u0, v0, out=v0)
-        np.multiply(u1, v1, out=v1)
-        alpha = np.add(v0, v1, out=u0)
-        beta = np.subtract(v0, v1, out=u1)
-        gamma = np.add(cross0, cross1, out=v0)
-        del cross0, cross1                         # freed before the scan's buffers
-        z = prod[:3].reshape(3, pm)
-        zr, zi = z.real, z.imag
-        # the six coefficients Re(z_i conj(z_j)) of the scan, z = (alpha,
-        # beta, gamma): rows (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)
-        coef, tmp = np.empty((6, pm)), np.empty((3, pm))
-        np.multiply(zr, zr, out=coef[:3])
-        coef[:3] += np.multiply(zi, zi, out=tmp)
-        np.multiply(zr[:1], zr[1:], out=coef[3:5])
-        coef[3:5] += np.multiply(zi[:1], zi[1:], out=tmp[:2])
-        np.multiply(zr[1], zr[2], out=coef[5])
-        coef[5] += np.multiply(zi[1], zi[2], out=tmp[0])
-        moduli = np.matmul(scan, coef)
-        # first index of each column maximum, so ties keep the smallest l:
-        # the running maximum in place, then the count of entries below the
-        # final one (argmax over the short axis costs a call per column)
-        for l in range(1, len(w)):
-            np.maximum(moduli[l - 1], moduli[l], out=moduli[l])
-        below = np.less(moduli[:-1], moduli[-1]).view(np.uint8)
-        pick = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(len(w)))
-        sel = np.take(picked, pick, axis=1, out=tmp, mode="clip")
-        np.multiply(zr, sel, out=zr)
-        np.multiply(zi, sel, out=zi)
-        alpha += beta
-        alpha += gamma
-        return np.sum(alpha, axis=1) * weights[f]
+    threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, walkers)]
+    for thread in threads:
+        thread.start()
+    walk(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return total
 
-    return product, reduce
+
+def _search_reduce(prod, scan, picked):
+    """The picked TE terms of one block, summed over the subspace index:
+    prod holds the (P x M) planes u_0, u_1, v_0 and v_1 of the block's
+    GEMM, and is overwritten.
+
+    For nu = (cos phi, sin phi),
+    (nu . A_u)(nu . A_v) = alpha + beta cos 2phi + gamma sin 2phi with
+    alpha = (u_0 v_0 + u_1 v_1)/2, beta = (u_0 v_0 - u_1 v_1)/2 and
+    gamma = (u_0 v_1 + u_1 v_0)/2. Candidate l's term is w_l times that,
+    w_l = N / ||Theta nu_l||^2, and its squared modulus is one real GEMM
+    of the rows of scan, the weights [1, c^2, s^2, 2c, 2s, 2cs] w_l^2
+    (c = cos 2phi_l, s = sin 2phi_l), against the six coefficients
+    |alpha|^2, |beta|^2, |gamma|^2, Re alpha conj(beta),
+    Re alpha conj(gamma) and Re beta conj(gamma). Each (f, m) term keeps
+    the candidate of largest modulus (ties keep the smallest l), and only
+    that term is formed, with picked's column l of weights."""
+    p, m = prod.shape[1:]
+    pm = p * m
+    # alpha, beta and gamma are formed in planes 0-2 of prod
+    u0, u1, v0, v1 = prod
+    cross0, cross1 = np.empty((2, p, m), dtype=np.complex128)
+    np.multiply(u0, v1, out=cross0)
+    np.multiply(u1, v0, out=cross1)
+    np.multiply(u0, v0, out=v0)
+    np.multiply(u1, v1, out=v1)
+    alpha = np.add(v0, v1, out=u0)
+    beta = np.subtract(v0, v1, out=u1)
+    gamma = np.add(cross0, cross1, out=v0)
+    del cross0, cross1                             # freed before the scan's buffers
+    z = prod[:3].reshape(3, pm)
+    zr, zi = z.real, z.imag
+    # the six coefficients Re(z_i conj(z_j)) of the scan, z = (alpha,
+    # beta, gamma): rows (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)
+    coef, tmp = np.empty((6, pm)), np.empty((3, pm))
+    np.multiply(zr, zr, out=coef[:3])
+    coef[:3] += np.multiply(zi, zi, out=tmp)
+    np.multiply(zr[:1], zr[1:], out=coef[3:5])
+    coef[3:5] += np.multiply(zi[:1], zi[1:], out=tmp[:2])
+    np.multiply(zr[1], zr[2], out=coef[5])
+    coef[5] += np.multiply(zi[1], zi[2], out=tmp[0])
+    moduli = np.matmul(scan, coef)
+    # first index of each column maximum, so ties keep the smallest l:
+    # the running maximum in place, then the count of entries below the
+    # final one (argmax over the short axis costs a call per column)
+    for l in range(1, len(scan)):
+        np.maximum(moduli[l - 1], moduli[l], out=moduli[l])
+    below = np.less(moduli[:-1], moduli[-1]).view(np.uint8)
+    pick = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(len(scan)))
+    sel = np.take(picked, pick, axis=1, out=tmp, mode="clip")
+    np.multiply(zr, sel, out=zr)
+    np.multiply(zi, sel, out=zi)
+    alpha += beta
+    alpha += gamma
+    return np.sum(alpha, axis=1)
 
 
 def _wavenumbers(items, what):
@@ -592,9 +584,7 @@ def image_subspace(
     prov = _provenance(f"subspace-{mode.kind}", weight.describe(), ks, dirs)
     if mode.kind == "te-search":
         prov["candidates"] = mode.candidates
-        kept, expand = _steering_basis(dirs)
-        engine = _te_search(subspaces, weights, mode.candidates, dirs, expand)
-        acc = _blocked_sum(grid, ks, dirs, kept, *engine)
+        acc = _te_search(grid, subspaces, weights, mode.candidates, dirs)
     else:
         acc = _separable_sum(grid, ks, dirs,
                              [w * (sub.retained_left() @ sub.retained_right().conj().T)
@@ -641,14 +631,16 @@ def _saved_step(ux, uy):
         h = np.int64(bits).view(np.float64)
         return all(np.all(lo + h * i >= u) for lo, i, u in axes)
 
-    # twice the end-to-end step of the x axis reaches every coordinate
-    low, high = 0, int(np.float64(2.0 * (ux[-1] - ux[0]) / (ux.size - 1)).view(np.int64))
-    while high - low > 1:
-        mid = (low + high) // 2
-        if reaches(mid):
-            high = mid
-        else:
-            low = mid
+    # twice the end-to-end step of the x axis reaches every coordinate. An
+    # extent past the float range overflows to inf, which SearchGrid refuses
+    with np.errstate(over="ignore"):
+        low, high = 0, int(np.float64(2.0 * (ux[-1] - ux[0]) / (ux.size - 1)).view(np.int64))
+        while high - low > 1:
+            mid = (low + high) // 2
+            if reaches(mid):
+                high = mid
+            else:
+                low = mid
     return float(np.int64(high).view(np.float64))
 
 
@@ -701,15 +693,21 @@ def load_map(path) -> ImageMap:
             rows = _parse_rows(path, fh)
     lineno = 1 + len(rows)
     xs, ys, vals = rows.T
+    infinite = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+    if infinite.size:
+        raise MapParseError(f"{path}: non-finite coordinate", line=int(infinite[0]) + 2)
     ux, uy = np.unique(xs), np.unique(ys)
     if ux.size * uy.size != vals.size:
         raise MapParseError(f"{path}: points do not form a full grid", line=lineno)
     if ux.size < 2 or uy.size < 2:
         raise MapParseError(f"{path}: a map needs two rows and two columns", line=lineno)
-    grid = SearchGrid(
-        x_lo=float(ux[0]), x_hi=float(ux[-1]), y_lo=float(uy[0]), y_hi=float(uy[-1]),
-        h=_saved_step(ux, uy),
-    )
+    try:
+        grid = SearchGrid(
+            x_lo=float(ux[0]), x_hi=float(ux[-1]), y_lo=float(uy[0]), y_hi=float(uy[-1]),
+            h=_saved_step(ux, uy),
+        )
+    except ConfigError as exc:
+        raise MapParseError(f"{path}: inconsistent grid step", line=1) from exc
     # every row holds the grid point of its index in row-major order
     points = grid.points()
     if points.shape[0] != vals.size:

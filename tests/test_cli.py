@@ -564,6 +564,24 @@ def test_cli_verify_manifest(small_run, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["FAIL manifest: msr_000.msr: missing"]
 
 
+def test_cli_verify_manifest_reads_only_its_directory(tmp_path, monkeypatch, capsys):
+    # an artifact name that leaves the manifest's directory exits 2 before
+    # any file, the plain names before it included, is hashed
+    run, outside = tmp_path / "run", tmp_path / "outside.txt"
+    run.mkdir()
+    outside.write_text("x\n")
+    (run / "map.csv").write_text("x\n")
+    hashed = []
+    monkeypatch.setattr(cli, "file_sha256", lambda path: hashed.append(path) or "0")
+    for name in ("../outside.txt", str(outside)):
+        manifest = run / "manifest.txt"
+        manifest.write_text(f"artifact.map.csv.sha256 = 0\nartifact.{name}.sha256 = 0\n")
+        capsys.readouterr()
+        assert cli.main(["verify", "--manifest", str(manifest), "--fast"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert hashed == []
+
+
 def test_cli_refine(tmp_path):
     code = cli.main(["refine", "--out", str(tmp_path)])
     assert code == 0

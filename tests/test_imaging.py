@@ -299,8 +299,7 @@ def test_te_search_full_view_odd_directions_matches_oracle():
     # unpaired basis, R = 2N
     crack = geometry.catalog("G1")
     dirs = msr.DirectionSet.full_view(15)
-    kept, expand = imaging._steering_basis(dirs)
-    assert (kept, expand.shape) == (15, (30, 15))
+    assert not imaging._paired(dirs) and imaging._kept(dirs) == 15
     freqs = imaging.FrequencySet.from_wavelengths(0.5, 0.4, 2)
     subs = []
     for kf in freqs.wavenumbers():
@@ -385,19 +384,13 @@ def test_quadratic_form_maps_match_direct_formula(dirs):
         assert np.max(np.abs(values - expected[key])) <= 1e-12 * peak, key
 
 
-def _unpaired_basis(dirs):
-    """The steering basis that keeps every direction: s_n = S_2n + i S_2n+1."""
-    return np.kron(np.eye(dirs.count), [[1.0], [1j]])
-
-
 def test_paired_basis_matches_unpaired_basis(monkeypatch):
     # full view with even N holds -theta for every theta: the phase tables
     # keep N/2 directions and S has N columns, against 2N unpaired
     dirs = msr.DirectionSet.full_view(24)
-    kept, expand = imaging._steering_basis(dirs)
-    assert (kept, expand.shape) == (12, (24, 24))
-    limited = imaging._steering_basis(msr.DirectionSet(0.0, np.pi, 24))
-    assert limited[0] == 24 and np.array_equal(limited[1], _unpaired_basis(dirs))
+    assert imaging._paired(dirs) and imaging._kept(dirs) == 12
+    limited = msr.DirectionSet(0.0, np.pi, 24)
+    assert not imaging._paired(limited) and imaging._kept(limited) == 24
     ks = [8.0, 10.0, 12.0]
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
     matrices = _random_msr(dirs, ks, seed=12)
@@ -412,7 +405,7 @@ def test_paired_basis_matches_unpaired_basis(monkeypatch):
     # keeps all N directions, the TE search R = 2N columns and the
     # separable form N(N+1)/2 complex pair terms
     monkeypatch.setattr(imaging, "_paired", lambda dirs: False)
-    assert imaging._steering_basis(dirs)[0] == 24
+    assert imaging._kept(dirs) == 24
     assert len(imaging._pair_orbits(dirs)[0]) == 24 * 25 // 2
     unpaired = maps()
     for key, values in paired.items():
@@ -499,23 +492,69 @@ def _te_subspaces(seed):
 
 
 def _spy_reduce(monkeypatch, check=lambda: None):
-    """The thread of every call of the TE search's shared reduce, in call
-    order; check() runs at the start of each call."""
+    """The thread of every call of the TE search's reduce, in call order;
+    check() runs at the start of each call."""
     threads = []
-    search = imaging._te_search
+    reduce = imaging._search_reduce
 
-    def spied(*args):
-        product, reduce = search(*args)
+    def counted(*args):
+        threads.append(threading.current_thread())
+        check()
+        return reduce(*args)
 
-        def counted(f, s, prod):
-            threads.append(threading.current_thread())
-            check()
-            return reduce(f, s, prod)
-
-        return product, counted
-
-    monkeypatch.setattr(imaging, "_te_search", spied)
+    monkeypatch.setattr(imaging, "_search_reduce", counted)
     return threads
+
+
+def _steering_basis(dirs):
+    """The complex (R x N) map E with s = S E, for S the real view of the
+    conjugate steering block over the `_kept` directions: s_n = S_2n + i S_2n+1,
+    and on a paired set s_{n+N/2} = S_2n - i S_2n+1."""
+    n, kept = dirs.count, imaging._kept(dirs)
+    idx = np.arange(kept)
+    expand = np.zeros((2 * kept, n), dtype=np.complex128)
+    expand[2 * idx, idx] = 1.0
+    expand[2 * idx + 1, idx] = 1j
+    if imaging._paired(dirs):
+        expand[2 * idx, idx + kept] = 1.0
+        expand[2 * idx + 1, idx + kept] = -1j
+    return expand
+
+
+@pytest.mark.parametrize(
+    "dirs",
+    [msr.DirectionSet.full_view(24), msr.DirectionSet.full_view(15),
+     msr.DirectionSet(0.0, np.pi, 24)],
+    ids=["paired", "odd-full-view", "limited"],
+)
+def test_folded_planes_equal_the_steering_basis_product(monkeypatch, dirs):
+    # the search's first block GEMM, on planes folded from F_f's rows,
+    # equals the GEMM of the same block against E F_f bit for bit
+    ks = [8.0, 10.0]
+    subs = [msr.svd_threshold(m, 0.3) for m in _random_msr(dirs, ks, seed=25)]
+    grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
+    assert grid.nx * grid.ny >= imaging._BLOCK
+    blocks = []
+    reduce = imaging._search_reduce
+
+    def copied(prod, *args):
+        blocks.append(prod.copy())
+        return reduce(prod, *args)
+
+    monkeypatch.setattr(imaging, "_search_reduce", copied)
+    monkeypatch.setattr(imaging, "_search_walkers", lambda blocks: 1)
+    _te_search_map(subs, grid, dirs)
+    d = dirs.directions()
+    dx, dy = d[:, :1], d[:, 1:]
+    iy, ix = np.divmod(np.arange(imaging._BLOCK), grid.nx)
+    for f, sub in enumerate(subs):
+        u, v = sub.retained_left(), sub.retained_right().conj()
+        planes = _steering_basis(dirs) @ np.stack([dx * u, dy * u, dx * v, dy * v])
+        tx, ty = imaging._phase_tables(grid, sub.k, dirs, imaging._kept(dirs))
+        s = imaging._steering_block(tx, ty, ix, iy).view(np.float64)
+        expected = np.empty((4, imaging._BLOCK, u.shape[1]), dtype=np.complex128)
+        np.matmul(s, planes.view(np.float64), out=expected.view(np.float64))
+        assert blocks[f].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bounds, walking", [((-0.6, 0.6, -0.4, 0.6, 0.04), 2),
@@ -687,6 +726,9 @@ def test_grid_with_one_row_or_column_is_refused():
     # such a map would not record its step, so load_map could not read it
     with pytest.raises(ConfigError):
         imaging.SearchGrid(0.0, 0.05, 0.0, 1.0, 0.1)
+    # nor can a grid whose extent is past the float range have a step
+    with pytest.raises(ConfigError):
+        imaging.SearchGrid(-1e308, 1e308, 0.0, 1.0, 1.0)
     with pytest.raises(ConfigError):
         imaging.SearchGrid(0.0, 1.0, 0.0, 0.05, 0.1)
     grid = imaging.SearchGrid(0.0, 0.1, 0.0, 0.1, 0.1)
@@ -726,6 +768,26 @@ def test_map_csv_parse_error_carries_line(tmp_path):
     with pytest.raises(MapParseError, match="line 2") as err:
         imaging.load_metadata(meta)
     assert err.value.line == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, line", [
+    ("0,0,1\ninf,0,1\n0,1,1\ninf,1,1\n", 3),
+    ("0,0,1\nnan,0,1\n0,1,1\nnan,1,1\n", 3),
+    ("0,0,1\n1,-inf,1\n0,1,1\n1,1,1\n", 3),
+    # a full 2 x 2 grid whose inferred step 1e300 leaves one row
+    ("0,0,1\n1e300,0,1\n0,1,1\n1e300,1,1\n", 1),
+    # finite coordinates whose extent exceeds the float range
+    ("".join(f"{x},{y},1\n" for y in (0, 1) for x in (-1e308, 0, 1e308)), 1),
+], ids=["inf-x", "nan-x", "inf-y", "step-past-the-extent", "extent-past-the-float-range"])
+def test_map_csv_bad_coordinates_carry_line(tmp_path, body, line):
+    # a non-finite coordinate names its own line, and a grid the saved
+    # points cannot have come from is an inconsistent step at line 1
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,value\n" + body)
+    with pytest.raises(MapParseError) as err:
+        imaging.load_map(path)
+    assert err.value.line == line
 
 
 def test_map_csv_blank_or_comment_line_carries_line(tmp_path):
