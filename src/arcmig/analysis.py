@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, SingularityError
-from .geometry import Crack, check_unit_vector, sample_points
+from .geometry import Crack, check_unit_vector, pairwise_distances, sample_points
 from .imaging import ImageMap
 
 __all__ = [
@@ -49,16 +49,10 @@ REGIMES = (
 
 _FULL_VIEW_TOL = 1e-12
 
-# points x crack samples per row block of `kernel_predict_grid` and of
-# the nearest distances: bounds the (points x samples) temporaries
-# whatever the sample count; rows do not depend on each other
+# points x crack samples per row block of `kernel_predict_grid`: bounds
+# the (points x samples) temporaries whatever the sample count; rows do
+# not depend on each other
 _PREDICT_ARGS = 65536
-
-
-def _row_blocks(count, samples):
-    """Slices of at most _PREDICT_ARGS // samples rows (at least one)."""
-    rows = max(1, _PREDICT_ARGS // samples)
-    return [slice(lo, lo + rows) for lo in range(0, count, rows)]
 
 
 def _j01(z):
@@ -205,18 +199,6 @@ def band_j1sq_integral(k_first, k_last, r):
     return np.tensordot(_j01(np.outer(r, nodes))[1] ** 2, weights, axes=([-1], [0]))
 
 
-def _distances(x, points):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    diff = x[:, None, :] - points[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1]), diff
-
-
-def _radii(x, points):
-    """|x_p - y_m| as (P, M), the same bits as `_distances` from contiguous
-    coordinate differences."""
-    return np.hypot(x[:, None, 0] - points[None, :, 0], x[:, None, 1] - points[None, :, 1])
-
-
 @dataclass(frozen=True)
 class RingIntegralResult:
     """Truncated arc integrals of the steering phases over [alpha, beta]:
@@ -321,12 +303,12 @@ def _transverse(diff, r, thetas, regime):
     return proj, trans
 
 
-def _ring_band(x, points, normals, alpha, beta, k_first, k_last):
+def _ring_band(x, points, r, normals, alpha, beta, k_first, k_last):
     """Per point, |sum_m integral over [k_first, k_last] of I_m(k)^2 dk| /
     ((beta - alpha)^2 (k_last - k_first)): I_m is the plain ring integral of
-    x - y_m when ``normals`` is None, else the one weighted by nu_m.  The
-    k integrals run on the Gauss panels of `band_j1sq_integral`."""
-    r, diff = _distances(x, points)
+    x - y_m, at distance r, when ``normals`` is None, else the one weighted
+    by nu_m; the k integrals run on the panels of `band_j1sq_integral`."""
+    diff = x[:, None, :] - points[None, :, :]
     nodes, weights = _band_panels(k_first, k_last, float(np.max(r)))
     out = np.empty(x.shape[0])
     for p in range(x.shape[0]):
@@ -358,6 +340,17 @@ def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_l
     """
     if kind not in REGIMES:
         raise ConfigError(f"unknown kernel regime {kind!r}")
+    return _predict_walk(kind, x, points, normals, k, k_first, k_last, thetas, alpha, beta,
+                         include_remainder)[0]
+
+
+def _predict_walk(kind, x, points, normals=None, k=None, k_first=None, k_last=None,
+                  thetas=None, alpha=None, beta=None, include_remainder=False):
+    """`kernel_predict_grid` (None when ``kind`` is None) and the distance
+    from each point to its nearest sample, from one walk over the row
+    blocks: each block's distances are taken once and serve both."""
+    if kind is not None and kind not in REGIMES:
+        raise ConfigError(f"unknown kernel regime {kind!r}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if normals is not None:
@@ -367,29 +360,41 @@ def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_l
     if kind == "LV_TM_BAND" and not include_remainder:
         kind = "TM_BAND"
     table = _radial_table(kind, x, points, k, k_first, k_last)
-    out = np.empty(x.shape[0])
-    for rows in _row_blocks(x.shape[0], points.shape[0]):
-        out[rows] = _predict_rows(kind, x[rows], points, normals, k_first, k_last, thetas,
-                                  alpha, beta, include_remainder, table)
-    return out
+    out = None if kind is None else np.empty(x.shape[0])
+    nearest = np.empty(x.shape[0])
+    step = max(1, _PREDICT_ARGS // points.shape[0])
+    for lo in range(0, x.shape[0], step):
+        rows = slice(lo, lo + step)
+        r = pairwise_distances(x[rows], points)
+        nearest[rows] = np.min(r, axis=1)
+        if out is not None:
+            out[rows] = _predict_rows(kind, x[rows], points, r, normals, k_first, k_last,
+                                      thetas, alpha, beta, include_remainder, table)
+    return out, nearest
 
 
-def _predict_rows(kind, x, points, normals, k_first, k_last, thetas, alpha, beta,
+def _predict_rows(kind, x, points, r, normals, k_first, k_last, thetas, alpha, beta,
                   include_remainder, table):
-    """`kernel_predict_grid` on one row block."""
+    """`kernel_predict_grid` on one row block, at its distances ``r``; the
+    differences x - y_m are formed only for the regimes that read them."""
     if table is not None:
-        r = _radii(x, points)
         terms = table(r)
         if include_remainder and kind == "TM_BAND":
             flat = band_j1sq_integral(k_first, k_last, r.ravel()) / (k_last - k_first)
             terms = terms + flat.reshape(r.shape)
         return np.abs(np.sum(terms, axis=1))
 
-    r, diff = _distances(x, points)
-
     if kind == "TM_BAND_INF":
         # 1 on the crack samples (to 1e-12), 0 elsewhere
         return (np.min(r, axis=1) <= 1e-12).astype(np.float64)
+
+    if kind == "LV_TM_BAND":
+        return _ring_band(x, points, r, None, alpha, beta, k_first, k_last)
+
+    if kind == "LV_TE_BAND" and include_remainder:
+        return _ring_band(x, points, r, normals, alpha, beta, k_first, k_last)
+
+    diff = x[:, None, :] - points[None, :, :]
 
     if kind == "TM_SMALL_NINC_INF":
         _require_positive_distance(r, kind)
@@ -419,12 +424,7 @@ def _predict_rows(kind, x, points, normals, k_first, k_last, thetas, alpha, beta
         total = np.sum(theta_nu[None, :, :] * rhat_nu[..., None] * lam4, axis=(1, 2))
         return np.abs(total) / (k_last - k_first)
 
-    if kind == "LV_TM_BAND":
-        return _ring_band(x, points, None, alpha, beta, k_first, k_last)
-
     # LV_TE_BAND
-    if include_remainder:
-        return _ring_band(x, points, normals, alpha, beta, k_first, k_last)
     span = beta - alpha
     dk = k_last - k_first
     _require_positive_distance(r, kind)
@@ -490,15 +490,6 @@ def first_sidelobe_ratio(values):
     return float(values[j] / peak)
 
 
-def _nearest_distances(grid_points, pts):
-    """Distance from each grid point to the nearest of ``pts``, computed in
-    row blocks of at most `_PREDICT_ARGS` point-sample pairs."""
-    dist = np.empty(grid_points.shape[0])
-    for rows in _row_blocks(grid_points.shape[0], pts.shape[0]):
-        dist[rows] = np.min(_radii(grid_points[rows], pts), axis=1)
-    return dist
-
-
 # grid points at least this far from every crack sample are off the crack
 _OFF_DISTANCE = 0.5
 # crack samples of localization_metrics
@@ -518,13 +509,12 @@ def crack_samples_on_grid(crack: Crack, grid, m_samples=_METRIC_SAMPLES):
     return pts, normals, on_idx
 
 
-def _on_off_means(image: ImageMap, grid_points, pts, on_idx):
+def _on_off_means(image: ImageMap, nearest, on_idx):
     """Mean of the map at the grid points ``on_idx`` nearest the crack
-    samples ``pts``, its mean over the grid points at least
-    `_OFF_DISTANCE` from every sample, and their ratio."""
-    dist = _nearest_distances(grid_points, pts)
+    samples, its mean over the grid points whose distance ``nearest`` to
+    the nearest sample is at least `_OFF_DISTANCE`, and their ratio."""
     on_mean = float(np.mean(image.values[on_idx]))
-    off_mask = dist >= _OFF_DISTANCE
+    off_mask = nearest >= _OFF_DISTANCE
     if not off_mask.any():
         raise ConfigError("no grid point is far enough from the crack")
     off_mean = float(np.mean(image.values[off_mask]))
@@ -543,9 +533,8 @@ def _endpoint_top_fractions(image: ImageMap, crack: Crack, grid_points):
     out = {}
     for c_idx, arc in enumerate(crack.components):
         for label, t_end in (("lo", -1.0), ("hi", 1.0)):
-            endpoint = np.atleast_2d(arc.points(np.array([t_end])))[0]
-            dist = np.hypot(grid_points[:, 0] - endpoint[0], grid_points[:, 1] - endpoint[1])
-            near = dist <= 2.0 * image.grid.h + 1e-12
+            endpoint = np.atleast_2d(arc.points(np.array([t_end])))
+            near = pairwise_distances(endpoint, grid_points)[0] <= 2.0 * image.grid.h + 1e-12
             out[f"endpoint_{c_idx}_{label}_top5"] = bool(
                 near.any() and np.max(image.values[near]) >= top
             )
@@ -563,13 +552,12 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, m_samples=32):
     grid = image.grid
     pts, normals, on_idx = crack_samples_on_grid(crack, grid, m_samples)
     grid_points = grid.points()
-    needs_normals = kind.startswith("TE") or kind == "LV_TE_BAND"
     kwargs = dict(params)
-    if needs_normals:
+    if kind.startswith("TE") or kind == "LV_TE_BAND":
         kwargs.setdefault("normals", normals)
-    prediction = kernel_predict_grid(kind, grid_points, pts, **kwargs)
+    prediction, nearest = _predict_walk(kind, grid_points, pts, **kwargs)
     sup_dev = float(np.max(np.abs(image.values - prediction)))
-    return {"sup_deviation": sup_dev, **_on_off_means(image, grid_points, pts, on_idx)}
+    return {"sup_deviation": sup_dev, **_on_off_means(image, nearest, on_idx)}
 
 
 def localization_metrics(image: ImageMap, crack: Crack):
@@ -577,15 +565,13 @@ def localization_metrics(image: ImageMap, crack: Crack):
     `_endpoint_top_fractions` flags: every key of a run's metrics."""
     grid_points = image.grid.points()
     pts, _, on_idx = crack_samples_on_grid(crack, image.grid)
-    means = _on_off_means(image, grid_points, pts, on_idx)
+    means = _on_off_means(image, _predict_walk(None, grid_points, pts)[1], on_idx)
     argmax = image.argmax_point()
     return {
         "argmax_x": float(argmax[0]),
         "argmax_y": float(argmax[1]),
         "argmax_value": float(np.max(image.values)),
-        "argmax_distance": float(
-            np.min(np.hypot(pts[:, 0] - argmax[0], pts[:, 1] - argmax[1]))
-        ),
+        "argmax_distance": float(np.min(pairwise_distances(argmax[None], pts))),
         **means,
         **_endpoint_top_fractions(image, crack, grid_points),
     }

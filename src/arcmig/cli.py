@@ -10,6 +10,7 @@ back, and parse -> serialize is a byte-identical round trip.
 
 import argparse
 import math
+import stat
 import sys
 import time
 from dataclasses import MISSING, astuple, dataclass, field, fields
@@ -297,7 +298,8 @@ def preset_config(spec, aperture="full", seed=ExperimentConfig.seed,
 def verify_manifest(path):
     """Re-hash the artifacts recorded in a manifest; returns mismatches.
     Every artifact must be a plain file name in the manifest's directory:
-    any other name raises MapParseError before a file is hashed."""
+    any other name raises MapParseError before a file is hashed, and only a
+    regular file is opened (not a FIFO, a directory or a symbolic link)."""
     meta = imaging.load_metadata(path)
     base = Path(path).parent
     artifacts = {key[len("artifact.") : -len(".sha256")]: recorded
@@ -310,8 +312,10 @@ def verify_manifest(path):
     mismatches = []
     for name, recorded in artifacts.items():
         target = base / name
-        if not target.exists():
+        if not (target.is_symlink() or target.exists()):
             mismatches.append(f"{name}: missing")
+        elif not stat.S_ISREG(target.lstat().st_mode):
+            mismatches.append(f"{name}: not a regular file")
         elif file_sha256(target) != recorded:
             mismatches.append(f"{name}: hash mismatch")
     return mismatches

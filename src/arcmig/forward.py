@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, SolverError
-from .geometry import Crack, check_unit_vector
+from .geometry import Crack, check_unit_vector, pairwise_distances
 
 __all__ = [
     "BoundaryCondition",
@@ -166,11 +166,6 @@ def _hankel1v(z):
     return j1 + 1j * y1
 
 
-def _distances(tgt_points, src_points):
-    diff = tgt_points[:, None, :] - src_points[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
-
-
 def _slp_block(k, hankel, grid: _NodeGrid, self_terms=None, tgt_speed=None):
     """Matrix Q with S[g](x_i) = sum_j Q_ij g(sigma_j), where g is the even
     2pi-periodic 1-form density sampled on the ``grid`` nodes of one source
@@ -216,7 +211,7 @@ def _slp_quad_matrix(k, tgt_tau, tgt_points, grid: _NodeGrid, src_points, same_a
     """`_slp_block` for arbitrary targets and a source component with nodes
     ``src_points`` on ``grid``; ``same_arc`` means the targets are
     parameterized by ``tgt_tau`` on the source arc."""
-    r = _distances(tgt_points, src_points)
+    r = pairwise_distances(tgt_points, src_points)
     if not same_arc:
         if np.min(r) <= 0.0:
             raise SolverError("coincident points between distinct components")

@@ -1,5 +1,5 @@
 """Crack geometry: parametric open arcs, the four-crack catalog, tangents,
-unit normals, and point sampling.
+unit normals, point sampling and pairwise point distances.
 
 Every arc is exposed through one internal parameter t in [-1, 1]: one
 builder maps each arc's native range onto it affinely, so all quadrature
@@ -23,6 +23,7 @@ __all__ = [
     "catalog_key",
     "catalog_names",
     "sample_points",
+    "pairwise_distances",
     "line_segment",
     "chebyshev_graph_arc",
     "crack_from_config",
@@ -247,6 +248,12 @@ def sample_points(crack: Crack, m: int):
     ts = np.array([0.0]) if m == 1 else np.linspace(-1.0, 1.0, m)
     return [UnitNormal(point=p, normal=n) for arc in crack.components
             for p, n in zip(arc.points(ts), arc.normals(ts))]
+
+
+def pairwise_distances(a, b):
+    """|a_i - b_j| as (len(a), len(b)) for points of shape (., 2), by
+    np.hypot over contiguous coordinate differences."""
+    return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 
 _BAND = 4                          # sample offsets |i - j| <= _BAND are legitimately close

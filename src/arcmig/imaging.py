@@ -105,6 +105,13 @@ class SearchGrid:
             raise ConfigError("grid bounds must be finite and nonempty")
         if not (math.isfinite(self.x_hi - self.x_lo) and math.isfinite(self.y_hi - self.y_lo)):
             raise ConfigError("grid extent exceeds the float range")
+        # a step tiny against the extent has no int count, or one too large
+        # for `points` (10^8 points take 1.6 GB; the largest preset: 40,401)
+        if not math.isfinite(max(self.x_hi - self.x_lo, self.y_hi - self.y_lo) / self.h):
+            raise ConfigError(f"grid step {self.h!r} gives a non-finite point count")
+        if self.nx * self.ny > 10**8:
+            raise ConfigError(f"grid step {self.h!r} gives {self.nx} x {self.ny} points, "
+                              "more than 10^8")
         # a saved map records its step only through two rows and two columns
         if self.nx < 2 or self.ny < 2:
             raise ConfigError("grid step exceeds the extent: a map needs two rows and two columns")

@@ -417,14 +417,23 @@ def test_unknown_regime_rejected():
         analysis.kernel_predict("TM_NOPE", [0.0, 0.0], np.array([[0.0, 0.0]]))
 
 
-def test_validate_map_blocked_prediction_is_exact():
+def test_validate_map_blocked_prediction_is_exact(monkeypatch):
     # one arc and the two-arc G4 crack: the blocks hold at most
-    # _PREDICT_ARGS point-sample pairs, so the grid spans several blocks
+    # _PREDICT_ARGS point-sample pairs, so the grid spans several blocks.
+    # The prediction and the on/off split read one distance walk: every
+    # call of the shared distance function is recorded as (rows, samples)
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.04)
     grid_points = grid.points()
     assert grid_points.shape[0] * 32 > analysis._PREDICT_ARGS
     values = np.random.default_rng(3).uniform(0.0, 1.0, grid_points.shape[0])
     image = imaging.ImageMap(grid=grid, values=values)
+    calls = []
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return geometry.pairwise_distances(a, b)
+
+    monkeypatch.setattr(analysis, "pairwise_distances", spy)
 
     def unblocked_mean_off(pts):
         dist = np.min(
@@ -438,7 +447,10 @@ def test_validate_map_blocked_prediction_is_exact():
     for crack in (geometry.line_segment([-0.3, 0.1], [0.4, -0.2]), geometry.catalog("G4")):
         pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
         for kind, params in regimes:
+            calls.clear()
             metrics = analysis.validate_map(image, crack, kind, params)
+            # each of the 2,601 grid points is measured once
+            assert sum(rows for rows, _ in calls) == grid_points.shape[0]
             pred = analysis.kernel_predict_grid(kind, grid_points, pts, **params)
             assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
             assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
@@ -450,7 +462,10 @@ def test_validate_map_blocked_prediction_is_exact():
                 assert np.array_equal(part, pred[rows])
         # localization_metrics shares the blocked distances (64 samples)
         pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
+        calls.clear()
         loc = analysis.localization_metrics(image, crack)
+        # against the samples: the grid once, the argmax point once
+        assert sum(rows for rows, m in calls if m == len(pts64)) == grid_points.shape[0] + 1
         assert loc["off_crack_mean"] == unblocked_mean_off(pts64)
 
 

@@ -2,7 +2,9 @@
 manifest verification and exit codes."""
 
 import math
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,6 +456,17 @@ def test_integer_too_large_for_a_float_exits_2_before_any_output(tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
+def test_grid_step_too_small_for_its_extent_exits_2_before_any_output(tmp_path, capsys):
+    # the step's point count is past the float range
+    path = tmp_path / "exp.cfg"
+    path.write_text(_g1_config_text("grid", "step", 5e-324))
+    capsys.readouterr()
+    assert cli.main(["image", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:") and "point count" in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_grid_that_misses_the_crack_fails_before_the_first_solve(tmp_path, capsys):
     # G1 spans x in [-0.5, 0.5]: a grid from x = 0 misses half of it, which
     # the metrics stage refuses, so image refuses it before any solve
@@ -580,6 +593,30 @@ def test_cli_verify_manifest_reads_only_its_directory(tmp_path, monkeypatch, cap
         assert cli.main(["verify", "--manifest", str(manifest), "--fast"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert hashed == []
+
+
+def test_cli_verify_manifest_hashes_only_regular_files(tmp_path, monkeypatch, capsys):
+    # a FIFO would block the hash forever and a link leaves the directory:
+    # both are reported without being opened
+    run, outside = tmp_path / "run", tmp_path / "outside.txt"
+    run.mkdir()
+    outside.write_text("x\n")
+    (run / "map.csv").write_text("x\n")
+    os.mkfifo(run / "fifo")
+    (run / "link").symlink_to(outside)
+
+    def spy(path):
+        assert Path(path).name == "map.csv", f"hashed {path}"
+        return "0"
+
+    monkeypatch.setattr(cli, "file_sha256", spy)
+    manifest = run / "manifest.txt"
+    manifest.write_text("".join(f"artifact.{name}.sha256 = 0\n"
+                                for name in ("map.csv", "fifo", "link")))
+    capsys.readouterr()
+    assert cli.main(["verify", "--manifest", str(manifest), "--fast"]) == 3
+    assert capsys.readouterr().out.splitlines() == ["FAIL manifest: fifo: not a regular file",
+                                                    "FAIL manifest: link: not a regular file"]
 
 
 def test_cli_refine(tmp_path):

@@ -735,6 +735,13 @@ def test_grid_with_one_row_or_column_is_refused():
     assert (grid.nx, grid.ny) == (2, 2)
 
 
+def test_grid_with_a_step_too_small_for_its_extent_is_refused():
+    # 10^12 + 1 points per axis, and a count past the float range
+    for step, count in ((1e-12, "1000000000001 x 1000000000001"), (5e-324, "non-finite")):
+        with pytest.raises(ConfigError, match=count):
+            imaging.SearchGrid(0.0, 1.0, 0.0, 1.0, step)
+
+
 def test_map_csv_parse_error_carries_line(tmp_path):
     def rows(points):
         return "".join(f"{x},{y},1\n" for x, y in points)
