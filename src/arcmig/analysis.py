@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, SingularityError
-from .geometry import Crack, check_unit_vector, pairwise_distances, sample_points
+from .geometry import Crack, _pairwise_distances, check_unit_vector, sample_points
 from .imaging import ImageMap
 
 __all__ = [
@@ -49,7 +49,7 @@ REGIMES = (
 
 _FULL_VIEW_TOL = 1e-12
 
-# points x crack samples per row block of `kernel_predict_grid`: bounds
+# points x crack samples per row block of `_distance_blocks`: bounds
 # the (points x samples) temporaries whatever the sample count; rows do
 # not depend on each other
 _PREDICT_ARGS = 65536
@@ -322,7 +322,8 @@ def _ring_band(x, points, r, normals, alpha, beta, k_first, k_last):
 
 
 def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_last=None,
-                        thetas=None, alpha=None, beta=None, include_remainder=False):
+                        thetas=None, alpha=None, beta=None, include_remainder=False, *,
+                        _nearest=None):
     """Vectorized kernel prediction at the points ``x`` (shape (P, 2)).
 
     ``include_remainder`` switches on the integral/series terms the
@@ -334,22 +335,13 @@ def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_l
     within 5e-13 max|g| per sample of the closed form in `kernels.jy01v`
     and of scipy.special (tested over the G1-G4 preset bands).
 
-    The points are taken in row blocks of at most `_PREDICT_ARGS`
-    point-sample pairs, which bounds the temporaries; every block reads the
-    same table, so the result does not depend on the blocking.
+    The points are taken in the row blocks of `_distance_blocks`; every
+    block reads the same table, so the result does not depend on the
+    blocking.  ``_nearest``, for `validate_map` only, is a (P,) array that
+    receives each point's distance to its nearest sample from the same
+    blocks' distances.
     """
     if kind not in REGIMES:
-        raise ConfigError(f"unknown kernel regime {kind!r}")
-    return _predict_walk(kind, x, points, normals, k, k_first, k_last, thetas, alpha, beta,
-                         include_remainder)[0]
-
-
-def _predict_walk(kind, x, points, normals=None, k=None, k_first=None, k_last=None,
-                  thetas=None, alpha=None, beta=None, include_remainder=False):
-    """`kernel_predict_grid` (None when ``kind`` is None) and the distance
-    from each point to its nearest sample, from one walk over the row
-    blocks: each block's distances are taken once and serve both."""
-    if kind is not None and kind not in REGIMES:
         raise ConfigError(f"unknown kernel regime {kind!r}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -360,17 +352,23 @@ def _predict_walk(kind, x, points, normals=None, k=None, k_first=None, k_last=No
     if kind == "LV_TM_BAND" and not include_remainder:
         kind = "TM_BAND"
     table = _radial_table(kind, x, points, k, k_first, k_last)
-    out = None if kind is None else np.empty(x.shape[0])
-    nearest = np.empty(x.shape[0])
+    out = np.empty(x.shape[0])
+    for rows, r in _distance_blocks(x, points):
+        if _nearest is not None:
+            _nearest[rows] = np.min(r, axis=1)
+        out[rows] = _predict_rows(kind, x[rows], points, r, normals, k_first, k_last,
+                                  thetas, alpha, beta, include_remainder, table)
+    return out
+
+
+def _distance_blocks(x, points):
+    """(rows, |x[rows] - points|) over row blocks of at most `_PREDICT_ARGS`
+    point-sample pairs (at least one row): the only distance walk over a
+    grid, so each point is measured once per walk."""
     step = max(1, _PREDICT_ARGS // points.shape[0])
     for lo in range(0, x.shape[0], step):
         rows = slice(lo, lo + step)
-        r = pairwise_distances(x[rows], points)
-        nearest[rows] = np.min(r, axis=1)
-        if out is not None:
-            out[rows] = _predict_rows(kind, x[rows], points, r, normals, k_first, k_last,
-                                      thetas, alpha, beta, include_remainder, table)
-    return out, nearest
+        yield rows, _pairwise_distances(x[rows], points)
 
 
 def _predict_rows(kind, x, points, r, normals, k_first, k_last, thetas, alpha, beta,
@@ -534,7 +532,7 @@ def _endpoint_top_fractions(image: ImageMap, crack: Crack, grid_points):
     for c_idx, arc in enumerate(crack.components):
         for label, t_end in (("lo", -1.0), ("hi", 1.0)):
             endpoint = np.atleast_2d(arc.points(np.array([t_end])))
-            near = pairwise_distances(endpoint, grid_points)[0] <= 2.0 * image.grid.h + 1e-12
+            near = _pairwise_distances(endpoint, grid_points)[0] <= 2.0 * image.grid.h + 1e-12
             out[f"endpoint_{c_idx}_{label}_top5"] = bool(
                 near.any() and np.max(image.values[near]) >= top
             )
@@ -555,7 +553,8 @@ def validate_map(image: ImageMap, crack: Crack, kind, params, m_samples=32):
     kwargs = dict(params)
     if kind.startswith("TE") or kind == "LV_TE_BAND":
         kwargs.setdefault("normals", normals)
-    prediction, nearest = _predict_walk(kind, grid_points, pts, **kwargs)
+    nearest = np.empty(grid_points.shape[0])
+    prediction = kernel_predict_grid(kind, grid_points, pts, **kwargs, _nearest=nearest)
     sup_dev = float(np.max(np.abs(image.values - prediction)))
     return {"sup_deviation": sup_dev, **_on_off_means(image, nearest, on_idx)}
 
@@ -565,13 +564,16 @@ def localization_metrics(image: ImageMap, crack: Crack):
     `_endpoint_top_fractions` flags: every key of a run's metrics."""
     grid_points = image.grid.points()
     pts, _, on_idx = crack_samples_on_grid(crack, image.grid)
-    means = _on_off_means(image, _predict_walk(None, grid_points, pts)[1], on_idx)
+    nearest = np.empty(grid_points.shape[0])
+    for rows, r in _distance_blocks(grid_points, pts):
+        nearest[rows] = np.min(r, axis=1)
+    means = _on_off_means(image, nearest, on_idx)
     argmax = image.argmax_point()
     return {
         "argmax_x": float(argmax[0]),
         "argmax_y": float(argmax[1]),
         "argmax_value": float(np.max(image.values)),
-        "argmax_distance": float(np.min(pairwise_distances(argmax[None], pts))),
+        "argmax_distance": float(np.min(_pairwise_distances(argmax[None], pts))),
         **means,
         **_endpoint_top_fractions(image, crack, grid_points),
     }

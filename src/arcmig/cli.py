@@ -312,9 +312,12 @@ def verify_manifest(path):
     mismatches = []
     for name, recorded in artifacts.items():
         target = base / name
-        if not (target.is_symlink() or target.exists()):
+        try:
+            mode = target.lstat().st_mode
+        except FileNotFoundError:
             mismatches.append(f"{name}: missing")
-        elif not stat.S_ISREG(target.lstat().st_mode):
+            continue
+        if not stat.S_ISREG(mode):
             mismatches.append(f"{name}: not a regular file")
         elif file_sha256(target) != recorded:
             mismatches.append(f"{name}: hash mismatch")

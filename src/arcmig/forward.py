@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, SolverError
-from .geometry import Crack, check_unit_vector, pairwise_distances
+from .geometry import Crack, _pairwise_distances, check_unit_vector
 
 __all__ = [
     "BoundaryCondition",
@@ -211,7 +211,7 @@ def _slp_quad_matrix(k, tgt_tau, tgt_points, grid: _NodeGrid, src_points, same_a
     """`_slp_block` for arbitrary targets and a source component with nodes
     ``src_points`` on ``grid``; ``same_arc`` means the targets are
     parameterized by ``tgt_tau`` on the source arc."""
-    r = pairwise_distances(tgt_points, src_points)
+    r = _pairwise_distances(tgt_points, src_points)
     if not same_arc:
         if np.min(r) <= 0.0:
             raise SolverError("coincident points between distinct components")

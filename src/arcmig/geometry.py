@@ -23,7 +23,6 @@ __all__ = [
     "catalog_key",
     "catalog_names",
     "sample_points",
-    "pairwise_distances",
     "line_segment",
     "chebyshev_graph_arc",
     "crack_from_config",
@@ -250,9 +249,10 @@ def sample_points(crack: Crack, m: int):
             for p, n in zip(arc.points(ts), arc.normals(ts))]
 
 
-def pairwise_distances(a, b):
+def _pairwise_distances(a, b):
     """|a_i - b_j| as (len(a), len(b)) for points of shape (., 2), by
-    np.hypot over contiguous coordinate differences."""
+    np.hypot over contiguous coordinate differences.  Private: perfbench
+    wraps the public functions, and this one's time stays with its caller."""
     return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 

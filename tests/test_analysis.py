@@ -421,19 +421,27 @@ def test_validate_map_blocked_prediction_is_exact(monkeypatch):
     # one arc and the two-arc G4 crack: the blocks hold at most
     # _PREDICT_ARGS point-sample pairs, so the grid spans several blocks.
     # The prediction and the on/off split read one distance walk: every
-    # call of the shared distance function is recorded as (rows, samples)
+    # call of the shared distance function is recorded as (rows, samples).
+    # validate_map predicts through the public kernel_predict_grid, the
+    # name whose calls perfbench counts as analysis.predict_points
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.04)
     grid_points = grid.points()
     assert grid_points.shape[0] * 32 > analysis._PREDICT_ARGS
     values = np.random.default_rng(3).uniform(0.0, 1.0, grid_points.shape[0])
     image = imaging.ImageMap(grid=grid, values=values)
-    calls = []
+    calls, predicted = [], []
 
     def spy(a, b):
         calls.append((len(a), len(b)))
-        return geometry.pairwise_distances(a, b)
+        return geometry._pairwise_distances(a, b)
 
-    monkeypatch.setattr(analysis, "pairwise_distances", spy)
+    def predict_spy(kind, x, points, **kwargs):
+        predicted.append((len(x), len(points)))
+        return predict(kind, x, points, **kwargs)
+
+    predict = analysis.kernel_predict_grid
+    monkeypatch.setattr(analysis, "_pairwise_distances", spy)
+    monkeypatch.setattr(analysis, "kernel_predict_grid", predict_spy)
 
     def unblocked_mean_off(pts):
         dist = np.min(
@@ -448,24 +456,29 @@ def test_validate_map_blocked_prediction_is_exact(monkeypatch):
         pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
         for kind, params in regimes:
             calls.clear()
+            predicted.clear()
             metrics = analysis.validate_map(image, crack, kind, params)
             # each of the 2,601 grid points is measured once
             assert sum(rows for rows, _ in calls) == grid_points.shape[0]
-            pred = analysis.kernel_predict_grid(kind, grid_points, pts, **params)
+            assert predicted == [(grid_points.shape[0], len(pts))]
+            pred = predict(kind, grid_points, pts, **params)
             assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
             assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
             # each call builds its radial table to its own largest distance;
             # a shorter table is a prefix of a longer one, so row subsets
             # of one block each agree bit for bit
             for rows in (slice(0, 7), slice(1200, 1201), slice(2000, None)):
-                part = analysis.kernel_predict_grid(kind, grid_points[rows], pts, **params)
+                part = predict(kind, grid_points[rows], pts, **params)
                 assert np.array_equal(part, pred[rows])
         # localization_metrics shares the blocked distances (64 samples)
         pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
         calls.clear()
+        predicted.clear()
         loc = analysis.localization_metrics(image, crack)
-        # against the samples: the grid once, the argmax point once
+        # against the samples: the grid once, the argmax point once; no
+        # prediction
         assert sum(rows for rows, m in calls if m == len(pts64)) == grid_points.shape[0] + 1
+        assert predicted == []
         assert loc["off_crack_mean"] == unblocked_mean_off(pts64)
 
 
