@@ -335,11 +335,9 @@ def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_l
     within 5e-13 max|g| per sample of the closed form in `kernels.jy01v`
     and of scipy.special (tested over the G1-G4 preset bands).
 
-    The points are taken in the row blocks of `_distance_blocks`; every
-    block reads the same table, so the result does not depend on the
-    blocking.  ``_nearest``, for `validate_map` only, is a (P,) array that
-    receives each point's distance to its nearest sample from the same
-    blocks' distances.
+    Every row block of `_distance_blocks` reads the same table, so the
+    result does not depend on the blocking.  A (P,) array ``_nearest``
+    (`validate_map`'s) receives each point's nearest-sample distance.
     """
     if kind not in REGIMES:
         raise ConfigError(f"unknown kernel regime {kind!r}")
@@ -362,9 +360,8 @@ def kernel_predict_grid(kind, x, points, normals=None, k=None, k_first=None, k_l
 
 
 def _distance_blocks(x, points):
-    """(rows, |x[rows] - points|) over row blocks of at most `_PREDICT_ARGS`
-    point-sample pairs (at least one row): the only distance walk over a
-    grid, so each point is measured once per walk."""
+    """(rows, |x[rows] - points|) per block of at most `_PREDICT_ARGS`
+    point-sample pairs (at least one row): analysis's one grid walk."""
     step = max(1, _PREDICT_ARGS // points.shape[0])
     for lo in range(0, x.shape[0], step):
         rows = slice(lo, lo + step)
@@ -564,9 +561,7 @@ def localization_metrics(image: ImageMap, crack: Crack):
     `_endpoint_top_fractions` flags: every key of a run's metrics."""
     grid_points = image.grid.points()
     pts, _, on_idx = crack_samples_on_grid(crack, image.grid)
-    nearest = np.empty(grid_points.shape[0])
-    for rows, r in _distance_blocks(grid_points, pts):
-        nearest[rows] = np.min(r, axis=1)
+    nearest = np.concatenate([np.min(r, axis=1) for _, r in _distance_blocks(grid_points, pts)])
     means = _on_off_means(image, nearest, on_idx)
     argmax = image.argmax_point()
     return {

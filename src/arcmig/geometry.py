@@ -250,9 +250,8 @@ def sample_points(crack: Crack, m: int):
 
 
 def _pairwise_distances(a, b):
-    """|a_i - b_j| as (len(a), len(b)) for points of shape (., 2), by
-    np.hypot over contiguous coordinate differences.  Private: perfbench
-    wraps the public functions, and this one's time stays with its caller."""
+    """|a_i - b_j| as (len(a), len(b)) by np.hypot over contiguous coordinate
+    differences; private, so perfbench leaves its time with the callers."""
     return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 

@@ -105,11 +105,8 @@ class SearchGrid:
             raise ConfigError("grid bounds must be finite and nonempty")
         if not (math.isfinite(self.x_hi - self.x_lo) and math.isfinite(self.y_hi - self.y_lo)):
             raise ConfigError("grid extent exceeds the float range")
-        # a step tiny against the extent has no int count, or one too large
-        # to image: `points` peaks at 32 bytes a point (the meshgrid, then
-        # the stack), 3.2 GB at 10^8, before any grid-sized array of the
-        # imaging stages, so a grid under the bound may still run out of
-        # memory; the largest preset holds 40,401 points
+        # a step tiny against the extent has no int count, or too many points
+        # to image: `points` alone peaks at 32 bytes a point (3.2 GB at 10^8)
         if not math.isfinite(max(self.x_hi - self.x_lo, self.y_hi - self.y_lo) / self.h):
             raise ConfigError(f"grid step {self.h!r} gives a non-finite point count")
         if self.nx * self.ny > 10**8:
