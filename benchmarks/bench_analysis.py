@@ -10,6 +10,13 @@ It times, as the median over ``--calls`` calls (one warm-up call first):
   ``validate_map`` is also given per point-sample pair (grid points times
   its 32 crack samples per crack component), in ns; ``localization_metrics``
   includes the endpoint flags;
+* ``forward.boundary_residual`` of the G3,TM and G4,TM verify probes (the
+  Dirichlet plane wave from -y at the band's first wavenumber, solved at
+  the preset's check node count), the check an ``arcmig image`` TM run
+  makes before its forward stage;
+* ``kernel_predict("TM_BAND", ...)`` at the far point (30, 0) against G4's
+  32 samples, k over the G4,TM band: a scalar prediction whose radial table
+  holds only the panels of its distances;
 * one scalar ``ring_integrals`` call on the limited aperture
   [pi/6, 5 pi/6] at k = 15;
 * ``kernel_predict("LV_TM_BAND" / "LV_TE_BAND", include_remainder=True)``
@@ -29,7 +36,7 @@ import time
 import numpy as np
 from _record import record
 
-from arcmig import analysis, cli, imaging
+from arcmig import analysis, cli, forward, imaging
 
 PRESETS = ("G3,TM", "G4,TM")
 ALPHA, BETA = math.pi / 6.0, 5.0 * math.pi / 6.0
@@ -64,6 +71,17 @@ def main():
         ns_per_pair[name] = round(1e6 * results[name] / (grid.nx * grid.ny * samples), 2)
         results[f"localization_metrics {preset}"] = _ms_per_call(
             lambda: analysis.localization_metrics(image, crack), args.calls)
+        probe = forward.solve_density(
+            crack, forward.PlaneWave(np.array([0.0, -1.0]), ks[0]),
+            forward.BoundaryCondition.DIRICHLET, forward.NystromConfig(nodes_per_arc=cfg.nodes_check))
+        results[f"boundary_residual {preset} probe"] = _ms_per_call(
+            lambda: forward.boundary_residual(probe), args.calls)
+    g4 = cli.preset_config("G4,TM")
+    ks = g4.frequency_set().wavenumbers()
+    samples_g4 = analysis.crack_samples_on_grid(g4.crack(), g4.grid(), 32)[0]
+    results["kernel_predict TM_BAND far point"] = _ms_per_call(
+        lambda: analysis.kernel_predict("TM_BAND", [30.0, 0.0], samples_g4,
+                                        k_first=ks[0], k_last=ks[-1]), args.calls)
 
     x, xi = np.array([0.3, -0.6]), np.array([math.sin(0.3), math.cos(0.3)])
     results["ring_integrals scalar k"] = _ms_per_call(

@@ -626,6 +626,16 @@ def save_map(image: ImageMap, path):
             fh.write(template % tuple(fields))
 
 
+def _sorted_unique(values):
+    """np.unique of a 1-D array without NaNs, by a sort: np.unique's
+    first call imports numpy.ma."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _saved_step(ux, uy):
     """The step of a saved grid from its sorted axis coordinates: the least
     h > 0 with lo + h i >= u_i on both axes, evaluated as `SearchGrid.xs`
@@ -703,7 +713,7 @@ def load_map(path) -> ImageMap:
     infinite = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
     if infinite.size:
         raise MapParseError(f"{path}: non-finite coordinate", line=int(infinite[0]) + 2)
-    ux, uy = np.unique(xs), np.unique(ys)
+    ux, uy = _sorted_unique(xs), _sorted_unique(ys)
     if ux.size * uy.size != vals.size:
         raise MapParseError(f"{path}: points do not form a full grid", line=lineno)
     if ux.size < 2 or uy.size < 2:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcmig import analysis, cli, geometry, imaging, msr
 from arcmig.errors import ConfigError, SingularityError
@@ -420,16 +422,18 @@ def test_unknown_regime_rejected():
 def test_validate_map_blocked_prediction_is_exact(monkeypatch):
     # one arc and the two-arc G4 crack: the blocks hold at most
     # _PREDICT_ARGS point-sample pairs, so the grid spans several blocks.
-    # The prediction and the on/off split read one distance walk: every
-    # call of the shared distance function is recorded as (rows, samples).
-    # validate_map predicts through the public kernel_predict_grid, the
-    # name whose calls perfbench counts as analysis.predict_points
+    # Only the prediction walks the grid: every call of the shared distance
+    # function is recorded as (rows, samples), and every grid.points() call
+    # (the (P, 2) array) is counted.  The on/off split measures only each
+    # sample's window.  validate_map predicts through the public
+    # kernel_predict_grid, the name whose calls perfbench counts as
+    # analysis.predict_points
     grid = imaging.SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.04)
     grid_points = grid.points()
     assert grid_points.shape[0] * 32 > analysis._PREDICT_ARGS
     values = np.random.default_rng(3).uniform(0.0, 1.0, grid_points.shape[0])
     image = imaging.ImageMap(grid=grid, values=values)
-    calls, predicted = [], []
+    calls, predicted, point_arrays = [], [], []
 
     def spy(a, b):
         calls.append((len(a), len(b)))
@@ -439,9 +443,15 @@ def test_validate_map_blocked_prediction_is_exact(monkeypatch):
         predicted.append((len(x), len(points)))
         return predict(kind, x, points, **kwargs)
 
+    def points_spy(self):
+        point_arrays.append(self)
+        return grid_points_of(self)
+
     predict = analysis.kernel_predict_grid
+    grid_points_of = imaging.SearchGrid.points
     monkeypatch.setattr(analysis, "_pairwise_distances", spy)
     monkeypatch.setattr(analysis, "kernel_predict_grid", predict_spy)
+    monkeypatch.setattr(imaging.SearchGrid, "points", points_spy)
 
     def unblocked_mean_off(pts):
         dist = np.min(
@@ -457,41 +467,47 @@ def test_validate_map_blocked_prediction_is_exact(monkeypatch):
         for kind, params in regimes:
             calls.clear()
             predicted.clear()
+            point_arrays.clear()
             metrics = analysis.validate_map(image, crack, kind, params)
-            # each of the 2,601 grid points is measured once
+            # each of the 2,601 grid points is measured once, by the
+            # prediction, and the grid's points are built once, for it
             assert sum(rows for rows, _ in calls) == grid_points.shape[0]
             assert predicted == [(grid_points.shape[0], len(pts))]
+            assert point_arrays == [grid]
             pred = predict(kind, grid_points, pts, **params)
             assert metrics["sup_deviation"] == float(np.max(np.abs(values - pred)))
             assert metrics["off_crack_mean"] == unblocked_mean_off(pts)
-            # each call builds its radial table to its own largest distance;
-            # a shorter table is a prefix of a longer one, so row subsets
-            # of one block each agree bit for bit
+            # each call builds its radial table between its own smallest
+            # and largest distance; tables agree bit for bit on the panels
+            # both hold, so row subsets of one block each agree bit for bit
             for rows in (slice(0, 7), slice(1200, 1201), slice(2000, None)):
                 part = predict(kind, grid_points[rows], pts, **params)
                 assert np.array_equal(part, pred[rows])
-        # localization_metrics shares the blocked distances (64 samples)
+        # localization_metrics (64 samples) measures the grid only in the
+        # samples' and endpoints' windows
         pts64 = np.array([s.point for s in geometry.sample_points(crack, 64)])
         calls.clear()
         predicted.clear()
+        point_arrays.clear()
         loc = analysis.localization_metrics(image, crack)
-        # against the samples: the grid once, the argmax point once; no
-        # prediction
-        assert sum(rows for rows, m in calls if m == len(pts64)) == grid_points.shape[0] + 1
+        # against the samples: the argmax point once; no prediction, and
+        # no (P, 2) array of the grid's points
+        assert calls == [(1, len(pts64))]
         assert predicted == []
+        assert point_arrays == []
         assert loc["off_crack_mean"] == unblocked_mean_off(pts64)
 
 
 @pytest.mark.parametrize("preset", ["G1", "G2", "G3", "G4"])
 def test_radial_tables_match_the_closed_form_and_scipy(preset):
     # TM_SINGLE, TM_BAND and TM_WEIGHTED_BAND read one function g of the
-    # distance from a table of degree-9 Chebyshev panels of width
-    # 0.5 / k_max: it agrees with the fused kernel's closed form and with
+    # distance from a table of degree-5 Chebyshev panels of width
+    # 0.07 / k_max: it agrees with the fused kernel's closed form and with
     # scipy within 5e-13 max|g|, at r = 0, on and just below the panel
     # edges, and at random distances out to every preset grid's diagonal
     ks = cli.preset_config(f"{preset},TM").frequency_set().wavenumbers()
     k1, kf = float(ks[0]), float(ks[-1])
-    edges = 0.5 / kf * np.arange(1, int(6.0 * kf / 0.5))
+    edges = 0.07 / kf * np.arange(1, int(6.0 * kf / 0.07))
     r = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0),
                         np.random.default_rng(11).uniform(0.0, 6.0, 20000)])
 
@@ -516,3 +532,73 @@ def test_radial_tables_match_the_closed_form_and_scipy(preset):
         for fused in (True, False):
             ref = reference(kind, params.get("k"), fused)
             assert np.max(np.abs(table - ref)) <= 5e-13 * np.max(np.abs(ref)), (kind, fused)
+
+
+def test_far_point_table_fits_only_its_panels():
+    # a scalar prediction 30 away from G4's samples reads the bits of the
+    # same point in a call that also holds the origin (whose table starts
+    # at r = 0), and fits no panel below its distance to the samples' box
+    crack = geometry.catalog("G4")
+    pts = np.array([s.point for s in geometry.sample_points(crack, 32)])
+    ks = cli.preset_config("G4,TM").frequency_set().wavenumbers()
+    params = {"k_first": float(ks[0]), "k_last": float(ks[-1])}
+    far = np.array([30.0, 0.0])
+    both = analysis.kernel_predict_grid("TM_BAND", np.array([[0.0, 0.0], far]), pts, **params)
+    assert analysis.kernel_predict("TM_BAND", far, pts, **params) == both[1]
+    table = analysis._radial_table("TM_BAND", far[None], pts, None, **params)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    box = np.hypot(far[0] - hi[0], max(lo[1] - far[1], far[1] - hi[1], 0.0))
+    nearest = np.min(geometry._pairwise_distances(far[None], pts))
+    assert table.first * table.width <= nearest
+    assert (table.first + 1) * table.width > box
+    assert table.first > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+    st.floats(0.1, 2.5), st.floats(0.1, 2.5), st.integers(1, 40),
+    st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=12),
+)
+def test_windowed_near_crack_mask_equals_the_all_pairs_rule(x_lo, y_lo, width, height, steps,
+                                                            samples):
+    # samples inside, outside and straddling the grid's edges; 2 to 41
+    # rows and columns
+    h = max(min(width, height) / steps, max(width, height) / 40.0)
+    grid = imaging.SearchGrid(x_lo, x_lo + width, y_lo, y_lo + height, h)
+    pts = np.array(samples)
+    gp = grid.points()
+    nearest = np.min(np.hypot(gp[:, None, 0] - pts[None, :, 0], gp[:, None, 1] - pts[None, :, 1]), axis=1)
+    assert np.array_equal(analysis._near_crack(grid, pts), ~(nearest >= analysis._OFF_DISTANCE))
+
+
+def test_top_percentile_and_sorted_unique_match_numpy():
+    rng = np.random.default_rng(17)
+    sizes = list(range(1, 64)) + [99, 100, 101, 1000, 2047, 2999, 3000]
+    for n in sizes:
+        for values in (rng.random(n), rng.integers(0, 4, n).astype(float), np.zeros(n),
+                       -rng.exponential(size=n), rng.standard_normal(n) * 1e300):
+            top = analysis._top_percentile(values)
+            assert top == np.quantile(values, 0.95), n
+            assert np.array_equal(imaging._sorted_unique(values), np.unique(values))
+        ints = rng.integers(-5, 50, n)
+        assert np.array_equal(imaging._sorted_unique(ints), np.unique(ints))
+        assert imaging._sorted_unique(ints).dtype == ints.dtype
+
+
+def test_table_prediction_within_stated_tolerance_of_the_closed_form():
+    # the map prediction of every TM preset against the closed-form sum over
+    # the samples (every fifth grid point): within 1.8e-12 of its peak, and
+    # the 10-node table it replaced read within 1.5e-13, so the prediction
+    # moved by less than 2e-12 of its peak
+    for preset in ("G1", "G2", "G3", "G4"):
+        cfg = cli.preset_config(f"{preset},TM")
+        grid, ks = cfg.grid(), cfg.frequency_set().wavenumbers()
+        k1, kf = float(ks[0]), float(ks[-1])
+        pts = analysis.crack_samples_on_grid(cfg.crack(), grid, 32)[0]
+        x = grid.points()[::5]
+        pred = analysis.kernel_predict_grid("TM_BAND", x, pts, k_first=k1, k_last=kf)
+        r = geometry._pairwise_distances(x, pts)
+        closed = (kf * analysis._j01_squares(kf * r) - k1 * analysis._j01_squares(k1 * r)) / (kf - k1)
+        closed = np.abs(np.sum(closed, axis=1))
+        assert np.max(np.abs(pred - closed)) <= 1.8e-12 * np.max(closed), preset

@@ -4,6 +4,8 @@ manifest verification and exit codes."""
 import math
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +650,17 @@ def test_endpoint_top_fractions_match_per_endpoint_rule():
                 expected[f"endpoint_{c_idx}_{label}_top5"] = bool(
                     near.any() and np.max(values[near]) >= np.quantile(values, 0.95)
                 )
-        assert analysis._endpoint_top_fractions(image, crack, grid.points()) == expected
+        assert analysis._endpoint_top_fractions(image, crack) == expected
         assert expected["endpoint_2_hi_top5"] is False
     assert list(expected.values()) == [True] * 5 + [False]
+
+
+def test_image_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs every run its import; np.unique and np.quantile import it
+    script = ("import sys\nfrom arcmig import cli\n"
+              f"assert cli.main(['image', '--preset', 'G1,TM', '--out', {str(tmp_path)!r}]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"

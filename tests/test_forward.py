@@ -222,6 +222,42 @@ def test_lattice_log_weights_match_direct(n, midpoint):
     assert np.max(np.abs(forward._grid_log_weights(grid) - direct)) < 1e-13 * scale
 
 
+def _cosine_km_weights(n, u):
+    # the Kussmaul-Martensen weights as the plain cosine sum, order by order
+    out = -(np.pi / n**2) * np.cos(n * u)
+    for m in range(1, n):
+        out -= (2.0 * np.pi / n) * np.cos(m * u) / m
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
+def test_rotation_km_weights_match_the_cosine_sum_on_the_probe_angles(n):
+    # boundary_residual's collocation angles against the midpoint nodes of
+    # a Dirichlet solve, both signs
+    points = forward._RESIDUAL_POINTS
+    tau_star = (np.arange(points) + 0.37) * np.pi / points
+    tau = forward._NodeGrid(n, True).tau
+    for u in (tau_star[:, None] - tau[None, :], tau_star[:, None] + tau[None, :]):
+        assert np.max(np.abs(forward._km_log_weights(n, u) - _cosine_km_weights(n, u))) <= 1e-15
+
+
+def test_boundary_residual_with_rotation_weights_within_1e_15(monkeypatch):
+    # the verify probe of every TM preset: one plane wave at the band's
+    # first wavenumber, at the preset's check node count
+    from arcmig import cli
+
+    residuals = {}
+    for preset in ("G1", "G2", "G3", "G4"):
+        cfg = cli.preset_config(f"{preset},TM")
+        wave = PlaneWave(np.array([0.0, -1.0]), cfg.frequency_set().wavenumbers()[0])
+        sol = forward.solve_density(cfg.crack(), wave, BC.DIRICHLET,
+                                    NystromConfig(nodes_per_arc=cfg.nodes_check))
+        residuals[preset] = (sol, forward.boundary_residual(sol))
+    monkeypatch.setattr(forward, "_km_log_weights", _cosine_km_weights)
+    for preset, (sol, residual) in residuals.items():
+        assert abs(residual - forward.boundary_residual(sol)) <= 1e-15, preset
+
+
 def _general_slp_system(k, disc):
     # the off-node path at a copy of the grid's own tau: direct weights,
     # one Hankel evaluation per block entry
