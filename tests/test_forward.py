@@ -4,7 +4,7 @@ far-field consistency at large but finite radius."""
 import numpy as np
 import pytest
 
-from arcmig import forward, geometry
+from arcmig import cli, forward, geometry
 from arcmig.errors import ConfigError, DomainError
 from arcmig.forward import BoundaryCondition as BC
 from arcmig.forward import NystromConfig, PlaneWave
@@ -244,8 +244,6 @@ def test_rotation_km_weights_match_the_cosine_sum_on_the_probe_angles(n):
 def test_boundary_residual_with_rotation_weights_within_1e_15(monkeypatch):
     # the verify probe of every TM preset: one plane wave at the band's
     # first wavenumber, at the preset's check node count
-    from arcmig import cli
-
     residuals = {}
     for preset in ("G1", "G2", "G3", "G4"):
         cfg = cli.preset_config(f"{preset},TM")
